@@ -9,7 +9,6 @@ exponentials, so no integrator error enters the theorem checks.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -280,12 +279,13 @@ def heisenberg_check(
 # Evolution
 
 def evolve(h: HermitianOperator, t: float, psi0: PureState) -> PureState:
-    """Spectral propagation: sum over atoms of exp(-i lambda t) P psi."""
+    """Spectral propagation: V exp(-i lambda t) V^dagger psi over the
+    eigenvector blocks V of the generator."""
     if h.dim != psi0.dim:
         raise DimensionMismatch(f"generator dim {h.dim} vs state dim {psi0.dim}")
-    out = np.zeros(h.dim, dtype=complex)
-    for lam, p in h.eigensystem.atoms:
-        out += cmath.exp(-1j * lam * t) * (p @ psi0.amplitudes)
+    es = h.eigensystem
+    phases = np.exp(-1j * es.column_eigenvalues * t)
+    out = es.basis @ (phases * (es.basis.conj().T @ psi0.amplitudes))
     return PureState.normalized(out)
 
 

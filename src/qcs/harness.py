@@ -156,20 +156,29 @@ def parse_piecewise_fn(obj) -> PiecewiseFn:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("function spec must be an object with a 'kind'")
     kind = obj["kind"]
-    if kind == "identity":
-        return PiecewiseFn.identity()
-    if kind == "square":
-        return PiecewiseFn.square()
-    if kind == "abs":
-        return PiecewiseFn.absolute()
-    if kind == "constant":
-        return PiecewiseFn.constant(float(obj["c"]))
-    if kind == "affine":
-        return PiecewiseFn.affine(float(obj["a"]), float(obj["b"]))
-    if kind == "poly":
-        lo = float(obj.get("lo", -math.inf))
-        hi = float(obj.get("hi", math.inf))
-        return PiecewiseFn.from_poly([float(c) for c in obj["coeffs"]], lo, hi)
+
+    def field(key):
+        if key not in obj:
+            raise SchemaError(f"{kind} function spec needs {key!r}")
+        return obj[key]
+
+    try:
+        if kind == "identity":
+            return PiecewiseFn.identity()
+        if kind == "square":
+            return PiecewiseFn.square()
+        if kind == "abs":
+            return PiecewiseFn.absolute()
+        if kind == "constant":
+            return PiecewiseFn.constant(float(field("c")))
+        if kind == "affine":
+            return PiecewiseFn.affine(float(field("a")), float(field("b")))
+        if kind == "poly":
+            lo = float(obj.get("lo", -math.inf))
+            hi = float(obj.get("hi", math.inf))
+            return PiecewiseFn.from_poly([float(c) for c in field("coeffs")], lo, hi)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad {kind} function spec: {exc}") from exc
     raise SchemaError(f"unknown function kind {kind!r}")
 
 

@@ -526,16 +526,25 @@ class MapSpec:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise BadSpec("map spec must be an object with a 'kind'")
         kind = obj["kind"]
-        if kind == "identity":
-            return cls.identity()
-        if kind == "rotation":
-            return cls.rotation(obj["c"])
-        if kind == "interval_exchange":
-            return cls.interval_exchange(obj["lengths"], obj["perm"])
-        if kind == "expanding":
-            return cls.expanding(obj["k"])
-        if kind == "composition":
-            return cls.composition(*(cls.from_json(m) for m in obj["maps"]))
+
+        def field(key):
+            if key not in obj:
+                raise BadSpec(f"{kind} map spec needs {key!r}")
+            return obj[key]
+
+        try:
+            if kind == "identity":
+                return cls.identity()
+            if kind == "rotation":
+                return cls.rotation(field("c"))
+            if kind == "interval_exchange":
+                return cls.interval_exchange(field("lengths"), field("perm"))
+            if kind == "expanding":
+                return cls.expanding(field("k"))
+            if kind == "composition":
+                return cls.composition(*(cls.from_json(m) for m in field("maps")))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise BadSpec(f"bad {kind} map spec: {exc}") from exc
         raise BadSpec(f"unknown map kind {kind!r}")
 
     def to_json(self):

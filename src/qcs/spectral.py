@@ -11,7 +11,10 @@ Conventions used throughout the package:
 
 * intervals on the line and on ]0,1[ are left-open right-closed, ]a,b];
 * the quantile takes the atom at a level boundary, min{r : F(r) >= s};
-* eigenvalues closer than ``EIGENVALUE_MERGE_TOL`` are one spectral atom;
+* eigenvalues closer than ``EIGENVALUE_MERGE_TOL`` times the spectral scale
+  ``max(1, max|lambda|)`` are one spectral atom, and the spectral
+  reconstruction is checked against ``PROJECTOR_TOL`` times the same scale,
+  so both rules follow the operator's norm (for norm <= 1 they are absolute);
 * CDF atoms with weight below ``WEIGHT_DROP_TOL`` are dropped so that levels
   stay strictly increasing.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -69,6 +73,11 @@ class HermitianOperator:
     def eigensystem(self) -> "EigenSystem":
         return eigensystem(self)
 
+    @cached_property
+    def _cdf_memo(self) -> "weakref.WeakKeyDictionary[PureState, StepCDF]":
+        """Step CDFs of this operator, keyed weakly by state object."""
+        return weakref.WeakKeyDictionary()
+
     def expectation(self, psi: "PureState") -> float:
         if psi.dim != self.dim:
             raise DimensionMismatch(f"operator dim {self.dim} vs state dim {psi.dim}")
@@ -77,29 +86,37 @@ class HermitianOperator:
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Spectral atoms (eigenvalue, orthogonal projector) in ascending order."""
+    """Spectral atoms (eigenvalue, eigenvector block) in ascending order.
+
+    Atom k is ``(lambda_k, V_k)`` with ``V_k`` a d x m_k matrix whose columns
+    are an orthonormal basis of the eigenspace, so the blocks side by side
+    form one unitary ``V`` (``basis``).  The projector ``P_k = V_k V_k^dagger``
+    is built only on request (:meth:`projector`); weights come from one
+    ``V^dagger psi``.
+    """
 
     atoms: tuple[tuple[float, np.ndarray], ...]
 
     def __post_init__(self):
         if not self.atoms:
             raise NonHermitian("empty eigensystem")
-        frozen = tuple((float(lam), _readonly(p)) for lam, p in self.atoms)
-        object.__setattr__(self, "atoms", frozen)
-        lams = [lam for lam, _ in frozen]
+        lams = [float(lam) for lam, _ in self.atoms]
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise NonHermitian("eigenvalues must be strictly ascending")
-        dim = frozen[0][1].shape[0]
-        total = sum(p for _, p in frozen)
-        if np.abs(total - np.eye(dim)).max() > PROJECTOR_TOL:
-            raise NonHermitian("projectors do not resolve the identity")
-        # Pairwise orthogonality is O(k^2 d^3); checked here only at desk scale.
-        if dim <= 12:
-            for i, (_, pi) in enumerate(frozen):
-                for j, (_, pj) in enumerate(frozen):
-                    target = pi if i == j else 0.0
-                    if np.abs(pi @ pj - target).max() > PROJECTOR_TOL:
-                        raise NonHermitian("projectors are not orthogonal idempotents")
+        # One read-only copy of V; the atoms hold views of its column blocks.
+        basis = _readonly(np.hstack([np.asarray(v, dtype=complex) for _, v in self.atoms]))
+        starts = [0]
+        for _, v in self.atoms:
+            starts.append(starts[-1] + np.shape(v)[1])
+        views = tuple((lam, basis[:, i:j]) for lam, i, j in zip(lams, starts, starts[1:]))
+        object.__setattr__(self, "atoms", views)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_block_starts", tuple(starts))
+        if basis.shape[0] != basis.shape[1]:
+            raise NonHermitian(f"eigenvector blocks of shape {basis.shape} do not span the space")
+        # V^dagger V = I: the projectors are orthogonal idempotents resolving the identity.
+        if np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() > PROJECTOR_TOL:
+            raise NonHermitian("eigenvector blocks are not orthonormal")
 
     @property
     def dim(self) -> int:
@@ -109,16 +126,31 @@ class EigenSystem:
     def eigenvalues(self) -> tuple[float, ...]:
         return tuple(lam for lam, _ in self.atoms)
 
+    @property
+    def column_eigenvalues(self) -> np.ndarray:
+        """The eigenvalue of each column of ``basis``, the blocks side by side."""
+        return np.repeat(self.eigenvalues, np.diff(self._block_starts))
+
+    def matrix(self) -> np.ndarray:
+        """The operator V diag(lambda) V^dagger that the atoms describe."""
+        return (self.basis * self.column_eigenvalues) @ self.basis.conj().T
+
     def weights(self, psi: "PureState") -> list[float]:
-        """Spectral weights <P_k> of a unit state, clipped to be nonnegative."""
+        """Spectral weights <P_k> of a unit state: |V^dagger psi|^2 summed per block."""
         if psi.dim != self.dim:
             raise DimensionMismatch(f"eigensystem dim {self.dim} vs state dim {psi.dim}")
-        v = psi.amplitudes
-        return [max(0.0, float(np.vdot(v, p @ v).real)) for _, p in self.atoms]
+        amps = np.abs(self.basis.conj().T @ psi.amplitudes) ** 2
+        starts = self._block_starts
+        return [math.fsum(amps[i:j]) for i, j in zip(starts, starts[1:])]
+
+    def projector(self, k: int) -> np.ndarray:
+        """The orthogonal projector V_k V_k^dagger onto the k-th eigenspace."""
+        v = self.atoms[k][1]
+        return v @ v.conj().T
 
     def eigenvector(self, k: int) -> np.ndarray:
         """A unit vector in the k-th eigenspace (deterministic choice)."""
-        p = self.atoms[k][1]
+        p = self.projector(k)
         col = int(np.argmax(np.linalg.norm(p, axis=0)))
         v = p[:, col]
         return v / np.linalg.norm(v)
@@ -350,21 +382,30 @@ class PiecewiseFn:
         return True
 
 
+def spectral_scale(values) -> float:
+    """max(1, max|value|): the unit in which the merge gap and the
+    reconstruction tolerance are measured."""
+    return max(1.0, float(np.max(np.abs(values))))
+
+
 def eigensystem(a: HermitianOperator) -> EigenSystem:
-    """Diagonalize, merging eigenvalues within ``EIGENVALUE_MERGE_TOL``."""
+    """Diagonalize into eigenvector blocks, merging eigenvalues within
+    ``EIGENVALUE_MERGE_TOL`` times the spectral scale; an atom's eigenvalue is
+    the mean of its members.  The reconstruction ``V diag(lambda) V^dagger``
+    must match the operator within ``PROJECTOR_TOL`` times the same scale."""
     w, v = np.linalg.eigh(a.entries)
+    scale = spectral_scale(w)
+    gap = EIGENVALUE_MERGE_TOL * scale
     atoms = []
     i = 0
     while i < a.dim:
         j = i
-        while j + 1 < a.dim and w[j + 1] - w[j] <= EIGENVALUE_MERGE_TOL:
+        while j + 1 < a.dim and w[j + 1] - w[j] <= gap:
             j += 1
-        block = v[:, i : j + 1]
-        atoms.append((float(np.mean(w[i : j + 1])), block @ block.conj().T))
+        atoms.append((float(np.mean(w[i : j + 1])), v[:, i : j + 1]))
         i = j + 1
     system = EigenSystem(tuple(atoms))
-    recon = sum(lam * p for lam, p in system.atoms)
-    if np.abs(recon - a.entries).max() > PROJECTOR_TOL:
+    if np.abs(system.matrix() - a.entries).max() > PROJECTOR_TOL * scale:
         raise NonHermitian("spectral reconstruction failed")
     return system
 
@@ -379,13 +420,22 @@ def spectral_cdf(a: HermitianOperator, psi: PureState) -> StepCDF:
     """Step CDF of the observable's distribution in the given state.
 
     Levels are cumulative spectral weights; atoms with weight below
-    ``WEIGHT_DROP_TOL`` are dropped and the last level is pinned to 1.
+    ``WEIGHT_DROP_TOL`` are dropped and the last level is pinned to 1.  The
+    result is memoised per (operator, state object); the memo holds the
+    state only weakly.
     """
     if a.dim != psi.dim:
         raise DimensionMismatch(f"operator dim {a.dim} vs state dim {psi.dim}")
-    es = a.eigensystem
+    memo = a._cdf_memo
+    cdf = memo.get(psi)
+    if cdf is None:
+        cdf = memo[psi] = _build_spectral_cdf(a.eigensystem, psi)
+    return cdf
+
+
+def _build_spectral_cdf(es: EigenSystem, psi: PureState) -> StepCDF:
     ws = es.weights(psi)
-    kept = [(lam, w) for (lam, _), w in zip(es.atoms, ws) if w >= WEIGHT_DROP_TOL]
+    kept = [(lam, w) for lam, w in zip(es.eigenvalues, ws) if w >= WEIGHT_DROP_TOL]
     if not kept:
         raise OutOfDomain("state has no weight on any spectral atom")
     total = math.fsum(w for _, w in kept)
@@ -403,23 +453,26 @@ def quantile(cdf: StepCDF, s) -> float:
 
 
 def borel_apply(fn: PiecewiseFn, a: HermitianOperator) -> HermitianOperator:
-    """Functional calculus: apply fn to the spectrum, merging equal images.
+    """Functional calculus: apply fn to the spectrum, merging images within
+    ``EIGENVALUE_MERGE_TOL`` times the image scale (a merged atom keeps its
+    smallest image and the stacked eigenvector blocks of its members).
 
     The returned operator carries the image eigensystem, so downstream CDFs
-    use bitwise the same image values as direct evaluation of fn.
+    use bitwise the same image values as direct evaluation of fn.  Its
+    entries are ``V diag(fn(lambda)) V^dagger``, symmetrized to be exactly
+    Hermitian.
     """
-    es = a.eigensystem
-    images = [(fn(lam), p) for lam, p in es.atoms]
-    images.sort(key=lambda t: t[0])
-    merged: list[tuple[float, np.ndarray]] = []
-    for val, p in images:
-        if merged and val - merged[-1][0] <= EIGENVALUE_MERGE_TOL:
-            prev_val, prev_p = merged[-1]
-            merged[-1] = (prev_val, prev_p + p)
+    images = sorted(((fn(lam), v) for lam, v in a.eigensystem.atoms), key=lambda t: t[0])
+    gap = EIGENVALUE_MERGE_TOL * spectral_scale([val for val, _ in images])
+    merged: list[tuple[float, list[np.ndarray]]] = []
+    for val, v in images:
+        if merged and val - merged[-1][0] <= gap:
+            merged[-1][1].append(v)
         else:
-            merged.append((val, np.array(p)))
-    entries = sum(val * p for val, p in merged)
-    return _with_eigensystem(entries, EigenSystem(tuple(merged)))
+            merged.append((val, [v]))
+    system = EigenSystem(tuple((val, np.hstack(blocks)) for val, blocks in merged))
+    m = system.matrix()
+    return _with_eigensystem((m + m.conj().T) / 2, system)
 
 
 def moment(a: HermitianOperator, psi: PureState, k: int) -> float:
@@ -430,4 +483,4 @@ def moment(a: HermitianOperator, psi: PureState, k: int) -> float:
         raise OutOfDomain("moment order must be nonnegative")
     es = a.eigensystem
     ws = es.weights(psi)
-    return math.fsum((lam**k) * w for (lam, _), w in zip(es.atoms, ws))
+    return math.fsum((lam**k) * w for lam, w in zip(es.eigenvalues, ws))

@@ -44,6 +44,7 @@ from .measure_maps import (
 )
 from .sampling import keyed_uniform, uniform_labels
 from .spectral import (
+    PROJECTOR_TOL,
     HermitianOperator,
     PiecewiseFn,
     PureState,
@@ -54,7 +55,6 @@ from .spectral import (
 
 BREAKPOINT_EPS = 1e-15
 LEVEL_GUARD_EPS = 1e-12
-PROJECTOR_TOL = 1e-10
 
 Interval = tuple[Fraction, Fraction]
 
@@ -202,7 +202,7 @@ def sample_values(
     cdf = spectral_cdf(a, psi)
     z = uniform_labels(seed, start, n)
     bps = np.array([float(b) for b in barrier.breakpoints])
-    bad = np.abs(z[:, None] - bps[None, :]).min(axis=1) < BREAKPOINT_EPS
+    bad = _nearest_distance(bps, z) < BREAKPOINT_EPS
     for i in np.nonzero(bad)[0]:
         for candidate in keyed_uniform(seed, start + int(i)):
             if np.abs(candidate - bps).min() >= BREAKPOINT_EPS:
@@ -216,10 +216,20 @@ def sample_values(
     idx = np.clip(idx, 0, len(levels) - 1)
     support = np.array(cdf.support)
     out = support[idx]
-    near = np.abs(s[:, None] - levels[None, :]).min(axis=1) < LEVEL_GUARD_EPS
+    near = _nearest_distance(levels, s) < LEVEL_GUARD_EPS
     for i in np.nonzero(near)[0]:
         out[i] = cdf.quantile(barrier(Fraction(z[i])))
     return out
+
+
+def _nearest_distance(points: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """min over points of |x - point| for each x, from its two neighbours in
+    the ascending ``points``; O(len(x)) memory.  Rounding of x - point is
+    monotone in point, so this equals the minimum over all points bitwise."""
+    right = np.searchsorted(points, x)
+    left = np.clip(right - 1, 0, len(points) - 1)
+    right = np.clip(right, 0, len(points) - 1)
+    return np.minimum(np.abs(x - points[left]), np.abs(x - points[right]))
 
 
 def sigma_simple_regions(

@@ -395,12 +395,13 @@ def check_spectral_reconstruction():
         dim = int(rng.integers(2, 9))
         a = random_hermitian(rng, dim)
         es = a.eigensystem
-        recon = sum(lam * p for lam, p in es.atoms)
+        projectors = [es.projector(k) for k in range(len(es.atoms))]
+        recon = sum(lam * p for lam, p in zip(es.eigenvalues, projectors))
         worst = max(worst, float(np.abs(recon - a.entries).max()))
-        total = sum(p for _, p in es.atoms)
+        total = sum(projectors)
         worst = max(worst, float(np.abs(total - np.eye(dim)).max()))
-        for i, (_, pi) in enumerate(es.atoms):
-            for j, (_, pj) in enumerate(es.atoms):
+        for i, pi in enumerate(projectors):
+            for j, pj in enumerate(projectors):
                 target = pi if i == j else 0.0
                 worst = max(worst, float(np.abs(pi @ pj - target).max()))
     return worst < 1e-10, f"max deviation {worst:.3e} over 200 operators"

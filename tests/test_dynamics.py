@@ -211,7 +211,8 @@ def test_lift_of_unitary_group_is_a_one_parameter_group(rng):
     h = random_hermitian(rng, 3)
 
     def propagator(t):
-        u = sum(np.exp(-1j * lam * t) * p for lam, p in h.eigensystem.atoms)
+        es = h.eigensystem
+        u = sum(np.exp(-1j * lam * t) * es.projector(k) for k, lam in enumerate(es.eigenvalues))
         return UnitaryOperator(u)
 
     sigma = EquivalenceComplex(MapSpec.rotation(F(2, 9)))

@@ -8,14 +8,16 @@ import sys
 import numpy as np
 import pytest
 
-from qcs.errors import EmptySample, SchemaError
+from qcs.errors import BadSpec, EmptySample, SchemaError
 from qcs.harness import (
     ExperimentConfig,
     Report,
     emit_report,
+    parse_piecewise_fn,
     render_report,
     run_experiment,
 )
+from qcs.measure_maps import MapSpec
 from qcs.spectral import StepCDF
 from qcs.stats import empirical_cdf, ks_statistic, ks_threshold
 from qcs.cli import main as cli_main
@@ -265,6 +267,73 @@ def test_cli_run_and_config_errors(tmp_path, capsys):
     assert cli_main(["run", "--config", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert cli_main(["run", "--config", str(missing)]) == 2
+
+
+MAP_SPECS = {
+    "rotation": {"kind": "rotation", "c": "1/3"},
+    "interval_exchange": {"kind": "interval_exchange", "lengths": ["1/2", "1/2"], "perm": [1, 0]},
+    "expanding": {"kind": "expanding", "k": 2},
+    "composition": {"kind": "composition", "maps": [{"kind": "expanding", "k": 2}]},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        ("rotation", "c"),
+        ("interval_exchange", "lengths"),
+        ("interval_exchange", "perm"),
+        ("expanding", "k"),
+        ("composition", "maps"),
+    ],
+)
+def test_map_spec_missing_key_is_a_bad_spec(kind, key):
+    spec = dict(MAP_SPECS[kind])
+    MapSpec.from_json(spec)
+    del spec[key]
+    with pytest.raises(BadSpec, match=repr(key)):
+        MapSpec.from_json(spec)
+
+
+FUNCTION_SPECS = {
+    "constant": {"kind": "constant", "c": 2},
+    "affine": {"kind": "affine", "a": 2, "b": 1},
+    "poly": {"kind": "poly", "coeffs": [0, 1]},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key", [("constant", "c"), ("affine", "a"), ("affine", "b"), ("poly", "coeffs")]
+)
+def test_function_spec_missing_key_is_a_schema_error(kind, key):
+    spec = dict(FUNCTION_SPECS[kind])
+    parse_piecewise_fn(spec)
+    del spec[key]
+    with pytest.raises(SchemaError, match=repr(key)):
+        parse_piecewise_fn(spec)
+
+
+def test_cli_rotation_without_offset_exits_2(tmp_path, capsys):
+    config = {
+        "kind": "measure",
+        "operator": [[1, 0], [0, -1]],
+        "state": [1, 0],
+        "barrier": {"kind": "rotation"},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert "needs 'c'" in capsys.readouterr().err
+
+
+def test_python_dash_m_qcs_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcs", "cat", "--p", "1/2", "--z", "0.75"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "awake" in proc.stdout
 
 
 def test_cli_verify_suite_runs(capsys):

@@ -1,5 +1,7 @@
 """Spectral atoms, step CDFs, quantiles, and functional calculus."""
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcs.errors import DimensionMismatch, DomainGap, NonHermitian, NotNormalized, OutOfDomain
+from qcs.harness import ExperimentConfig, run_experiment
 from qcs.spectral import (
+    EIGENVALUE_MERGE_TOL,
+    EigenSystem,
     HermitianOperator,
     PiecewiseFn,
     PureState,
@@ -21,8 +26,20 @@ from qcs.spectral import (
     quantile,
     spectral_cdf,
 )
-from qcs.states import squaring_witness_model
+from qcs.states import BarrierComplex, ObservableFunction, squaring_witness_model
 from qcs.random_objects import random_hermitian, random_pure_state
+
+SCALED_NORM = 1e6
+
+
+def scaled_pair(dim: int, seed: int = 20210312):
+    """A random operator of spectral norm 1e6 and a random state."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = (m + m.conj().T) / 2
+    m *= SCALED_NORM / np.linalg.norm(m, 2)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return m, v / np.linalg.norm(v)
 
 
 def test_identity_has_one_atom():
@@ -36,20 +53,21 @@ def test_identity_has_one_atom():
 def test_diagonal_eigensystem_is_exact():
     es = eigensystem(HermitianOperator(np.diag([1.0, -1.0]).astype(complex)))
     assert es.eigenvalues == (-1.0, 1.0)
-    assert np.array_equal(es.atoms[0][1], np.diag([0.0, 1.0]))
-    assert np.array_equal(es.atoms[1][1], np.diag([1.0, 0.0]))
+    assert np.array_equal(es.projector(0), np.diag([0.0, 1.0]))
+    assert np.array_equal(es.projector(1), np.diag([1.0, 0.0]))
 
 
 def test_sigma_x_projectors_reconstruct():
     sx = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
     es = sx.eigensystem
     assert len(es.atoms) == 2
-    for lam, p in es.atoms:
+    for k, lam in enumerate(es.eigenvalues):
+        p = es.projector(k)
         assert abs(abs(lam) - 1.0) < 1e-12
         assert np.abs(p @ p - p).max() < 1e-12
         expected = (np.eye(2) + lam * sx.entries) / 2
         assert np.abs(p - expected).max() < 1e-12
-    recon = sum(lam * p for lam, p in es.atoms)
+    recon = sum(lam * es.projector(k) for k, lam in enumerate(es.eigenvalues))
     assert np.abs(recon - sx.entries).max() < 1e-12
 
 
@@ -82,7 +100,7 @@ def test_spectral_cdf_matches_bruteforce_subset_weights(rng):
     vec = psi.amplitudes
     for size in range(1, len(es.atoms) + 1):
         for subset in combinations(range(len(es.atoms)), size):
-            e_b = sum(es.atoms[k][1] for k in subset)
+            e_b = sum(es.projector(k) for k in subset)
             direct = float(np.vdot(vec, e_b @ vec).real)
             via_cdf = sum(
                 w
@@ -95,7 +113,9 @@ def test_spectral_cdf_matches_bruteforce_subset_weights(rng):
     for lam, _ in es.atoms:
         cum = cdf.evaluate(lam)
         direct = float(
-            np.vdot(vec, sum(p for mu, p in es.atoms if mu <= lam) @ vec).real
+            np.vdot(
+                vec, sum(es.projector(k) for k, mu in enumerate(es.eigenvalues) if mu <= lam) @ vec
+            ).real
         )
         assert abs(cum - direct) < 1e-10
 
@@ -132,7 +152,7 @@ def test_borel_square_on_witness_gives_two_atoms():
     es = a2.eigensystem
     assert [lam for lam, _ in es.atoms] == [0.0, 1.0]
     # A^2 projects onto the union of the two outer blocks
-    assert np.abs(es.atoms[1][1] - (model.plus + model.minus)).max() < 1e-12
+    assert np.abs(es.projector(1) - (model.plus + model.minus)).max() < 1e-12
 
 
 def test_borel_identity_keeps_operator():
@@ -146,7 +166,8 @@ def test_borel_affine_matches_direct_eigensystem():
     out = borel_apply(PiecewiseFn.affine(2.0, 1.0), sz)
     direct = eigensystem(HermitianOperator(2 * sz.entries + np.eye(2)))
     assert out.eigensystem.eigenvalues == direct.eigenvalues == (-1.0, 3.0)
-    for (_, p), (_, q) in zip(out.eigensystem.atoms, direct.atoms):
+    for k in range(len(direct.atoms)):
+        p, q = out.eigensystem.projector(k), direct.projector(k)
         assert np.abs(p - q).max() < 1e-12
 
 
@@ -218,3 +239,95 @@ def test_galois_pair_property(cdf, t):
         assert Fraction(cdf.evaluate(r)) >= s
         if cdf.levels[k] < 1.0:
             assert cdf.quantile(cdf.evaluate(cdf.support[k])) <= cdf.support[k]
+
+
+# ---------------------------------------------------------------------------
+# Eigenvector blocks and scale-relative tolerances
+
+
+def test_scaled_operator_eigensystem_and_cdf():
+    m, v = scaled_pair(64)
+    a, psi = HermitianOperator(m), PureState(v)
+    es = eigensystem(a)
+    assert len(es.atoms) == 64
+    recon = sum(lam * es.projector(k) for k, lam in enumerate(es.eigenvalues))
+    assert np.abs(recon - m).max() <= 1e-10 * SCALED_NORM
+    w, vecs = np.linalg.eigh(m)
+    born = np.abs(vecs.conj().T @ v) ** 2
+    cdf = spectral_cdf(a, psi)
+    assert np.abs(np.array(cdf.support) - w).max() <= 1e-10 * SCALED_NORM
+    assert np.abs(np.array(cdf.weights) - born).max() <= 1e-12
+
+
+def test_scaled_operator_borel_square():
+    m, v = scaled_pair(64)
+    a, psi = HermitianOperator(m), PureState(v)
+    squared = borel_apply(PiecewiseFn.square(), a)
+    assert np.array_equal(squared.entries, squared.entries.conj().T)
+    want = float(np.vdot(v, m @ (m @ v)).real)
+    mean = moment(squared, psi, 1)
+    assert abs(mean - want) <= 1e-10 * want
+    label_mean = ObservableFunction(squared, BarrierComplex.identity()).expectation(psi)
+    assert abs(label_mean - want) <= 1e-10 * want
+
+
+def test_scaled_operator_measure_experiment():
+    m, v = scaled_pair(32)
+    config = {
+        "kind": "measure",
+        "operator": [[[x.real, x.imag] for x in row] for row in m],
+        "state": [[x.real, x.imag] for x in v],
+        "barrier": {"kind": "rotation", "c": "5/16"},
+        "seed": 3,
+        "samples": 2000,
+    }
+    results = run_experiment(ExperimentConfig.from_json(config)).results
+    assert len(results["distribution"]) == 32
+    assert results["max_error"] <= 1e-15
+    born = np.abs(np.linalg.eigh(m)[1].conj().T @ v) ** 2
+    got = np.array([row["probability"] for row in results["distribution"]])
+    assert np.abs(got - born).max() <= 1e-12
+    assert results["ks"]["passed"]
+
+
+@pytest.mark.parametrize("lam", [0.5, 1e6])
+@pytest.mark.parametrize("factor, atoms", [(0.5, 2), (2.0, 3)])
+def test_merge_gap_scales_with_the_spectrum(lam, factor, atoms):
+    """Eigenvalues merge iff their gap is within 1e-12 * max(1, max|lambda|)."""
+    gap = EIGENVALUE_MERGE_TOL * max(1.0, lam)
+    a = HermitianOperator(np.diag([-0.25, lam, lam + factor * gap]).astype(complex))
+    es = a.eigensystem
+    assert len(es.atoms) == atoms
+    assert [v.shape[1] for _, v in es.atoms] == ([1, 2] if atoms == 2 else [1, 1, 1])
+
+
+@pytest.mark.parametrize("slope, atoms", [(0.5e-6, 1), (2e-6, 2)])
+def test_borel_merge_gap_scales_with_the_images(slope, atoms):
+    a = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
+    out = borel_apply(PiecewiseFn.affine(slope, SCALED_NORM), a)
+    assert len(out.eigensystem.atoms) == atoms
+    assert out.eigensystem.eigenvalues[0] == SCALED_NORM
+
+
+def test_eigensystem_rejects_blocks_that_are_not_a_basis():
+    e0 = np.array([[1.0], [0.0]])
+    with pytest.raises(NonHermitian):
+        EigenSystem(((0.0, e0), (1.0, e0)))
+    with pytest.raises(NonHermitian):
+        EigenSystem(((0.0, e0),))
+
+
+def test_spectral_cdf_memo_is_per_operator_and_state_object():
+    a = random_hermitian(np.random.default_rng(3), 4)
+    psi = random_pure_state(np.random.default_rng(4), 4)
+    cdf = spectral_cdf(a, psi)
+    assert spectral_cdf(a, psi) is cdf
+    twin = PureState(psi.amplitudes)
+    fresh = spectral_cdf(a, twin)
+    assert fresh is not cdf
+    assert (fresh.support, fresh.levels) == (cdf.support, cdf.levels)
+    dropped = weakref.ref(twin)
+    del twin, fresh
+    gc.collect()
+    assert dropped() is None
+    assert spectral_cdf(a, psi) is cdf

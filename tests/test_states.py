@@ -1,6 +1,7 @@
 """Complete states: value assignments, exact distributions, the squaring
 obstruction, and identifiability."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -45,6 +46,7 @@ from qcs.states import (
     value,
     value_distribution,
     value_region,
+    _nearest_distance,
 )
 from qcs.random_objects import random_hermitian, random_pure_state
 
@@ -108,6 +110,48 @@ def test_sample_values_deterministic_and_partitionable():
         ]
     )
     assert np.array_equal(full, parts)
+
+
+# sha256 of sample_values(MODEL, rotation(1/3) then expanding(3)) output
+# bytes, pinned from the dense distance-matrix implementation.
+SAMPLE_DIGESTS = {
+    (0, 0, 4096): "727be5740b36ded52fa79343881c71936ec5cea9eb5d59b5737162959ff40674",
+    (9, 1000, 3000): "c8298b9c7028e1bbe68dbaf27e828e44528fa3d8a6f93ef4d92e4a81288a4508",
+    (2021, 123457, 5000): "66488428524f92ed87955c5a6ca2fbf983bd931b469ce3c82694a4ab74be51f5",
+}
+DIGEST_BARRIER = build_map(
+    MapSpec.composition(MapSpec.rotation(F(1, 3)), MapSpec.expanding(3))
+)
+
+
+def _digest(samples: np.ndarray) -> str:
+    return hashlib.sha256(samples.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, start, n", sorted(SAMPLE_DIGESTS))
+def test_sample_values_stream_is_pinned(seed, start, n):
+    a, psi = MODEL.operator, MODEL.state
+    whole = sample_values(a, psi, DIGEST_BARRIER, seed, n, start=start)
+    assert _digest(whole) == SAMPLE_DIGESTS[seed, start, n]
+    cuts = [0, 1, n // 3, n // 3 + 7, n]
+    chunks = [
+        sample_values(a, psi, DIGEST_BARRIER, seed, hi - lo, start=start + lo)
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    assert _digest(np.concatenate(chunks)) == SAMPLE_DIGESTS[seed, start, n]
+
+
+def test_nearest_distance_equals_the_dense_minimum():
+    """The searchsorted neighbour distance is the dense minimum bitwise, so
+    redraw and exact-path decisions do not change."""
+    rng = np.random.default_rng(17)
+    for size in (1, 2, 5, 40):
+        points = np.sort(rng.random(size))
+        x = np.concatenate(
+            [rng.random(500), points, np.nextafter(points, 0), np.nextafter(points, 1), [0.0, 1.0]]
+        )
+        dense = np.abs(x[:, None] - points[None, :]).min(axis=1)
+        assert np.array_equal(_nearest_distance(points, x), dense)
 
 
 def test_sample_values_agree_with_the_values_function():
