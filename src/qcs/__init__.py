@@ -7,12 +7,10 @@ from .spectral import (
     HermitianOperator,
     PiecewiseFn,
     PureState,
-    QuantileFn,
     StepCDF,
     borel_apply,
     eigensystem,
     moment,
-    quantile,
     spectral_cdf,
 )
 from .measure_maps import (

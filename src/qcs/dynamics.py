@@ -375,15 +375,14 @@ def evolution_expectation_check(
     psi0: PureState,
     barriers: BarrierComplex,
     times: Sequence[float],
-) -> float:
-    """Max gap over times between the matrix expectation on the evolved state
-    and the label mean taken with the initial barrier complex on the evolved
-    state's CDF (the shared label measure is Lebesgue)."""
+) -> list[tuple[float, float, float]]:
+    """(t, operator side, label side) for each time: the matrix expectation
+    on the evolved state and the label mean taken with the initial barrier
+    complex on the evolved state's CDF (the shared label measure is
+    Lebesgue).  The identity holds when the two sides agree."""
     f = ObservableFunction(a, barriers)
-    worst = 0.0
+    rows = []
     for t in times:
         psi_t = evolve(h, float(t), psi0)
-        op_side = a.expectation(psi_t)
-        label_side = f.expectation(psi_t)
-        worst = max(worst, abs(op_side - label_side))
-    return worst
+        rows.append((float(t), a.expectation(psi_t), f.expectation(psi_t)))
+    return rows

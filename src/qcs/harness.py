@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import QcsError, SchemaError
+from .errors import DomainGap, QcsError, SchemaError
 from .measure_maps import (
     MapSpec,
     build_map,
@@ -35,7 +35,7 @@ from .spectral import (
 )
 from .states import (
     BarrierComplex,
-    ObservableFunction,
+    label_mean,
     no_go_witness,
     repair_barrier,
     sample_values,
@@ -44,11 +44,12 @@ from .states import (
 )
 from .stats import ks_statistic, ks_threshold
 from . import verify as verify_module
-from .dynamics import EquivalenceComplex, evolve
+from .dynamics import evolution_expectation_check
 from .phase_space import (
     PhaseSpaceState,
     build_measure,
     momentum_observable,
+    operator_mean,
     position_observable,
     realize_barrier,
     spin_observable,
@@ -177,7 +178,7 @@ def parse_piecewise_fn(obj) -> PiecewiseFn:
             lo = float(obj.get("lo", -math.inf))
             hi = float(obj.get("hi", math.inf))
             return PiecewiseFn.from_poly([float(c) for c in field("coeffs")], lo, hi)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DomainGap) as exc:
         raise SchemaError(f"bad {kind} function spec: {exc}") from exc
     raise SchemaError(f"unknown function kind {kind!r}")
 
@@ -200,25 +201,6 @@ def parse_barrier_complex(obj) -> BarrierComplex:
         return BarrierComplex(default, overrides)
     except QcsError as exc:
         raise SchemaError(f"bad barrier complex: {exc}") from exc
-
-
-def parse_equivalences(obj) -> EquivalenceComplex:
-    if obj is None:
-        return EquivalenceComplex.identity()
-    if isinstance(obj, dict) and "kind" in obj:
-        return EquivalenceComplex(parse_map_spec(obj))
-    if not isinstance(obj, dict):
-        raise SchemaError("equivalence complex must be an object")
-    default = parse_map_spec(obj.get("default"), MapSpec.identity())
-    overrides = {}
-    for entry in obj.get("overrides", []):
-        if not isinstance(entry, dict) or "map" not in entry:
-            raise SchemaError("equivalence override needs a 'map'")
-        overrides[entry.get("state")] = parse_map_spec(entry["map"])
-    try:
-        return EquivalenceComplex(default, overrides)
-    except QcsError as exc:
-        raise SchemaError(f"bad equivalence complex: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +265,11 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
     ):
         raise SchemaError("times must be a list of reals")
     barriers = parse_barrier_complex(payload.get("barrier"))
-    parse_equivalences(payload.get("sigma"))  # validated; evolution uses spectral exponentials
-    f = ObservableFunction(a, barriers)
     rows = []
-    worst = 0.0
-    for t in times:
-        psi_t = evolve(h, float(t), psi0)
-        op_side = a.expectation(psi_t)
-        label_side = f.expectation(psi_t)
+    for t, op_side, label_side in evolution_expectation_check(a, h, psi0, barriers, times):
         gap = abs(op_side - label_side)
-        worst = max(worst, gap)
-        rows.append(
-            {"t": float(t), "operator_side": op_side, "label_side": label_side, "gap": gap}
-        )
+        rows.append({"t": t, "operator_side": op_side, "label_side": label_side, "gap": gap})
+    worst = max((row["gap"] for row in rows), default=0.0)
     return {"rows": rows, "max_gap": worst, "passed": bool(worst < 1e-10)}
 
 
@@ -393,29 +367,20 @@ def _run_phase_space(config: ExperimentConfig) -> dict:
     if not isinstance(obs_spec, dict) or "kind" not in obs_spec:
         raise SchemaError("observable must be an object with a 'kind'")
     okind = obs_spec["kind"]
+    fn = None
     if okind == "position":
-        obs = position_observable(parse_piecewise_fn(obs_spec.get("g", {"kind": "identity"})), state)
-        fn_vals = [
-            parse_piecewise_fn(obs_spec.get("g", {"kind": "identity"}))(q) for q in state.q_grid
-        ]
-        dens = ((np.abs(state.amplitudes) ** 2) * state.dq).sum(axis=0)
-        op_side = math.fsum(v * float(w) for v, w in zip(fn_vals, dens))
+        fn = parse_piecewise_fn(obs_spec.get("g", {"kind": "identity"}))
+        obs = position_observable(fn, state)
     elif okind == "momentum":
         fn = parse_piecewise_fn(obs_spec.get("f", {"kind": "identity"}))
         obs = momentum_observable(fn, state)
-        dens = ((np.abs(state.momentum_amplitudes) ** 2) * state.dp).sum(axis=0)
-        op_side = math.fsum(fn(p) * float(w) for p, w in zip(state.p_grid, dens))
     elif okind == "spin":
         obs = spin_observable(state)
-        masses = state.sector_masses()
-        op_side = math.fsum(float(s) * float(m) for s, m in zip(state.sector_labels, masses))
     else:
         raise SchemaError(f"unknown observable kind {okind!r}")
-    equiv = to_unit_interval(build_measure(state))
-    barrier, _ = realize_barrier(obs, equiv)
-    label_side = math.fsum(
-        v * float(hi - lo) for lo, hi, v in level_function(obs.cdf, barrier).cells()
-    )
+    op_side = operator_mean(state, okind, fn)
+    barrier, _ = realize_barrier(obs, to_unit_interval(build_measure(state)))
+    label_side = label_mean(level_function(obs.cdf, barrier))
     gap = abs(op_side - label_side)
     return {
         "distribution": [

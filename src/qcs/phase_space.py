@@ -237,6 +237,23 @@ def spin_observable(state: PhaseSpaceState) -> CellObservable:
     return CellObservable(cell_values, _pushforward_cdf(cell_values, measure.masses))
 
 
+def operator_mean(state: PhaseSpaceState, coordinate: str, fn: PiecewiseFn | None = None) -> float:
+    """Matrix-side mean of fn of the position, the momentum or the spin
+    label (fn defaults to the identity): fn on the grid weighted by the
+    density summed over sectors."""
+    if coordinate == "position":
+        grid, dens = state.q_grid, ((np.abs(state.amplitudes) ** 2) * state.dq).sum(axis=0)
+    elif coordinate == "momentum":
+        grid = state.p_grid
+        dens = ((np.abs(state.momentum_amplitudes) ** 2) * state.dp).sum(axis=0)
+    elif coordinate == "spin":
+        grid, dens = state.sector_labels, state.sector_masses()
+    else:
+        raise BadSpec(f"unknown coordinate {coordinate!r}")
+    fn = fn or PiecewiseFn.identity()
+    return math.fsum(fn(x) * float(w) for x, w in zip(grid, dens))
+
+
 @dataclass(frozen=True, eq=False)
 class CellEquivalence:
     """Canonical measure equivalence of the cell space onto ]0,1[.

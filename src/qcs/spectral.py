@@ -11,10 +11,12 @@ Conventions used throughout the package:
 
 * intervals on the line and on ]0,1[ are left-open right-closed, ]a,b];
 * the quantile takes the atom at a level boundary, min{r : F(r) >= s};
-* eigenvalues closer than ``EIGENVALUE_MERGE_TOL`` times the spectral scale
-  ``max(1, max|lambda|)`` are one spectral atom, and the spectral
-  reconstruction is checked against ``PROJECTOR_TOL`` times the same scale,
-  so both rules follow the operator's norm (for norm <= 1 they are absolute);
+* a matrix is Hermitian when it deviates from its adjoint by at most
+  ``HERMITIAN_TOL`` times ``max(1, max|A_ij|)``; eigenvalues closer than
+  ``EIGENVALUE_MERGE_TOL`` times the spectral scale ``max(1, max|lambda|)``
+  are one spectral atom, and the spectral reconstruction is checked against
+  ``PROJECTOR_TOL`` times the same scale, so these rules follow the
+  operator's size (for entries and spectra within [-1, 1] they are absolute);
 * CDF atoms with weight below ``WEIGHT_DROP_TOL`` are dropped so that levels
   stay strictly increasing.
 """
@@ -61,7 +63,8 @@ class HermitianOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise NonHermitian(f"expected a square matrix, got shape {m.shape}")
         dev = float(np.abs(m - m.conj().T).max())
-        if dev > HERMITIAN_TOL:
+        # spectral_scale(m) >= 1, so the scale is needed only past the absolute bound.
+        if dev > HERMITIAN_TOL and dev > HERMITIAN_TOL * spectral_scale(m):
             raise NonHermitian(f"matrix deviates from its adjoint by {dev:.3e}")
         object.__setattr__(self, "entries", _readonly(m))
 
@@ -272,16 +275,6 @@ class StepCDF:
 
 
 @dataclass(frozen=True, eq=False)
-class QuantileFn:
-    """Left-continuous quasi-inverse of a StepCDF, as a callable view."""
-
-    cdf: StepCDF
-
-    def __call__(self, s) -> float:
-        return self.cdf.quantile(s)
-
-
-@dataclass(frozen=True, eq=False)
 class PiecewiseFn:
     """Piecewise-polynomial function on left-open right-closed pieces.
 
@@ -383,8 +376,8 @@ class PiecewiseFn:
 
 
 def spectral_scale(values) -> float:
-    """max(1, max|value|): the unit in which the merge gap and the
-    reconstruction tolerance are measured."""
+    """max(1, max|value|): the unit in which the adjoint deviation, the merge
+    gap and the reconstruction tolerance are measured."""
     return max(1.0, float(np.max(np.abs(values))))
 
 
@@ -419,37 +412,19 @@ def _with_eigensystem(entries: np.ndarray, system: EigenSystem, tag: str | None 
 def spectral_cdf(a: HermitianOperator, psi: PureState) -> StepCDF:
     """Step CDF of the observable's distribution in the given state.
 
-    Levels are cumulative spectral weights; atoms with weight below
-    ``WEIGHT_DROP_TOL`` are dropped and the last level is pinned to 1.  The
-    result is memoised per (operator, state object); the memo holds the
-    state only weakly.
+    Built by :meth:`StepCDF.from_weights` from the eigenvalues and their
+    spectral weights, so atoms with weight below ``WEIGHT_DROP_TOL`` are
+    dropped and the last level is pinned to 1.  The result is memoised per
+    (operator, state object); the memo holds the state only weakly.
     """
     if a.dim != psi.dim:
         raise DimensionMismatch(f"operator dim {a.dim} vs state dim {psi.dim}")
     memo = a._cdf_memo
     cdf = memo.get(psi)
     if cdf is None:
-        cdf = memo[psi] = _build_spectral_cdf(a.eigensystem, psi)
+        es = a.eigensystem
+        cdf = memo[psi] = StepCDF.from_weights(zip(es.eigenvalues, es.weights(psi)))
     return cdf
-
-
-def _build_spectral_cdf(es: EigenSystem, psi: PureState) -> StepCDF:
-    ws = es.weights(psi)
-    kept = [(lam, w) for lam, w in zip(es.eigenvalues, ws) if w >= WEIGHT_DROP_TOL]
-    if not kept:
-        raise OutOfDomain("state has no weight on any spectral atom")
-    total = math.fsum(w for _, w in kept)
-    cum, levels = 0.0, []
-    for _, w in kept:
-        cum += w
-        levels.append(cum / total)
-    levels[-1] = 1.0
-    return StepCDF(tuple(lam for lam, _ in kept), tuple(levels))
-
-
-def quantile(cdf: StepCDF, s) -> float:
-    """min{r : F(r) >= s} for s in ]0,1[."""
-    return cdf.quantile(s)
 
 
 def borel_apply(fn: PiecewiseFn, a: HermitianOperator) -> HermitianOperator:

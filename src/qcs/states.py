@@ -97,10 +97,6 @@ class BarrierComplex:
     def identity(cls) -> "BarrierComplex":
         return cls(MapSpec.identity())
 
-    @classmethod
-    def constant(cls, spec: MapSpec) -> "BarrierComplex":
-        return cls(spec)
-
     def _build(self, spec: MapSpec) -> PiecewiseAffineMap:
         cache = self.__dict__["_built"]
         if spec not in cache:
@@ -294,14 +290,7 @@ def expectation_via_labels(
     barrier: PiecewiseAffineMap,
 ) -> float:
     """Exact label-side integral of fn composed with the assigned values."""
-    if not barrier.measure_preserving:
-        raise NotABarrier("label expectations require a measure-preserving barrier")
-    cdf = spectral_cdf(a, psi)
-    terms = []
-    for k, r in enumerate(cdf.support):
-        lo, hi = cdf.level_interval(k)
-        terms.append(fn(r) * float(preimage_measure(barrier, lo, hi)))
-    return math.fsum(terms)
+    return math.fsum(fn(r) * float(p) for r, p in value_distribution(a, psi, barrier))
 
 
 def monotone_compose_check(

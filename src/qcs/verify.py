@@ -71,6 +71,7 @@ from .states import (
     default_probe_states,
     eigenvector_probes,
     expectation_via_labels,
+    label_mean,
     no_go_witness,
     recover_barrier,
     repair_barrier,
@@ -85,6 +86,7 @@ from .phase_space import (
     PhaseSpaceState,
     build_measure,
     momentum_observable,
+    operator_mean,
     position_observable,
     realize_barrier,
     shared_barrier_joint_gap,
@@ -128,10 +130,6 @@ def _map_with_few_pieces(rng, max_pieces: int = 6, allow_expanding: bool = True)
         m = build_map(random_map_spec(rng, allow_expanding=allow_expanding))
         if len(m.pieces) <= max_pieces:
             return m
-
-
-def _identity_complex() -> BarrierComplex:
-    return BarrierComplex.identity()
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +247,7 @@ def check_gradient_identity():
         dim = int(rng.integers(2, 9))
         a = random_hermitian(rng, dim)
         psi = random_pure_state(rng, dim)
-        f = ObservableFunction(a, _identity_complex())
+        f = ObservableFunction(a, BarrierComplex.identity())
         worst = max(worst, gradient_check(f, psi, h=1e-5))
     return worst < 1e-6, f"max relative gradient error = {worst:.3e}"
 
@@ -267,11 +265,12 @@ def check_rabi_dynamics():
         worst = max(worst, abs(sz.expectation(psi_t) - math.cos(2 * t)))
     if worst >= 1e-10:
         return False, f"closed-form gap {worst:.3e}"
-    gap = evolution_expectation_check(sz, sx, psi0, _identity_complex(), list(times))
+    rows = evolution_expectation_check(sz, sx, psi0, BarrierComplex.identity(), list(times))
+    gap = max(abs(op_side - label_side) for _, op_side, label_side in rows)
     if gap >= 1e-10:
         return False, f"evolution-expectation gap {gap:.3e}"
-    f = ObservableFunction(sz, _identity_complex())
-    h_fn = ObservableFunction(sx, _identity_complex())
+    f = ObservableFunction(sz, BarrierComplex.identity())
+    h_fn = ObservableFunction(sx, BarrierComplex.identity())
     lhs, rhs, sgap = schrodinger_equivalence_check(f, h_fn, sx, psi0, t0=0.3, dt=1e-4)
     if abs(lhs - (-2 * math.sin(0.6))) >= 1e-5 or sgap >= 1e-5:
         return False, f"generator equivalence gap {sgap:.3e}"
@@ -281,8 +280,8 @@ def check_rabi_dynamics():
         h = random_hermitian(rng, dim)
         a = random_hermitian(rng, dim)
         psi = random_pure_state(rng, dim)
-        fo = ObservableFunction(a, _identity_complex())
-        ho = ObservableFunction(h, _identity_complex())
+        fo = ObservableFunction(a, BarrierComplex.identity())
+        ho = ObservableFunction(h, BarrierComplex.identity())
         t0 = float(rng.uniform(0.1, 1.5))
         _, _, g = schrodinger_equivalence_check(fo, ho, h, psi, t0, dt=1e-4)
         if g >= 1e-5:
@@ -312,8 +311,8 @@ def check_heisenberg():
     """1000 random triples satisfy the uncertainty inequality; the standard
     two-level witness attains equality at (1, 1)."""
     lhs, rhs, holds = heisenberg_check(
-        ObservableFunction(pauli_x(), _identity_complex()),
-        ObservableFunction(pauli_y(), _identity_complex()),
+        ObservableFunction(pauli_x(), BarrierComplex.identity()),
+        ObservableFunction(pauli_y(), BarrierComplex.identity()),
         PureState(np.array([1.0, 0.0], dtype=complex)),
     )
     if not holds or abs(lhs - 1) > 1e-12 or abs(rhs - 1) > 1e-12:
@@ -321,8 +320,8 @@ def check_heisenberg():
     rng = np.random.default_rng(606)
     for _ in range(1000):
         dim = int(rng.integers(2, 7))
-        f = ObservableFunction(random_hermitian(rng, dim), _identity_complex())
-        g = ObservableFunction(random_hermitian(rng, dim), _identity_complex())
+        f = ObservableFunction(random_hermitian(rng, dim), BarrierComplex.identity())
+        g = ObservableFunction(random_hermitian(rng, dim), BarrierComplex.identity())
         psi = random_pure_state(rng, dim)
         _, _, ok = heisenberg_check(f, g, psi)
         if not ok:
@@ -340,33 +339,17 @@ def check_phase_space_expectation():
     raw = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
     state = PhaseSpaceState.normalized(Fraction(1, 2), raw, dq=0.1)
     equiv = to_unit_interval(build_measure(state))
-    hat = state.momentum_amplitudes
-    checks = []
-    gobs = position_observable(PiecewiseFn.identity(), state)
-    qdens = (np.abs(state.amplitudes) ** 2) * state.dq
-    pdens = (np.abs(hat) ** 2) * state.dp
-    op_pos = math.fsum(
-        float(state.q_grid[i]) * float(qdens[s, i])
-        for s in range(2)
-        for i in range(n)
-    )
-    checks.append(("position", gobs, op_pos))
-    fobs = momentum_observable(PiecewiseFn.identity(), state)
-    op_mom = math.fsum(
-        float(state.p_grid[j]) * float(pdens[s, j]) for s in range(2) for j in range(n)
-    )
-    checks.append(("momentum", fobs, op_mom))
-    sobs = spin_observable(state)
-    masses = state.sector_masses()
-    op_spin = math.fsum(float(s) * float(m) for s, m in zip(state.sector_labels, masses))
-    checks.append(("spin", sobs, op_spin))
+    identity = PiecewiseFn.identity()
+    checks = [
+        ("position", position_observable(identity, state)),
+        ("momentum", momentum_observable(identity, state)),
+        ("spin", spin_observable(state)),
+    ]
     worst = 0.0
-    for name, obs, op_value in checks:
+    for coordinate, obs in checks:
         barrier, _ = realize_barrier(obs, equiv)
-        label_side = math.fsum(
-            v * float(hi - lo) for lo, hi, v in level_function(obs.cdf, barrier).cells()
-        )
-        worst = max(worst, abs(label_side - op_value))
+        label_side = label_mean(level_function(obs.cdf, barrier))
+        worst = max(worst, abs(label_side - operator_mean(state, coordinate)))
     return worst < 1e-12, f"max |matrix - label| = {worst:.3e}"
 
 
@@ -651,12 +634,12 @@ def check_algebra_identities():
     worst = 0.0
     for _ in range(100):
         dim = int(rng.integers(2, 7))
-        f = ObservableFunction(random_hermitian(rng, dim), _identity_complex())
-        g = ObservableFunction(random_hermitian(rng, dim), _identity_complex())
+        f = ObservableFunction(random_hermitian(rng, dim), BarrierComplex.identity())
+        g = ObservableFunction(random_hermitian(rng, dim), BarrierComplex.identity())
         a, b = f.operator.entries, g.operator.entries
         star = algebra_product("star", f, g)
         worst = max(worst, float(np.abs(star.operator - a @ b).max()))
-        h = ObservableFunction(random_hermitian(rng, dim), _identity_complex())
+        h = ObservableFunction(random_hermitian(rng, dim), BarrierComplex.identity())
         lie = lambda x, y: algebra_product("lie", x, y)
         jac = (
             lie(f, lie(g, h)).operator.entries
@@ -685,8 +668,8 @@ def check_quadratic_form_identities():
     worst = 0.0
     for _ in range(50):
         dim = int(rng.integers(2, 7))
-        f = ObservableFunction(random_hermitian(rng, dim), _identity_complex())
-        g = ObservableFunction(random_hermitian(rng, dim), _identity_complex())
+        f = ObservableFunction(random_hermitian(rng, dim), BarrierComplex.identity())
+        g = ObservableFunction(random_hermitian(rng, dim), BarrierComplex.identity())
         psi = random_pure_state(rng, dim)
         vec = psi.amplitudes
         star = algebra_product("star", f, g)

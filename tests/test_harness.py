@@ -350,3 +350,20 @@ def test_cli_entry_point_installed():
     )
     assert proc.returncode == 0
     assert "awake" in proc.stdout
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 0), (0.5, 0.5)])
+def test_cli_poly_with_empty_domain_exits_2(tmp_path, capsys, lo, hi):
+    g = {"kind": "poly", "coeffs": [0, 1], "lo": lo, "hi": hi}
+    config = {
+        "kind": "phase_space",
+        "sigma": "0",
+        "N": 2,
+        "dq": 1.0,
+        "psi": [[1, 0]],
+        "observable": {"kind": "position", "g": g},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert "bad poly function spec" in capsys.readouterr().err

@@ -18,12 +18,10 @@ from qcs.spectral import (
     HermitianOperator,
     PiecewiseFn,
     PureState,
-    QuantileFn,
     StepCDF,
     borel_apply,
     eigensystem,
     moment,
-    quantile,
     spectral_cdf,
 )
 from qcs.states import BarrierComplex, ObservableFunction, squaring_witness_model
@@ -131,19 +129,19 @@ def test_spectral_cdf_dimension_mismatch():
 def test_quantile_on_witness_levels():
     model = squaring_witness_model()
     cdf = spectral_cdf(model.operator, model.state)
-    assert quantile(cdf, 0.5) == -1.0
-    assert quantile(cdf, 0.7) == 0.0
+    assert cdf.quantile(0.5) == -1.0
+    assert cdf.quantile(0.7) == 0.0
     # the >= convention takes the atom at an exact level
-    assert quantile(cdf, Fraction(7, 8)) == 0.0
-    assert quantile(cdf, 0.875) == 0.0
-    assert QuantileFn(cdf)(0.9) == 1.0
+    assert cdf.quantile(Fraction(7, 8)) == 0.0
+    assert cdf.quantile(0.875) == 0.0
+    assert cdf.quantile(0.9) == 1.0
 
 
 def test_quantile_rejects_out_of_domain():
     cdf = StepCDF((0.0,), (1.0,))
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(OutOfDomain):
-            quantile(cdf, bad)
+            cdf.quantile(bad)
 
 
 def test_borel_square_on_witness_gives_two_atoms():
@@ -331,3 +329,27 @@ def test_spectral_cdf_memo_is_per_operator_and_state_object():
     gc.collect()
     assert dropped() is None
     assert spectral_cdf(a, psi) is cdf
+
+
+def unitarily_rotated_scaled(dim: int = 16, seed: int = 16):
+    """Q diag(+-1e6) Q^dagger with Q a random unitary, as computed: Hermitian
+    to rounding relative to its entries, not symmetrized."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    lams = SCALED_NORM * rng.choice([-1.0, 1.0], size=dim)
+    return (q * lams) @ q.conj().T, np.sort(lams)
+
+
+def test_hermitian_check_scales_with_the_entries():
+    m, lams = unitarily_rotated_scaled()
+    assert np.abs(m - m.conj().T).max() > 1e-12
+    es = HermitianOperator(m).eigensystem
+    assert len(es.atoms) == 2
+    assert np.abs(es.column_eigenvalues - lams).max() <= 1e-10 * SCALED_NORM
+
+
+def test_hermitian_check_rejects_a_scaled_anti_hermitian_part():
+    m, _ = scaled_pair(16)
+    s = np.random.default_rng(5).normal(size=m.shape)
+    with pytest.raises(NonHermitian):
+        HermitianOperator(m + 1e-3j * (s + s.T))

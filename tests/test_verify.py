@@ -1,0 +1,22 @@
+"""The property sweeps of `qcs verify` that are not acceptance criteria, one
+test per check; the acceptance criteria run in test_acceptance.py."""
+
+import pytest
+
+from qcs import verify
+
+ACCEPTANCE_NAMES = {c.check_name for c in verify.ACCEPTANCE_CHECKS}
+SWEEPS = list(
+    {
+        c.check_name: c
+        for checks in verify.SUITES.values()
+        for c in checks
+        if c.check_name not in ACCEPTANCE_NAMES
+    }.values()
+)
+
+
+@pytest.mark.parametrize("check", SWEEPS, ids=[c.check_name for c in SWEEPS])
+def test_property_sweep(check):
+    result = check()
+    assert result.passed, f"{result.name}: {result.detail}"
