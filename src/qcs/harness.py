@@ -100,14 +100,35 @@ class Report:
 # ---------------------------------------------------------------------------
 # Payload parsing
 
+def _is_finite_real(v) -> bool:
+    """True for a JSON number (not a boolean) within float range."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _entry_to_complex(x) -> complex:
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return complex(float(x), 0.0)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        re, im = x
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
-            return complex(float(re), float(im))
-    raise SchemaError(f"matrix entries must be reals or [re, im] pairs, got {x!r}")
+    try:
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            return complex(float(x), 0.0)
+        if isinstance(x, (list, tuple)) and len(x) == 2:
+            re, im = x
+            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
+                return complex(float(re), float(im))
+    except OverflowError:
+        pass
+    raise SchemaError(f"matrix entries must be finite reals or [re, im] pairs, got {x!r}")
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """One vectorized check instead of one per entry: NaN and infinite
+    entries are config errors."""
+    if not np.isfinite(a).all():
+        raise SchemaError("matrix entries must be finite reals or [re, im] pairs")
+    return a
 
 
 def parse_matrix(obj) -> np.ndarray:
@@ -118,13 +139,13 @@ def parse_matrix(obj) -> np.ndarray:
         if not isinstance(row, list) or len(row) != len(obj):
             raise SchemaError("matrix must be square")
         rows.append([_entry_to_complex(x) for x in row])
-    return np.array(rows, dtype=complex)
+    return _finite(np.array(rows, dtype=complex))
 
 
 def parse_vector(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError("vector must be a nonempty list")
-    return np.array([_entry_to_complex(x) for x in obj], dtype=complex)
+    return _finite(np.array([_entry_to_complex(x) for x in obj], dtype=complex))
 
 
 def parse_hermitian(obj, what: str) -> HermitianOperator:
@@ -260,16 +281,14 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
     a = parse_hermitian(payload["A"], "A")
     psi0 = parse_state(payload["psi0"], bool(payload.get("normalize", False)), "psi0")
     times = payload["times"]
-    if not isinstance(times, list) or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in times
-    ):
-        raise SchemaError("times must be a list of reals")
+    if not isinstance(times, list) or not times or not all(_is_finite_real(t) for t in times):
+        raise SchemaError("times must be a nonempty list of reals")
     barriers = parse_barrier_complex(payload.get("barrier"))
     rows = []
     for t, op_side, label_side in evolution_expectation_check(a, h, psi0, barriers, times):
         gap = abs(op_side - label_side)
         rows.append({"t": t, "operator_side": op_side, "label_side": label_side, "gap": gap})
-    worst = max((row["gap"] for row in rows), default=0.0)
+    worst = max(row["gap"] for row in rows)
     return {"rows": rows, "max_gap": worst, "passed": bool(worst < 1e-10)}
 
 
@@ -353,7 +372,7 @@ def _run_phase_space(config: ExperimentConfig) -> dict:
     psi_rows = payload["psi"]
     if not isinstance(psi_rows, list):
         raise SchemaError("psi must be a list of sector arrays")
-    amps = np.array([[_entry_to_complex(x) for x in row] for row in psi_rows], dtype=complex)
+    amps = _finite(np.array([[_entry_to_complex(x) for x in row] for row in psi_rows], dtype=complex))
     if amps.ndim != 2 or amps.shape[1] != n:
         raise SchemaError("psi sector arrays must have length N")
     try:

@@ -18,6 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -200,13 +201,19 @@ class PiecewiseAffineMap:
 
 
 def map_equal_ae(m1: PiecewiseAffineMap, m2: PiecewiseAffineMap) -> bool:
-    """Exact a.e. equality: same affine coefficients on every refined cell."""
-    grid = sorted(set(m1.breakpoints) | set(m2.breakpoints))
-    for lo, hi in zip(grid, grid[1:]):
-        mid = (lo + hi) / 2
-        p, q = m1.piece_at(mid), m2.piece_at(mid)
+    """Exact a.e. equality: same affine coefficients wherever two pieces overlap.
+
+    Walks both piece lists together, so each overlapping pair is met once.
+    """
+    i = j = 0
+    while i < len(m1.pieces):
+        p, q = m1.pieces[i], m2.pieces[j]
         if p.slope != q.slope or p.intercept != q.intercept:
             return False
+        if p.hi <= q.hi:
+            i += 1
+        if q.hi <= p.hi:
+            j += 1
     return True
 
 
@@ -291,23 +298,26 @@ def verify_measure_preserving(m: PiecewiseAffineMap, tol: Fraction = DENSITY_TOL
 # Map composition and inversion
 
 def compose(outer: PiecewiseAffineMap, inner: PiecewiseAffineMap) -> PiecewiseAffineMap:
-    """Exact composition outer(inner(z)); agrees pointwise off breakpoints."""
+    """Exact composition outer(inner(z)); agrees pointwise off breakpoints.
+
+    The image ]im_lo, im_hi] of an inner piece meets the outer pieces i..j,
+    found by bisecting the outer piece ends; the inner piece is cut at the
+    preimages of the ends strictly inside its image, and its k-th sub-interval
+    (counted from the image's low end) is composed with outer piece i + k.
+    """
     pieces: list[AffinePiece] = []
-    outer_bps = list(outer.breakpoints)
+    ends = outer._ends
     for p in inner.pieces:
         im_lo, im_hi = p.image_bounds()
-        cuts = {p.lo, p.hi}
-        for c in outer_bps[bisect.bisect_right(outer_bps, im_lo) : bisect.bisect_left(outer_bps, im_hi)]:
-            z = (c - p.intercept) / p.slope
-            if p.lo < z < p.hi:
-                cuts.add(z)
-        grid = sorted(cuts)
-        for lo, hi in zip(grid, grid[1:]):
-            mid = (lo + hi) / 2
-            w = p(mid)
-            if not (ZERO < w <= ONE):
-                raise DomainMismatch("inner image escapes the outer domain")
-            q = outer.piece_at(w)
+        i = bisect.bisect_right(ends, im_lo)
+        j = bisect.bisect_left(ends, im_hi, i)
+        cuts = [(c - p.intercept) / p.slope for c in ends[i:j]]
+        outers = outer.pieces[i : j + 1]
+        if p.slope < 0:
+            cuts.reverse()
+            outers = outers[::-1]
+        grid = [p.lo, *cuts, p.hi]
+        for lo, hi, q in zip(grid, grid[1:], outers):
             pieces.append(AffinePiece(lo, hi, q.slope * p.slope, q.slope * p.intercept + q.intercept))
     return PiecewiseAffineMap(tuple(pieces))
 
@@ -394,11 +404,22 @@ class PiecewiseConstantFn:
     def map_values(self, fn) -> "PiecewiseConstantFn":
         return PiecewiseConstantFn(self.breakpoints, tuple(fn(v) for v in self.values))
 
+    def runs(self) -> Iterable[tuple[int, int, float]]:
+        """(start, end, v) per maximal run of equal adjacent values: the
+        cells start..end-1, that is ]b_start, b_end], all take the value v."""
+        start = 0
+        for v, run in groupby(self.values):
+            end = start + sum(1 for _ in run)
+            yield start, end, v
+            start = end
+
     def masses_by_value(self) -> dict[float, Fraction]:
-        """Exact pushforward of Lebesgue measure: total cell length per value."""
+        """Exact pushforward of Lebesgue measure: total cell length per value,
+        added once per run of equal adjacent values."""
         out: dict[float, Fraction] = defaultdict(lambda: ZERO)
-        for lo, hi, v in self.cells():
-            out[v] += hi - lo
+        bps = self.breakpoints
+        for start, end, v in self.runs():
+            out[v] += bps[end] - bps[start]
         return dict(out)
 
     def equal_ae(self, other: "PiecewiseConstantFn", tol: float = 0.0) -> bool:
@@ -419,24 +440,28 @@ class PiecewiseConstantFn:
         return True
 
     def compose_with_map(self, m: PiecewiseAffineMap) -> "PiecewiseConstantFn":
-        """Exact f(m(z)) as a piecewise-constant function of z."""
-        pieces = []
-        interior = list(self.breakpoints[1:-1])
+        """Exact f(m(z)) as a piecewise-constant function of z.
+
+        The image ]im_lo, im_hi] of a piece of m meets the cells i..j of f,
+        found by bisecting the interior breakpoints; the piece is cut at the
+        preimages of the breakpoints strictly inside its image, and its
+        sub-cells take values[i..j], reversed when the slope is negative.
+        """
+        interior = self.breakpoints[1:-1]
+        bps, vals = [ZERO], []
         for p in m.pieces:
             im_lo, im_hi = p.image_bounds()
-            cuts = {p.lo, p.hi}
-            # only cell boundaries strictly inside the piece image cut it
-            for c in interior[bisect.bisect_right(interior, im_lo) : bisect.bisect_left(interior, im_hi)]:
-                z = (c - p.intercept) / p.slope
-                if p.lo < z < p.hi:
-                    cuts.add(z)
-            grid = sorted(cuts)
-            for lo, hi in zip(grid, grid[1:]):
-                mid = (lo + hi) / 2
-                pieces.append((lo, hi, self(p(mid))))
-        pieces.sort(key=lambda t: t[0])
-        bps = [pieces[0][0]] + [hi for _, hi, _ in pieces]
-        return PiecewiseConstantFn(tuple(bps), tuple(v for _, _, v in pieces))
+            i = bisect.bisect_right(interior, im_lo)
+            j = bisect.bisect_left(interior, im_hi, i)
+            cuts = [(c - p.intercept) / p.slope for c in interior[i:j]]
+            cell_values = self.values[i : j + 1]
+            if p.slope < 0:
+                cuts.reverse()
+                cell_values = cell_values[::-1]
+            bps += cuts
+            bps.append(p.hi)
+            vals += cell_values
+        return PiecewiseConstantFn(tuple(bps), tuple(vals))
 
 
 def quantile_pcf(cdf: StepCDF) -> PiecewiseConstantFn:
@@ -624,12 +649,10 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
         atom_of[v] = best
 
     totals: dict[int, Fraction] = defaultdict(lambda: ZERO)
-    sources: dict[int, list[Interval]] = defaultdict(list)
-    for lo, hi, v in fn.cells():
-        k = atom_of[v]
-        totals[k] += hi - lo
-        sources[k].append((lo, hi))
+    for v, mass in fn.masses_by_value().items():
+        totals[atom_of[v]] += mass
 
+    level_lo, slopes = [], []
     for k in range(len(support)):
         lo_lvl, hi_lvl = cdf.level_interval(k)
         weight = hi_lvl - lo_lvl
@@ -638,14 +661,21 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
             raise DistributionMismatch(
                 f"atom {support[k]!r}: source mass {float(total):.17g} vs weight {float(weight):.17g}"
             )
+        level_lo.append(lo_lvl)
+        slopes.append(weight / total)
 
+    # One pass in source order.  A run of atom k whose cells start at lo
+    # starts at level level_lo[k] + slope * (before[k] - lo), where before[k]
+    # is the source length of the earlier cells of atom k; the run's cells
+    # are contiguous in source and in image, so they share that intercept.
+    bps = fn.breakpoints
+    before = [ZERO] * len(support)
     pieces = []
-    for k in range(len(support)):
-        lo_lvl, hi_lvl = cdf.level_interval(k)
-        slope = (hi_lvl - lo_lvl) / totals[k]
-        pos = lo_lvl
-        for lo, hi in sources[k]:
-            pieces.append(AffinePiece(lo, hi, slope, pos - slope * lo))
-            pos += slope * (hi - lo)
-    pieces.sort(key=lambda p: p.lo)
+    for start, end, v in fn.runs():
+        k = atom_of[v]
+        slope = slopes[k]
+        offset = before[k] - bps[start]
+        intercept = level_lo[k] + slope * offset
+        pieces.extend(AffinePiece(bps[t], bps[t + 1], slope, intercept) for t in range(start, end))
+        before[k] = offset + bps[end]
     return PiecewiseAffineMap(tuple(pieces))

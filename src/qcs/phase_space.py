@@ -70,7 +70,7 @@ class PhaseSpaceState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         total = math.fsum(float(x) for x in (np.abs(amps) ** 2).ravel()) * self.dq
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:  # also rejects a NaN mass
             raise NotNormalized(f"total mass {total!r} is not 1 within {MASS_TOL}")
 
     @classmethod
@@ -150,7 +150,7 @@ class PhaseSpaceMeasure:
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
         total = math.fsum(float(x) for x in m.ravel())
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:  # also rejects a NaN mass
             raise NotNormalized(f"total mass {total!r} is not 1 within {MASS_TOL}")
 
     def q_marginal(self) -> np.ndarray:

@@ -62,6 +62,8 @@ class HermitianOperator:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise NonHermitian(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise NonHermitian("matrix has non-finite entries")
         dev = float(np.abs(m - m.conj().T).max())
         # spectral_scale(m) >= 1, so the scale is needed only past the absolute bound.
         if dev > HERMITIAN_TOL and dev > HERMITIAN_TOL * spectral_scale(m):
@@ -171,7 +173,7 @@ class PureState:
         if v.size == 0:
             raise NotNormalized("empty state vector")
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # also rejects a NaN norm
             raise NotNormalized(f"state norm {nrm!r} is not 1 within 1e-12")
         object.__setattr__(self, "amplitudes", _readonly(v))
 

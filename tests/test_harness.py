@@ -367,3 +367,54 @@ def test_cli_poly_with_empty_domain_exits_2(tmp_path, capsys, lo, hi):
     path.write_text(json.dumps(config))
     assert cli_main(["run", "--config", str(path)]) == 2
     assert "bad poly function spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("operator", [[math.nan, 0], [0, 1]]),
+        ("operator", [[1, [0, math.inf]], [[0, -math.inf], 1]]),
+        ("operator", [[10**400, 0], [0, 1]]),
+        ("state", [math.nan, 0]),
+        ("state", [[1, math.nan], 0]),
+    ],
+)
+def test_cli_non_finite_entries_exit_2(tmp_path, capsys, field, value):
+    config = {"kind": "measure", "operator": [[1, 0], [0, -1]], "state": [1, 0]}
+    config[field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("times", [[], [0.0, math.nan], [math.inf]])
+def test_cli_dynamics_without_finite_times_exits_2(tmp_path, capsys, times):
+    config = {
+        "kind": "dynamics",
+        "H": [[0, 1], [1, 0]],
+        "A": [[1, 0], [0, -1]],
+        "psi0": [1, 0],
+        "times": times,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert "times must be a nonempty list of reals" in capsys.readouterr().err
+
+
+def test_cli_phase_space_with_nan_amplitude_exits_2(tmp_path, capsys):
+    config = {
+        "kind": "phase_space",
+        "sigma": "0",
+        "N": 2,
+        "dq": 1.0,
+        "psi": [[1, math.nan]],
+        "observable": {"kind": "position", "g": {"kind": "identity"}},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err

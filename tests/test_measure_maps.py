@@ -1,7 +1,10 @@
 """Exact map algebra: pushforwards, composition, inversion, factorization."""
 
+import bisect
+from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -339,3 +342,192 @@ def test_pointwise_composition_agrees(spec, z):
     if composed.is_breakpoint(z) or m2.is_breakpoint(z):
         return
     assert composed(z) == m1(m2(z))
+
+
+# ---------------------------------------------------------------------------
+# Midpoint references for the exact kernels.  Each refined cell is classified
+# by evaluating at its midpoint and bisecting, with no index arithmetic, and
+# the library must agree piece for piece.
+
+def ref_compose(outer, inner):
+    pieces = []
+    outer_bps = list(outer.breakpoints)
+    for p in inner.pieces:
+        im_lo, im_hi = p.image_bounds()
+        cuts = {p.lo, p.hi}
+        for c in outer_bps[bisect.bisect_right(outer_bps, im_lo) : bisect.bisect_left(outer_bps, im_hi)]:
+            z = (c - p.intercept) / p.slope
+            if p.lo < z < p.hi:
+                cuts.add(z)
+        grid = sorted(cuts)
+        for lo, hi in zip(grid, grid[1:]):
+            q = outer.piece_at(p((lo + hi) / 2))
+            pieces.append(AffinePiece(lo, hi, q.slope * p.slope, q.slope * p.intercept + q.intercept))
+    return PiecewiseAffineMap(tuple(pieces))
+
+
+def ref_compose_with_map(fn, m):
+    pieces = []
+    interior = list(fn.breakpoints[1:-1])
+    for p in m.pieces:
+        im_lo, im_hi = p.image_bounds()
+        cuts = {p.lo, p.hi}
+        for c in interior[bisect.bisect_right(interior, im_lo) : bisect.bisect_left(interior, im_hi)]:
+            z = (c - p.intercept) / p.slope
+            if p.lo < z < p.hi:
+                cuts.add(z)
+        grid = sorted(cuts)
+        for lo, hi in zip(grid, grid[1:]):
+            pieces.append((lo, hi, fn(p((lo + hi) / 2))))
+    pieces.sort(key=lambda t: t[0])
+    bps = [pieces[0][0]] + [hi for _, hi, _ in pieces]
+    return PiecewiseConstantFn(tuple(bps), tuple(v for _, _, v in pieces))
+
+
+def ref_factor_against_cdf(fn, cdf):
+    """Per-atom source lists, a running level position, then a sort by source."""
+    support = cdf.support
+    totals = defaultdict(lambda: F(0))
+    sources = defaultdict(list)
+    for lo, hi, v in fn.cells():
+        k = min(range(len(support)), key=lambda j: abs(v - support[j]))
+        totals[k] += hi - lo
+        sources[k].append((lo, hi))
+    pieces = []
+    for k in range(len(support)):
+        lo_lvl, hi_lvl = cdf.level_interval(k)
+        slope = (hi_lvl - lo_lvl) / totals[k]
+        pos = lo_lvl
+        for lo, hi in sources[k]:
+            pieces.append(AffinePiece(lo, hi, slope, pos - slope * lo))
+            pos += slope * (hi - lo)
+    pieces.sort(key=lambda p: p.lo)
+    return PiecewiseAffineMap(tuple(pieces))
+
+
+def ref_masses_by_value(fn):
+    out = defaultdict(lambda: F(0))
+    for lo, hi, v in fn.cells():
+        out[v] += hi - lo
+    return dict(out)
+
+
+def ref_map_equal_ae(m1, m2):
+    grid = sorted(set(m1.breakpoints) | set(m2.breakpoints))
+    for lo, hi in zip(grid, grid[1:]):
+        mid = (lo + hi) / 2
+        p, q = m1.piece_at(mid), m2.piece_at(mid)
+        if p.slope != q.slope or p.intercept != q.intercept:
+            return False
+    return True
+
+
+def map_pieces(m):
+    return [(p.lo, p.hi, p.slope, p.intercept) for p in m.pieces]
+
+
+def fn_cells(fn):
+    return list(fn.cells())
+
+
+@st.composite
+def signed_maps(draw):
+    """Compositions of one to three built maps, each possibly followed by the
+    reflection, so pieces of either slope sign occur."""
+    m = IDENTITY
+    for spec in draw(st.lists(simple_specs(), min_size=1, max_size=3)):
+        m = ref_compose(build_map(spec), m)
+        if draw(st.booleans()):
+            m = ref_compose(reflection_map(), m)
+    return m
+
+
+@st.composite
+def functions_on(draw, m):
+    """A piecewise-constant function whose breakpoints mix random rationals
+    with image ends of m's pieces, so some levels sit exactly on an image end.
+    Values repeat, so adjacent cells can share a value."""
+    ends = sorted({e for p in m.pieces for e in p.image_bounds()} - {F(0), F(1)})
+    chosen = draw(st.lists(st.sampled_from(ends), max_size=4)) if ends else []
+    extra = draw(st.lists(rationals.filter(lambda f: 0 < f < 1), max_size=4))
+    bps = [F(0)] + sorted(set(chosen) | set(extra)) + [F(1)]
+    values = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=len(bps) - 1, max_size=len(bps) - 1))
+    return PiecewiseConstantFn(tuple(bps), tuple(values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(outer=signed_maps(), inner=signed_maps())
+def test_compose_matches_midpoint_reference(outer, inner):
+    assert map_pieces(compose(outer, inner)) == map_pieces(ref_compose(outer, inner))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=signed_maps())
+def test_compose_with_map_matches_midpoint_reference(data, m):
+    fn = data.draw(functions_on(m))
+    assert fn_cells(fn.compose_with_map(m)) == fn_cells(ref_compose_with_map(fn, m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=signed_maps())
+def test_masses_by_value_matches_per_cell_sum(data, m):
+    fn = data.draw(functions_on(m))
+    assert list(fn.masses_by_value().items()) == list(ref_masses_by_value(fn).items())
+    composed = fn.compose_with_map(m)
+    assert list(composed.masses_by_value().items()) == list(ref_masses_by_value(composed).items())
+
+
+@st.composite
+def dyadic_cdfs(draw):
+    n = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.sets(st.integers(1, 63), min_size=n - 1, max_size=n - 1)))
+    levels = [c / 64 for c in cuts] + [1.0]
+    return StepCDF(tuple(float(v) for v in range(-1, n - 1)), tuple(levels))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cdf=dyadic_cdfs(), m=signed_maps())
+def test_factor_against_cdf_matches_reference(cdf, m):
+    fn = ref_compose_with_map(quantile_pcf(cdf), m)
+    alpha = factor_against_cdf(fn, cdf)
+    assert map_pieces(alpha) == map_pieces(ref_factor_against_cdf(fn, cdf))
+    assert fn_cells(level_function(cdf, alpha)) == fn_cells(ref_compose_with_map(quantile_pcf(cdf), alpha))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m1=signed_maps(), m2=signed_maps(), spec=simple_specs().filter(lambda s: s.kind != "expanding"))
+def test_map_equal_ae_matches_midpoint_reference(m1, m2, spec):
+    # m1 followed by a bijection and its inverse equals m1 a.e., cut finer
+    b = build_map(spec)
+    refined = ref_compose(invert(b), ref_compose(b, m1))
+    assert map_equal_ae(m1, refined) and ref_map_equal_ae(m1, refined)
+    assert map_equal_ae(m1, m2) == ref_map_equal_ae(m1, m2)
+    assert map_equal_ae(m2, refined) == ref_map_equal_ae(m2, refined)
+
+
+def test_reflection_kernels_match_references():
+    r = reflection_map()
+    rot = build_map(MapSpec.rotation(F(1, 3)))
+    for outer, inner in ((r, rot), (rot, r), (r, r)):
+        assert map_pieces(compose(outer, inner)) == map_pieces(ref_compose(outer, inner))
+    # levels 1/3 and 2/3 are image ends of the rotation's pieces
+    fn = PiecewiseConstantFn((F(0), F(1, 3), F(2, 3), F(1)), (1.0, -1.0, 1.0))
+    for m in (r, compose(r, rot)):
+        assert fn_cells(fn.compose_with_map(m)) == fn_cells(ref_compose_with_map(fn, m))
+    assert map_equal_ae(compose(r, r), IDENTITY) and not map_equal_ae(r, IDENTITY)
+
+
+def test_phase_space_kernels_match_references_at_n16():
+    from qcs.phase_space import PhaseSpaceState, build_measure, position_observable, realize_barrier, to_unit_interval
+    from qcs.spectral import PiecewiseFn
+
+    rng = np.random.default_rng(16)
+    raw = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+    state = PhaseSpaceState.normalized(F(1, 2), raw, 0.25)
+    equiv = to_unit_interval(build_measure(state))
+    obs = position_observable(PiecewiseFn.square(), state)
+    barrier, fn = realize_barrier(obs, equiv)
+    assert map_pieces(barrier) == map_pieces(ref_factor_against_cdf(fn, obs.cdf))
+    levels = level_function(obs.cdf, barrier)
+    assert fn_cells(levels) == fn_cells(ref_compose_with_map(quantile_pcf(obs.cdf), barrier))
+    assert list(levels.masses_by_value().items()) == list(ref_masses_by_value(levels).items())

@@ -244,3 +244,10 @@ def test_marginals_are_exact():
     pdens = ((np.abs(state.momentum_amplitudes) ** 2) * state.dp).sum(axis=0)
     assert np.abs(measure.q_marginal() - qdens).max() < 1e-12
     assert np.abs(measure.p_marginal() - pdens).max() < 1e-12
+
+
+def test_non_finite_amplitudes_rejected():
+    amps = np.full((1, 4), 0.5 + 0j)
+    amps[0, 1] = np.nan
+    with pytest.raises(NotNormalized):
+        PhaseSpaceState(F(0), amps, 1.0)

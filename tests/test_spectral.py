@@ -74,6 +74,19 @@ def test_non_hermitian_rejected():
         HermitianOperator(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_non_finite_operator_rejected(bad):
+    m = np.eye(2, dtype=complex)
+    m[0, 0] = bad
+    with pytest.raises(NonHermitian, match="non-finite"):
+        HermitianOperator(m)
+
+
+def test_non_finite_state_rejected():
+    with pytest.raises(NotNormalized):
+        PureState(np.array([np.nan, 0.0], dtype=complex))
+
+
 def test_spectral_cdf_of_witness_model_is_bit_exact():
     model = squaring_witness_model()
     cdf = spectral_cdf(model.operator, model.state)
