@@ -4,7 +4,6 @@ random spin-1/2 state, plus the two-point witness showing position and
 momentum cannot share one barrier."""
 
 import argparse
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +13,7 @@ from qcs.phase_space import (
     PhaseSpaceState,
     build_measure,
     momentum_observable,
+    operator_mean,
     position_observable,
     realize_barrier,
     shared_barrier_joint_gap,
@@ -21,6 +21,7 @@ from qcs.phase_space import (
     to_unit_interval,
 )
 from qcs.spectral import PiecewiseFn
+from qcs.states import label_mean
 
 
 def main():
@@ -34,24 +35,17 @@ def main():
     raw = rng.normal(size=(2, args.n)) + 1j * rng.normal(size=(2, args.n))
     state = PhaseSpaceState.normalized(Fraction(1, 2), raw, args.dq)
     equiv = to_unit_interval(build_measure(state))
-    hat = state.momentum_amplitudes
-    qdens = ((np.abs(state.amplitudes) ** 2) * state.dq).sum(axis=0)
-    pdens = ((np.abs(hat) ** 2) * state.dp).sum(axis=0)
 
     cases = [
-        ("position", position_observable(PiecewiseFn.identity(), state),
-         math.fsum(q * w for q, w in zip(state.q_grid, qdens))),
-        ("momentum", momentum_observable(PiecewiseFn.identity(), state),
-         math.fsum(p * w for p, w in zip(state.p_grid, pdens))),
-        ("spin", spin_observable(state),
-         math.fsum(float(s) * m for s, m in zip(state.sector_labels, state.sector_masses()))),
+        ("position", position_observable(PiecewiseFn.identity(), state)),
+        ("momentum", momentum_observable(PiecewiseFn.identity(), state)),
+        ("spin", spin_observable(state)),
     ]
     print(f"{'observable':10s} {'operator side':>16s} {'label side':>16s} {'gap':>10s}")
-    for name, obs, op_side in cases:
+    for name, obs in cases:
+        op_side = operator_mean(state, name)
         barrier, _ = realize_barrier(obs, equiv)
-        label_side = math.fsum(
-            v * float(hi - lo) for lo, hi, v in level_function(obs.cdf, barrier).cells()
-        )
+        label_side = label_mean(level_function(obs.cdf, barrier))
         print(f"{name:10s} {op_side:16.12f} {label_side:16.12f} {abs(op_side - label_side):10.2e}")
 
     two_point = np.zeros((1, 8), dtype=complex)

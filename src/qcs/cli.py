@@ -64,26 +64,24 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_example4(args) -> int:
-    payload = {"kind": "example4"}
-    if args.barrier:
+def _with_barrier(payload: dict, barrier: str | None) -> ExperimentConfig:
+    """The config of a built-in experiment, with the --barrier map spec if given."""
+    if barrier:
         try:
-            payload["barrier"] = json.loads(args.barrier)
+            payload["barrier"] = json.loads(barrier)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"--barrier must be JSON: {exc}") from exc
-    report = run_experiment(ExperimentConfig.from_json(payload))
+    return ExperimentConfig.from_json(payload)
+
+
+def cmd_example4(args) -> int:
+    report = run_experiment(_with_barrier({"kind": "example4"}, args.barrier))
     _emit_or_print(report, args.format, args.out)
     return 0 if report.results["passed"] else 1
 
 
 def cmd_cat(args) -> int:
-    payload = {"kind": "cat", "p": args.p, "z": args.z}
-    if args.barrier:
-        try:
-            payload["barrier"] = json.loads(args.barrier)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"--barrier must be JSON: {exc}") from exc
-    report = run_experiment(ExperimentConfig.from_json(payload))
+    report = run_experiment(_with_barrier({"kind": "cat", "p": args.p, "z": args.z}, args.barrier))
     _emit_or_print(report, args.format, args.out)
     return 0
 
@@ -105,11 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run a named property suite")
-    p_verify.add_argument(
-        "--suite",
-        default="all",
-        choices=("all", "spectral", "measure", "states", "dynamics", "phase"),
-    )
+    p_verify.add_argument("--suite", default="all", choices=("all", *verify_module.SUITES))
     p_verify.set_defaults(fn=cmd_verify)
 
     p_ex = sub.add_parser("example4", help="run the built-in squaring experiment")

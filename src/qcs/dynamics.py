@@ -40,6 +40,7 @@ from .states import (
 )
 
 UNITARY_TOL = 1e-10
+INTERTWINE_TOL = 1e-10
 
 
 def pauli_x() -> HermitianOperator:
@@ -297,10 +298,9 @@ def intertwine_check(
     barrier: PiecewiseAffineMap,
     n: int = 1000,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> bool:
     """Evaluate (U^-1 A U) on (psi, barrier, z) and A on the lifted complete
-    state at sampled labels; both sides must agree within tol.
+    state at sampled labels; both sides must agree within INTERTWINE_TOL.
 
     Labels are drawn away from all breakpoints involved and away from level
     boundaries of either CDF, honoring the a.e. nature of the identity.
@@ -335,7 +335,7 @@ def intertwine_check(
             if new_barrier(z2) != barrier(z):
                 return False
             rhs = value(a, CompleteState(new_psi, new_barrier, z2))
-            if abs(lhs - rhs) > tol:
+            if abs(lhs - rhs) > INTERTWINE_TOL:
                 return False
             accepted += 1
             if accepted >= n:

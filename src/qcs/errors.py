@@ -25,10 +25,6 @@ class BadSpec(QcsError):
     """Map specification parameters are outside their valid ranges."""
 
 
-class DomainMismatch(QcsError):
-    """Image of the inner map escapes the domain of the outer map."""
-
-
 class NotInjective(QcsError):
     """Map is not bijective up to null sets, so it has no inverse."""
 

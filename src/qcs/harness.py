@@ -300,7 +300,7 @@ def _run_example4(config: ExperimentConfig) -> dict:
     cdf = spectral_cdf(model.operator, model.state)
     a2 = borel_apply(square, model.operator)
     cdf2 = spectral_cdf(a2, model.state)
-    witness = no_go_witness(alpha)
+    disagreement = no_go_witness(alpha)
     beta = repair_barrier(model.operator, square, alpha, model.state)
     repaired = no_go_witness(alpha, squared_barrier=beta)
     shift = compose(build_map(MapSpec.rotation(Fraction(3, 8))), alpha)
@@ -308,19 +308,15 @@ def _run_example4(config: ExperimentConfig) -> dict:
     return {
         "cdf": [{"value": v, "level": c} for v, c in zip(cdf.support, cdf.levels)],
         "squared_cdf": [{"value": v, "level": c} for v, c in zip(cdf2.support, cdf2.levels)],
-        "disagreement": float(witness.disagreement),
-        "disagreement_exact": str(witness.disagreement),
-        "repaired_disagreement": float(repaired.disagreement),
-        "repaired_disagreement_exact": str(repaired.disagreement),
+        "disagreement": float(disagreement),
+        "disagreement_exact": str(disagreement),
+        "repaired_disagreement": float(repaired),
+        "repaired_disagreement_exact": str(repaired),
         "repair_equals_shift_ae": bool(shift_matches),
-        "passed": bool(
-            witness.disagreement == Fraction(1, 2)
-            and repaired.disagreement == 0
-            and shift_matches
-        ),
+        "passed": bool(disagreement == Fraction(1, 2) and repaired == 0 and shift_matches),
         "rows": [
-            {"quantity": "disagreement", "value": float(witness.disagreement)},
-            {"quantity": "repaired_disagreement", "value": float(repaired.disagreement)},
+            {"quantity": "disagreement", "value": float(disagreement)},
+            {"quantity": "repaired_disagreement", "value": float(repaired)},
         ],
     }
 

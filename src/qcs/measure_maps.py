@@ -26,7 +26,6 @@ import numpy as np
 from .errors import (
     BadSpec,
     DistributionMismatch,
-    DomainMismatch,
     NotInjective,
     OutOfDomain,
     ValueNotInSupport,
@@ -68,44 +67,6 @@ def normalize_intervals(items: Iterable[Interval]) -> list[Interval]:
 
 def intervals_measure(items: Iterable[Interval]) -> Fraction:
     return sum((hi - lo for lo, hi in normalize_intervals(items)), ZERO)
-
-
-def intervals_intersect(a: Iterable[Interval], b: Iterable[Interval]) -> list[Interval]:
-    a, b = normalize_intervals(a), normalize_intervals(b)
-    out, i, j = [], 0, 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi > lo:
-            out.append((lo, hi))
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def intervals_complement(items: Iterable[Interval], lo: Fraction = ZERO, hi: Fraction = ONE) -> list[Interval]:
-    out, cursor = [], lo
-    for a, b in normalize_intervals(items):
-        a, b = max(a, lo), min(b, hi)
-        if a > cursor:
-            out.append((cursor, a))
-        cursor = max(cursor, b)
-    if cursor < hi:
-        out.append((cursor, hi))
-    return out
-
-
-def intervals_union(a: Iterable[Interval], b: Iterable[Interval]) -> list[Interval]:
-    return normalize_intervals(list(a) + list(b))
-
-
-def intervals_symmdiff(a: Iterable[Interval], b: Iterable[Interval]) -> list[Interval]:
-    a, b = normalize_intervals(a), normalize_intervals(b)
-    only_a = intervals_intersect(a, intervals_complement(b))
-    only_b = intervals_intersect(b, intervals_complement(a))
-    return intervals_union(only_a, only_b)
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +207,6 @@ class PiecewiseConstantDensity:
     def mass(self) -> Fraction:
         return sum(((b - a) * d for a, b, d in self.cells), ZERO)
 
-    def value_at(self, z: Fraction) -> Fraction:
-        for a, b, d in self.cells:
-            if a < z <= b:
-                return d
-        raise OutOfDomain(f"{z} outside ]0,1]")
-
 
 def pushforward_density(m: PiecewiseAffineMap, d: PiecewiseConstantDensity) -> PiecewiseConstantDensity:
     """Exact image density: on each image cell, sum of source density / |slope|.
@@ -273,8 +228,6 @@ def pushforward_density(m: PiecewiseAffineMap, d: PiecewiseConstantDensity) -> P
     deltas[ZERO] += ZERO
     deltas[ONE] += ZERO
     points = sorted(deltas)
-    if points[0] < ZERO or points[-1] > ONE:
-        raise DomainMismatch("image density escapes [0,1]")
     cells: list[tuple[Fraction, Fraction, Fraction]] = []
     level = ZERO
     for pt, nxt in zip(points, points[1:]):
@@ -288,10 +241,11 @@ def pushforward_density(m: PiecewiseAffineMap, d: PiecewiseConstantDensity) -> P
     return PiecewiseConstantDensity(tuple(cells))
 
 
-def verify_measure_preserving(m: PiecewiseAffineMap, tol: Fraction = DENSITY_TOL) -> bool:
-    """True iff pushing the uniform density through m gives density 1 everywhere."""
+def verify_measure_preserving(m: PiecewiseAffineMap) -> bool:
+    """True iff pushing the uniform density through m gives density 1
+    everywhere, to within DENSITY_TOL."""
     image = pushforward_density(m, PiecewiseConstantDensity.uniform())
-    return all(abs(dens - ONE) <= tol for _, _, dens in image.cells)
+    return all(abs(dens - ONE) <= DENSITY_TOL for _, _, dens in image.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -422,22 +376,29 @@ class PiecewiseConstantFn:
             out[v] += bps[end] - bps[start]
         return dict(out)
 
-    def equal_ae(self, other: "PiecewiseConstantFn", tol: float = 0.0) -> bool:
-        """Equality off breakpoints; exact by default, tolerance opt-in."""
-        grid = sorted(set(self.breakpoints) | set(other.breakpoints))
-        i = j = 0
-        for lo, hi in zip(grid, grid[1:]):
-            while self.breakpoints[i + 1] < hi:
+    def disagreement(self, other: "PiecewiseConstantFn") -> Fraction:
+        """Exact Lebesgue measure of the set where self and other differ.
+
+        Walks both breakpoint lists together, so each cell of the merged
+        partition is met once.
+        """
+        a, b = self.breakpoints, other.breakpoints
+        total, lo = ZERO, ZERO
+        i = j = 1
+        while i < len(a):
+            hi = min(a[i], b[j])
+            if self.values[i - 1] != other.values[j - 1]:
+                total += hi - lo
+            if a[i] == hi:
                 i += 1
-            while other.breakpoints[j + 1] < hi:
+            if b[j] == hi:
                 j += 1
-            a, b = self.values[i], other.values[j]
-            if tol == 0.0:
-                if a != b:
-                    return False
-            elif abs(a - b) > tol:
-                return False
-        return True
+            lo = hi
+        return total
+
+    def equal_ae(self, other: "PiecewiseConstantFn") -> bool:
+        """Exact equality off breakpoints."""
+        return self.disagreement(other) == 0
 
     def compose_with_map(self, m: PiecewiseAffineMap) -> "PiecewiseConstantFn":
         """Exact f(m(z)) as a piecewise-constant function of z.

@@ -35,8 +35,6 @@ from .measure_maps import (
     PiecewiseConstantFn,
     build_map,
     factor_against_cdf,
-    intervals_measure,
-    intervals_symmdiff,
     level_function,
     preimage_intervals,
     preimage_measure,
@@ -342,52 +340,29 @@ def squaring_witness_model() -> SquaringModel:
     return SquaringModel(a, psi, e, f, g)
 
 
-@dataclass(frozen=True, eq=False)
-class NoGoWitness:
-    """Outcome of the squaring obstruction for one pair of barriers."""
-
-    operator: HermitianOperator
-    square: PiecewiseFn
-    disagreement: Fraction
-
-
 def no_go_witness(
-    barrier: PiecewiseAffineMap,
-    weights: tuple[Fraction, Fraction, Fraction] = (Fraction(1, 8), Fraction(1, 4), Fraction(5, 8)),
-    squared_barrier: PiecewiseAffineMap | None = None,
-) -> NoGoWitness:
-    """Measure of the label set where squaring the assigned value of A = E - G
-    disagrees with the assigned value of A^2 = E + G.
+    barrier: PiecewiseAffineMap, squared_barrier: PiecewiseAffineMap | None = None
+) -> Fraction:
+    """Exact measure of the label set where squaring the assigned value of
+    the witness model's A = E - G disagrees with the assigned value of
+    A^2 = E + G.
 
-    ``weights`` are the exact projector weights (plus, zero, minus).  With one
-    barrier on both sides the disagreement is the preimage measure of a fixed
-    symmetric difference of level sets, hence invariant under any measure
-    preserving barrier; ``squared_barrier`` lets callers test a repaired pair.
+    Both sides are the model's level functions: A's through ``barrier`` with
+    its values squared, and A^2's through ``squared_barrier`` (by default the
+    same barrier).  With one barrier the disagreement is 1/2 for every
+    measure-preserving barrier; ``squared_barrier`` lets callers test a
+    repaired pair.
     """
     if not barrier.measure_preserving:
         raise NotABarrier("witness requires a measure-preserving barrier")
-    w_plus, w_zero, w_minus = (to_fraction(w) for w in weights)
-    if min(w_plus, w_zero, w_minus) <= 0 or w_plus + w_zero + w_minus != 1:
-        raise OutOfDomain("weights must be positive and sum to 1")
     second = squared_barrier if squared_barrier is not None else barrier
     if not second.measure_preserving:
         raise NotABarrier("squared-side barrier must be measure preserving")
-    # Levels of F_A (atoms -1, 0, +1): minus, minus+zero, 1.
-    square_one = [
-        (Fraction(0), w_minus),
-        (w_minus + w_zero, Fraction(1)),
-    ]
-    # Levels of F_{A^2} (atoms 0, 1): zero, 1.
-    squared_one = [(w_zero, Fraction(1))]
-    lhs = []
-    for lo, hi in square_one:
-        lhs.extend(preimage_intervals(barrier, lo, hi))
-    rhs = []
-    for lo, hi in squared_one:
-        rhs.extend(preimage_intervals(second, lo, hi))
-    disagreement = intervals_measure(intervals_symmdiff(lhs, rhs))
-    witness_a = HermitianOperator(np.diag([1.0, 0.0, -1.0]).astype(complex))
-    return NoGoWitness(witness_a, PiecewiseFn.square(), disagreement)
+    model = squaring_witness_model()
+    square = PiecewiseFn.square()
+    squared_values = level_function(spectral_cdf(model.operator, model.state), barrier).map_values(square)
+    a2 = borel_apply(square, model.operator)
+    return squared_values.disagreement(level_function(spectral_cdf(a2, model.state), second))
 
 
 def repair_barrier(

@@ -181,15 +181,14 @@ def check_squaring_example():
         build_map(MapSpec.rotation(Fraction(1, 3))),
         _map_with_few_pieces(rng),
     ]:
-        if no_go_witness(barrier).disagreement != Fraction(1, 2):
+        if no_go_witness(barrier) != Fraction(1, 2):
             return False, "same-barrier disagreement is not exactly 1/2"
     alpha = build_map(MapSpec.identity())
     shift = build_map(MapSpec.rotation(Fraction(3, 8)))
-    repaired = no_go_witness(alpha, squared_barrier=compose(shift, alpha))
-    if repaired.disagreement != 0:
+    if no_go_witness(alpha, squared_barrier=compose(shift, alpha)) != 0:
         return False, "shift repair does not vanish exactly"
     beta = repair_barrier(model.operator, square, alpha, model.state)
-    if no_go_witness(alpha, squared_barrier=beta).disagreement != 0:
+    if no_go_witness(alpha, squared_barrier=beta) != 0:
         return False, "factored repair does not vanish exactly"
     if not level_function(cdf2, beta).equal_ae(level_function(cdf2, compose(shift, alpha))):
         return False, "factored repair differs from the shift as a level map"
@@ -549,7 +548,7 @@ def check_no_go_invariance():
     for _ in range(30):
         pre = build_map(random_map_spec(rng))
         base = _map_with_few_pieces(rng)
-        if no_go_witness(compose(base, pre)).disagreement != Fraction(1, 2):
+        if no_go_witness(compose(base, pre)) != Fraction(1, 2):
             return False, "disagreement moved under precomposition"
     return True, "disagreement is exactly 1/2 under 30 random precompositions"
 

@@ -1,5 +1,6 @@
 """Config parsing, experiment runs, report emission, KS statistics, CLI."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -20,7 +21,8 @@ from qcs.harness import (
 from qcs.measure_maps import MapSpec
 from qcs.spectral import StepCDF
 from qcs.stats import empirical_cdf, ks_statistic, ks_threshold
-from qcs.cli import main as cli_main
+from qcs import verify
+from qcs.cli import build_parser, main as cli_main
 
 WITNESS_CDF = StepCDF((-1.0, 0.0, 1.0), (0.625, 0.875, 1.0))
 
@@ -340,6 +342,17 @@ def test_cli_verify_suite_runs(capsys):
     assert cli_main(["verify", "--suite", "spectral"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "checks passed" in out
+
+
+def test_cli_verify_accepts_exactly_all_and_the_suites():
+    parser = build_parser()
+    for name in ("all", *verify.SUITES):
+        assert parser.parse_args(["verify", "--suite", name]).suite == name
+    with pytest.raises(SystemExit):
+        parser.parse_args(["verify", "--suite", "nonexistent"])
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (suite,) = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
+    assert list(suite.choices) == ["all", *verify.SUITES]
 
 
 def test_cli_entry_point_installed():

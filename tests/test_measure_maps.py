@@ -25,9 +25,7 @@ from qcs.measure_maps import (
     build_map,
     compose,
     factor_against_cdf,
-    intervals_complement,
     intervals_measure,
-    intervals_symmdiff,
     invert,
     level_function,
     map_equal_ae,
@@ -168,15 +166,6 @@ def test_preimage_intervals_of_rotation():
     parts = preimage_intervals(rot, F(5, 8), F(1))
     assert intervals_measure(parts) == F(3, 8)
     assert parts == [(F(1, 4), F(5, 8))]
-
-
-def test_interval_set_algebra():
-    a = [(F(0), F(5, 8)), (F(7, 8), F(1))]
-    b = [(F(1, 4), F(1))]
-    sym = intervals_symmdiff(a, b)
-    assert intervals_measure(sym) == F(1, 2)
-    assert sym == [(F(0), F(1, 4)), (F(5, 8), F(7, 8))]
-    assert intervals_complement(b) == [(F(0), F(1, 4))]
 
 
 def test_map_domain_guard():
@@ -492,6 +481,31 @@ def test_factor_against_cdf_matches_reference(cdf, m):
     alpha = factor_against_cdf(fn, cdf)
     assert map_pieces(alpha) == map_pieces(ref_factor_against_cdf(fn, cdf))
     assert fn_cells(level_function(cdf, alpha)) == fn_cells(ref_compose_with_map(quantile_pcf(cdf), alpha))
+
+
+def ref_disagreement(f, g):
+    grid = sorted(set(f.breakpoints) | set(g.breakpoints))
+    return sum((hi - lo for lo, hi in zip(grid, grid[1:]) if f((lo + hi) / 2) != g((lo + hi) / 2)), F(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    c1=dyadic_cdfs(),
+    c2=dyadic_cdfs(),
+    m1=signed_maps(),
+    m2=signed_maps(),
+    spec=simple_specs().filter(lambda s: s.kind != "expanding"),
+)
+def test_disagreement_matches_midpoint_reference(c1, c2, m1, m2, spec):
+    f, g = level_function(c1, m1), level_function(c2, m2)
+    d = f.disagreement(g)
+    assert d == ref_disagreement(f, g)
+    assert d == g.disagreement(f)
+    assert f.equal_ae(g) == (d == 0)
+    # the same function cut finer through a bijection and its inverse
+    b = build_map(spec)
+    refined = level_function(c1, ref_compose(invert(b), ref_compose(b, m1)))
+    assert f.disagreement(refined) == 0 and f.equal_ae(refined)
 
 
 @settings(max_examples=80, deadline=None)

@@ -53,6 +53,7 @@ from qcs.random_objects import random_hermitian, random_pure_state
 F = Fraction
 IDENTITY = build_map(MapSpec.identity())
 MODEL = squaring_witness_model()
+HALVING = PiecewiseAffineMap((AffinePiece(F(0), F(1), F(1, 2), F(0)),))
 
 
 def test_value_examples():
@@ -75,9 +76,8 @@ def test_complete_state_validation():
     rot = build_map(MapSpec.rotation(F(3, 8)))
     with pytest.raises(LabelOnBreakpoint):
         CompleteState(MODEL.state, rot, F(5, 8))
-    half = PiecewiseAffineMap((AffinePiece(F(0), F(1), F(1, 2), F(0)),))
     with pytest.raises(NotABarrier):
-        CompleteState(MODEL.state, half, F(1, 3))
+        CompleteState(MODEL.state, HALVING, F(1, 3))
 
 
 def test_value_distribution_exact():
@@ -234,19 +234,33 @@ def test_monotone_compose_check():
 
 
 def test_no_go_witness_values():
-    assert no_go_witness(IDENTITY).disagreement == F(1, 2)
+    assert no_go_witness(IDENTITY) == F(1, 2)
     for c in (F(1, 7), F(3, 8), F(9, 10)):
         rot = build_map(MapSpec.rotation(c))
-        assert no_go_witness(rot).disagreement == F(1, 2)
+        assert no_go_witness(rot) == F(1, 2)
     rot38 = build_map(MapSpec.rotation(F(3, 8)))
     repaired = no_go_witness(IDENTITY, squared_barrier=compose(rot38, IDENTITY))
-    assert repaired.disagreement == 0
+    assert repaired == 0
 
 
-def test_no_go_witness_operator_is_difference_of_projectors():
-    w = no_go_witness(IDENTITY)
-    assert np.array_equal(w.operator.entries, np.diag([1.0, 0.0, -1.0]))
-    assert w.square(3.0) == 9.0
+@pytest.mark.parametrize(
+    "barrier",
+    [
+        PiecewiseAffineMap((AffinePiece(F(0), F(1), F(-1), F(1)),)),
+        build_map(MapSpec.expanding(3)),
+        build_map(MapSpec.interval_exchange([F(1, 5), F(1, 3), F(7, 15)], [2, 0, 1])),
+    ],
+    ids=["reflection", "expanding3", "interval-exchange"],
+)
+def test_no_go_witness_is_one_half_for_any_barrier(barrier):
+    assert no_go_witness(barrier) == F(1, 2)
+
+
+def test_no_go_witness_rejects_a_non_barrier_on_either_side():
+    with pytest.raises(NotABarrier, match="witness requires"):
+        no_go_witness(HALVING)
+    with pytest.raises(NotABarrier, match="squared-side"):
+        no_go_witness(IDENTITY, squared_barrier=HALVING)
 
 
 def test_repair_barrier_matches_shift_on_model():
