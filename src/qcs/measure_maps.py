@@ -118,6 +118,14 @@ class PiecewiseAffineMap:
             if lo_im < ZERO or hi_im > ONE:
                 raise BadSpec("piece image escapes [0,1]")
 
+    @classmethod
+    def _built(cls, pieces: tuple[AffinePiece, ...]) -> "PiecewiseAffineMap":
+        """A kernel output, not re-validated: its pieces tile ]0,1] with
+        nonzero slopes and images in [0,1] by construction."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "pieces", pieces)
+        return m
+
     @cached_property
     def _ends(self) -> list[Fraction]:
         return [p.hi for p in self.pieces]
@@ -273,7 +281,7 @@ def compose(outer: PiecewiseAffineMap, inner: PiecewiseAffineMap) -> PiecewiseAf
         grid = [p.lo, *cuts, p.hi]
         for lo, hi, q in zip(grid, grid[1:], outers):
             pieces.append(AffinePiece(lo, hi, q.slope * p.slope, q.slope * p.intercept + q.intercept))
-    return PiecewiseAffineMap(tuple(pieces))
+    return PiecewiseAffineMap._built(tuple(pieces))
 
 
 def invert(m: PiecewiseAffineMap) -> PiecewiseAffineMap:
@@ -294,7 +302,7 @@ def invert(m: PiecewiseAffineMap) -> PiecewiseAffineMap:
         cursor = hi_im
     if cursor != ONE:
         raise NotInjective("piece images do not cover ]0,1]")
-    return PiecewiseAffineMap(tuple(inv_pieces))
+    return PiecewiseAffineMap._built(tuple(inv_pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +352,15 @@ class PiecewiseConstantFn:
             raise BadSpec("cells must cover ]0,1]")
         if any(b <= a for a, b in zip(bps, bps[1:])):
             raise BadSpec("breakpoints must be strictly ascending")
+
+    @classmethod
+    def _built(cls, breakpoints: tuple[Fraction, ...], values: tuple[float, ...]) -> "PiecewiseConstantFn":
+        """A kernel output, not re-validated: strictly ascending rational
+        breakpoints from 0 to 1 and one float value per cell by construction."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "breakpoints", breakpoints)
+        object.__setattr__(fn, "values", values)
+        return fn
 
     def __call__(self, z: RationalLike) -> float:
         z = to_fraction(z)
@@ -407,22 +424,43 @@ class PiecewiseConstantFn:
         found by bisecting the interior breakpoints; the piece is cut at the
         preimages of the breakpoints strictly inside its image, and its
         sub-cells take values[i..j], reversed when the slope is negative.
+
+        A piece with the same slope and intercept objects as the previous
+        piece continues its affine run, so its image end at lo is the
+        previous end at hi.  Before bisecting, the image is tested against
+        the cell of the last value emitted, where consecutive pieces of a
+        run usually land.
         """
-        interior = self.breakpoints[1:-1]
+        edges, values = self.breakpoints, self.values
+        interior = edges[1:-1]
         bps, vals = [ZERO], []
+        slope = intercept = None
+        k = 0
         for p in m.pieces:
-            im_lo, im_hi = p.image_bounds()
+            if p.slope is slope and p.intercept is intercept:
+                start = end
+            else:
+                slope, intercept = p.slope, p.intercept
+                rising = slope > 0
+                start = slope * p.lo + intercept
+            end = slope * p.hi + intercept
+            im_lo, im_hi = (start, end) if rising else (end, start)
+            if edges[k] <= im_lo and im_hi <= edges[k + 1]:
+                bps.append(p.hi)
+                vals.append(values[k])
+                continue
             i = bisect.bisect_right(interior, im_lo)
             j = bisect.bisect_left(interior, im_hi, i)
-            cuts = [(c - p.intercept) / p.slope for c in interior[i:j]]
-            cell_values = self.values[i : j + 1]
-            if p.slope < 0:
+            cuts = [(c - intercept) / slope for c in interior[i:j]]
+            cell_values = values[i : j + 1]
+            if not rising:
                 cuts.reverse()
                 cell_values = cell_values[::-1]
             bps += cuts
             bps.append(p.hi)
             vals += cell_values
-        return PiecewiseConstantFn(tuple(bps), tuple(vals))
+            k = j if rising else i
+        return PiecewiseConstantFn._built(tuple(bps), tuple(vals))
 
 
 def quantile_pcf(cdf: StepCDF) -> PiecewiseConstantFn:
@@ -639,4 +677,4 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
         intercept = level_lo[k] + slope * offset
         pieces.extend(AffinePiece(bps[t], bps[t + 1], slope, intercept) for t in range(start, end))
         before[k] = offset + bps[end]
-    return PiecewiseAffineMap(tuple(pieces))
+    return PiecewiseAffineMap._built(tuple(pieces))

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadSpec, DomainGap, NotNormalized
+from .errors import BadSpec, DomainGap, NotNormalized, ValueNotInSupport
 from .measure_maps import (
     ONE,
     ZERO,
@@ -323,11 +323,17 @@ def shared_barrier_joint_gap(state: PhaseSpaceState) -> float:
     q_index = {v: k for k, v in enumerate(q_cdf.support)}
     p_index = {v: k for k, v in enumerate(p_cdf.support)}
     actual = np.zeros((len(q_cdf.support), len(p_cdf.support)))
-    for i, qv in enumerate(measure.q_grid):
-        for j, pv in enumerate(measure.p_grid):
-            m = float(joint[i, j])
-            if m > 0.0:
-                actual[q_index[float(qv)], p_index[float(pv)]] += m
+    try:
+        for i, qv in enumerate(measure.q_grid):
+            for j, pv in enumerate(measure.p_grid):
+                m = float(joint[i, j])
+                if m > 0.0:
+                    actual[q_index[float(qv)], p_index[float(pv)]] += m
+    except KeyError as exc:
+        # StepCDF.from_weights drops atoms whose weight is below WEIGHT_DROP_TOL
+        raise ValueNotInSupport(
+            f"value {exc.args[0]!r} has positive mass but was dropped from its marginal CDF"
+        ) from None
     comonotone = np.zeros_like(actual)
     for i in range(len(q_cdf.support)):
         qlo, qhi = q_cdf.level_interval(i)

@@ -85,6 +85,41 @@ def test_bad_specs_rejected():
         MapSpec("composition", maps=())
 
 
+@pytest.mark.parametrize(
+    "pieces, message",
+    [
+        ((), "at least one piece"),
+        (((F(0), F(1, 2), F(1), F(0)),), "cover"),
+        (((F(1, 4), F(1), F(1), F(0)),), "cover"),
+        (((F(0), F(1, 2), F(1), F(0)), (F(3, 4), F(1), F(1), F(0))), "gaps or overlaps"),
+        (((F(0), F(3, 4), F(1), F(0)), (F(1, 2), F(1), F(1), F(0))), "gaps or overlaps"),
+        (((F(0), F(1, 2), F(1), F(0)), (F(1, 2), F(1, 2), F(1), F(0)), (F(1, 2), F(1), F(1), F(0))), "empty"),
+        (((F(0), F(1), F(0), F(1, 2)),), "slope must be nonzero"),
+        (((F(0), F(1), F(2), F(0)),), "escapes"),
+        (((F(0), F(1), F(-1), F(1, 2)),), "escapes"),
+    ],
+)
+def test_map_constructor_rejects_invalid_pieces(pieces, message):
+    with pytest.raises(BadSpec, match=message):
+        PiecewiseAffineMap(tuple(AffinePiece(*p) for p in pieces))
+
+
+@pytest.mark.parametrize(
+    "breakpoints, values, message",
+    [
+        ((F(0), F(1)), (1.0, 2.0), "n\\+1 breakpoints"),
+        ((F(0),), (), "n\\+1 breakpoints"),
+        ((F(0), F(1, 2)), (1.0,), "cover"),
+        ((F(1, 4), F(1)), (1.0,), "cover"),
+        ((F(0), F(1, 2), F(1, 2), F(1)), (1.0, 2.0, 3.0), "strictly ascending"),
+        ((F(0), F(3, 4), F(1, 2), F(1)), (1.0, 2.0, 3.0), "strictly ascending"),
+    ],
+)
+def test_function_constructor_rejects_invalid_cells(breakpoints, values, message):
+    with pytest.raises(BadSpec, match=message):
+        PiecewiseConstantFn(breakpoints, values)
+
+
 def test_rotation_preserves_uniform():
     rot = build_map(MapSpec.rotation(F(2, 7)))
     image = pushforward_density(rot, PiecewiseConstantDensity.uniform())
@@ -531,6 +566,65 @@ def test_reflection_kernels_match_references():
     assert map_equal_ae(compose(r, r), IDENTITY) and not map_equal_ae(r, IDENTITY)
 
 
+def assert_rebuilds(out):
+    """A kernel output passes the public constructor's checks, which the
+    kernels skip, and comes back unchanged."""
+    if isinstance(out, PiecewiseAffineMap):
+        assert map_pieces(PiecewiseAffineMap(out.pieces)) == map_pieces(out)
+    else:
+        rebuilt = PiecewiseConstantFn(out.breakpoints, out.values)
+        assert rebuilt.breakpoints == out.breakpoints and rebuilt.values == out.values
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    cdf=dyadic_cdfs(),
+    outer=signed_maps(),
+    inner=signed_maps(),
+    spec=simple_specs().filter(lambda s: s.kind != "expanding"),
+    flip=st.booleans(),
+)
+def test_kernel_outputs_pass_the_public_checks(data, cdf, outer, inner, spec, flip):
+    bijection = build_map(spec)
+    if flip:
+        bijection = compose(reflection_map(), bijection)
+    fn = data.draw(functions_on(inner))
+    alpha = factor_against_cdf(level_function(cdf, inner), cdf)
+    for out in (
+        compose(outer, inner),
+        invert(bijection),
+        alpha,
+        fn.compose_with_map(inner),
+        level_function(cdf, alpha),
+    ):
+        assert_rebuilds(out)
+
+
+def test_compose_with_map_reuses_run_ends_under_a_negative_slope():
+    # the reflection cut into pieces that share one slope and one intercept
+    # object, so every piece after the first continues the same run
+    slope, intercept = F(-1), F(1)
+    cuts = [F(0), F(1, 8), F(1, 5), F(1, 3), F(1, 2), F(5, 8), F(3, 4), F(1)]
+    m = PiecewiseAffineMap(tuple(AffinePiece(lo, hi, slope, intercept) for lo, hi in zip(cuts, cuts[1:])))
+    assert all(p.slope is slope and p.intercept is intercept for p in m.pieces)
+    # some images fall inside one cell, some span several, and 1/2 and 2/3
+    # are image ends of pieces
+    fn = PiecewiseConstantFn((F(0), F(1, 4), F(1, 2), F(3, 5), F(2, 3), F(9, 10), F(1)), (1.0, -1.0, 0.5, 2.0, 0.0, 1.0))
+    assert fn_cells(fn.compose_with_map(m)) == fn_cells(ref_compose_with_map(fn, m))
+    assert fn.compose_with_map(m).equal_ae(fn.compose_with_map(reflection_map()))
+
+
+def test_compose_with_map_cell_cache_on_an_interval_exchange():
+    # consecutive pieces share the slope object ONE but not the intercept;
+    # their images jump back to an earlier cell and forward across several
+    m = build_map(MapSpec.interval_exchange([F(1, 8), F(1, 4), F(1, 8), F(1, 2)], [3, 0, 2, 1]))
+    assert all(p.slope is m.pieces[0].slope for p in m.pieces)
+    fn = PiecewiseConstantFn((F(0), F(1, 8), F(3, 16), F(3, 8), F(1, 2), F(3, 4), F(1)), (1.0, -1.0, 0.5, 2.0, 0.0, 1.0))
+    for g in (fn, quantile_pcf(StepCDF((-1.0, 0.0, 1.0), (0.25, 0.375, 1.0)))):
+        assert fn_cells(g.compose_with_map(m)) == fn_cells(ref_compose_with_map(g, m))
+
+
 def test_phase_space_kernels_match_references_at_n16():
     from qcs.phase_space import PhaseSpaceState, build_measure, position_observable, realize_barrier, to_unit_interval
     from qcs.spectral import PiecewiseFn
@@ -545,3 +639,5 @@ def test_phase_space_kernels_match_references_at_n16():
     levels = level_function(obs.cdf, barrier)
     assert fn_cells(levels) == fn_cells(ref_compose_with_map(quantile_pcf(obs.cdf), barrier))
     assert list(levels.masses_by_value().items()) == list(ref_masses_by_value(levels).items())
+    assert_rebuilds(barrier)
+    assert_rebuilds(levels)

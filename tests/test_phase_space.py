@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcs.errors import BadSpec, NotNormalized
+from qcs.errors import BadSpec, NotNormalized, QcsError
 from qcs.measure_maps import (
     MapSpec,
     build_map,
@@ -231,6 +231,19 @@ def test_shared_barrier_obstruction_two_point_state():
     state = PhaseSpaceState.normalized(F(0), amps, dq=0.5)
     gap = shared_barrier_joint_gap(state)
     assert abs(gap - 0.125) < 1e-12
+
+
+def test_joint_gap_on_far_tail_gaussian_is_a_float_or_a_typed_error():
+    """A Gaussian whose tail cells fall below the CDF's weight cut-off once
+    made the joint gap raise a bare KeyError; only a gap or a QcsError is
+    acceptable."""
+    q = np.arange(64) * 0.5
+    state = single_sector(np.exp(-((q - 16) ** 2) / 2), 0.5)
+    try:
+        gap = shared_barrier_joint_gap(state)
+    except QcsError:
+        return
+    assert isinstance(gap, float)
 
 
 def test_marginals_are_exact():
