@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,15 +27,14 @@ from .measure_maps import (
     build_map,
     compose,
     invert,
+    map_equal_ae,
 )
-from .sampling import uniform_labels
-from .spectral import HermitianOperator, PureState, spectral_cdf
+from .spectral import HermitianOperator, PureState, cdfs_close, spectral_cdf, spectral_scale
 from .states import (
     BarrierComplex,
     CompleteState,
     ObservableFunction,
     label_mean,
-    value,
 )
 
 UNITARY_TOL = 1e-10
@@ -63,6 +61,8 @@ class UnitaryOperator:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise NonHermitian("matrix has non-finite entries")
         dev = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
         if dev > UNITARY_TOL:
             raise NonHermitian(f"matrix deviates from unitarity by {dev:.3e}")
@@ -85,6 +85,8 @@ class UnitaryOperator:
 
     def conjugate(self, a: HermitianOperator) -> HermitianOperator:
         """U^-1 A U, symmetrized to stay exactly Hermitian."""
+        if self.dim != a.dim:
+            raise DimensionMismatch(f"unitary dim {self.dim} vs operator dim {a.dim}")
         m = self.entries.conj().T @ a.entries @ self.entries
         return HermitianOperator((m + m.conj().T) / 2)
 
@@ -270,10 +272,19 @@ def dispersion(f: ObservableFunction, psi: PureState) -> float:
 def heisenberg_check(
     f: ObservableFunction, g: ObservableFunction, psi: PureState
 ) -> tuple[float, float, bool]:
-    """(product of dispersions, |mean of the lie product|, inequality holds)."""
+    """(product of dispersions, |mean of the lie product|, inequality holds).
+
+    The slack is 1e-12 times the spectral scales of both operators, so it
+    follows their size and is the absolute 1e-12 for spectra within [-1, 1].
+    """
     lhs = dispersion(f, psi) * dispersion(g, psi)
     rhs = abs(algebra_product("lie", f, g).expectation(psi))
-    return lhs, rhs, lhs >= rhs - 1e-12
+    slack = (
+        1e-12
+        * spectral_scale(f.operator.eigensystem.eigenvalues)
+        * spectral_scale(g.operator.eigensystem.eigenvalues)
+    )
+    return lhs, rhs, lhs >= rhs - slack
 
 
 # ---------------------------------------------------------------------------
@@ -296,53 +307,24 @@ def intertwine_check(
     sigma: EquivalenceComplex,
     psi: PureState,
     barrier: PiecewiseAffineMap,
-    n: int = 1000,
-    seed: int = 0,
 ) -> bool:
-    """Evaluate (U^-1 A U) on (psi, barrier, z) and A on the lifted complete
-    state at sampled labels; both sides must agree within INTERTWINE_TOL.
+    """Whether (U^-1 A U) on (psi, barrier, z) equals A on the lifted complete
+    state for a.e. label z, decided by two exact checks without drawing labels.
 
-    Labels are drawn away from all breakpoints involved and away from level
-    boundaries of either CDF, honoring the a.e. nature of the identity.
+    The map identity ``new_barrier o transport = barrier`` a.e. puts both sides
+    at the same quantile level barrier(z), and the spectral identity gives the
+    step CDFs of U^-1 A U in psi and of A in the lifted state the same atoms,
+    with values and levels within INTERTWINE_TOL.  So the two values agree
+    within INTERTWINE_TOL at every level farther than INTERTWINE_TOL from a
+    level boundary, which covers every label a sampled check that keeps labels
+    1e-9 away from the levels would accept.
     """
-    conj = u.conjugate(a)
     new_psi, new_barrier, transport = lifted_components(u, sigma, psi, barrier)
-    cdf_lhs = spectral_cdf(conj, psi)
-    cdf_rhs = spectral_cdf(a, new_psi)
-    guard_levels = np.array(sorted(set(cdf_lhs.levels[:-1]) | set(cdf_rhs.levels[:-1])))
-    bps = sorted(
-        {float(x) for x in barrier.breakpoints}
-        | {float(x) for x in transport.breakpoints}
-        | {float(x) for x in new_barrier.breakpoints}
+    if not map_equal_ae(compose(new_barrier, transport), barrier):
+        return False
+    return cdfs_close(
+        spectral_cdf(u.conjugate(a), psi), spectral_cdf(a, new_psi), INTERTWINE_TOL
     )
-    bps_arr = np.array(bps)
-    accepted = 0
-    position = 0
-    while accepted < n:
-        batch = uniform_labels(seed, position, 4 * n)
-        position += 4 * n
-        for zf in batch:
-            if np.abs(zf - bps_arr).min() < 1e-12:
-                continue
-            s_float = float(barrier.evaluate_floats(np.array([zf]))[0])
-            if guard_levels.size and np.abs(s_float - guard_levels).min() < 1e-9:
-                continue
-            z = Fraction(float(zf))
-            lhs = value(conj, CompleteState(psi, barrier, z))
-            z2 = transport(z)
-            if new_barrier.is_breakpoint(z2):
-                continue
-            if new_barrier(z2) != barrier(z):
-                return False
-            rhs = value(a, CompleteState(new_psi, new_barrier, z2))
-            if abs(lhs - rhs) > INTERTWINE_TOL:
-                return False
-            accepted += 1
-            if accepted >= n:
-                break
-        if position > 64 * n:
-            raise OutOfDomain("could not draw enough labels away from breakpoints")
-    return True
 
 
 def schrodinger_equivalence_check(

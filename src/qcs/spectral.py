@@ -276,6 +276,15 @@ class StepCDF:
         return lo, self.exact_levels[k]
 
 
+def cdfs_close(f: StepCDF, g: StepCDF, tol: float) -> bool:
+    """Same atom count, with values and levels pairwise within ``tol``."""
+    if len(f.support) != len(g.support):
+        return False
+    return all(abs(a - b) <= tol for a, b in zip(f.support, g.support)) and all(
+        abs(a - b) <= tol for a, b in zip(f.levels, g.levels)
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class PiecewiseFn:
     """Piecewise-polynomial function on left-open right-closed pieces.

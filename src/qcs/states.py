@@ -48,6 +48,7 @@ from .spectral import (
     PureState,
     StepCDF,
     borel_apply,
+    cdfs_close,
     spectral_cdf,
 )
 
@@ -412,20 +413,11 @@ def spectrum_image_check(
     return every_value_is_eigenvalue and every_eigenvalue_attained
 
 
-def _cdfs_close(f: StepCDF, g: StepCDF, tol: float) -> bool:
-    if len(f.support) != len(g.support):
-        return False
-    return all(abs(a - b) <= tol for a, b in zip(f.support, g.support)) and all(
-        abs(a - b) <= tol for a, b in zip(f.levels, g.levels)
-    )
-
-
 def identifiability_check(
     a1: HermitianOperator,
     a2: HermitianOperator,
     barrier: PiecewiseAffineMap,
     probes: Sequence[PureState],
-    tol: float = 1e-10,
 ) -> bool:
     """Whether 'equal value functions on all probes implies equal operators' held.
 
@@ -433,11 +425,11 @@ def identifiability_check(
     to equality of the spectral CDFs, so the hypothesis is tested there.
     """
     agree = all(
-        _cdfs_close(spectral_cdf(a1, p), spectral_cdf(a2, p), tol) for p in probes
+        cdfs_close(spectral_cdf(a1, p), spectral_cdf(a2, p), 1e-10) for p in probes
     )
     if not agree:
         return True
-    return float(np.abs(a1.entries - a2.entries).max()) <= tol
+    return float(np.abs(a1.entries - a2.entries).max()) <= 1e-10
 
 
 def default_probe_states(dim: int) -> list[PureState]:

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import LabelOnBreakpoint
 from .dynamics import (
     EquivalenceComplex,
     UnitaryOperator,
@@ -25,7 +24,7 @@ from .dynamics import (
     gradient_check,
     heisenberg_check,
     intertwine_check,
-    lift_unitary,
+    lifted_components,
     pauli_x,
     pauli_y,
     pauli_z,
@@ -54,7 +53,6 @@ from .random_objects import (
     random_step_cdf,
     random_unitary,
 )
-from .sampling import uniform_labels
 from .spectral import (
     HermitianOperator,
     PiecewiseFn,
@@ -66,7 +64,6 @@ from .spectral import (
 )
 from .states import (
     BarrierComplex,
-    CompleteState,
     ObservableFunction,
     default_probe_states,
     eigenvector_probes,
@@ -290,8 +287,10 @@ def check_rabi_dynamics():
 
 @_check("intertwining")
 def check_intertwining():
-    """10 random (operator, unitary, equivalence complex), 1000 labels each:
-    conjugated values equal values on the lifted complete state to 1e-10."""
+    """10 random (operator, unitary, equivalence complex): the lifted barrier
+    composed with the label transport equals the barrier exactly a.e., and the
+    step CDFs of U^-1 A U in psi and of A in U psi agree to 1e-10, so the
+    conjugated values equal the lifted ones for a.e. label."""
     rng = np.random.default_rng(505)
     for case in range(10):
         dim = int(rng.integers(2, 7))
@@ -300,9 +299,9 @@ def check_intertwining():
         psi = random_pure_state(rng, dim)
         barrier = _map_with_few_pieces(rng)
         sigma = EquivalenceComplex(random_map_spec(rng, allow_expanding=False))
-        if not intertwine_check(a, u, sigma, psi, barrier, n=1000, seed=case):
+        if not intertwine_check(a, u, sigma, psi, barrier):
             return False, f"case {case} disagreed"
-    return True, "10 cases x 1000 labels agree to 1e-10"
+    return True, "10 cases: exact map identity, step CDFs agree to 1e-10"
 
 
 @_check("heisenberg")
@@ -695,21 +694,16 @@ def check_lift_group_law():
         psi = random_pure_state(rng, dim)
         barrier = _map_with_few_pieces(rng)
         uv = UnitaryOperator(u.entries @ v.entries)
-        for zf in uniform_labels(11, 0, 8):
-            try:
-                c = CompleteState(psi, barrier, Fraction(float(zf)))
-                via_v = lift_unitary(v, sigma, c)
-                two_step = lift_unitary(u, sigma, via_v)
-                one_step = lift_unitary(uv, sigma, c)
-            except LabelOnBreakpoint:
-                continue
-            if not two_step.state.projectively_equal(one_step.state):
-                return False, "lifted states differ projectively"
-            if two_step.z != one_step.z:
-                return False, "lifted labels differ"
-            if not map_equal_ae(two_step.barrier, one_step.barrier):
-                return False, "lifted barriers differ"
-    return True, "lift is a homomorphism on 20 random pairs"
+        psi_v, barrier_v, t_v = lifted_components(v, sigma, psi, barrier)
+        psi_two, barrier_two, t_u = lifted_components(u, sigma, psi_v, barrier_v)
+        psi_one, barrier_one, t_uv = lifted_components(uv, sigma, psi, barrier)
+        if not psi_two.projectively_equal(psi_one):
+            return False, "lifted states differ projectively"
+        if not map_equal_ae(compose(t_u, t_v), t_uv):
+            return False, "label transports differ"
+        if not map_equal_ae(barrier_two, barrier_one):
+            return False, "lifted barriers differ"
+    return True, "lift is a homomorphism on 20 random pairs: transports and barriers equal a.e."
 
 
 @_check("projective-kernel")
@@ -724,26 +718,18 @@ def check_projective_kernel():
         sigma = EquivalenceComplex(random_map_spec(rng, allow_expanding=False))
         psi = random_pure_state(rng, dim)
         barrier = _map_with_few_pieces(rng)
-        z = None
-        for zf in uniform_labels(13, 0, 64):
-            try:
-                c = CompleteState(psi, barrier, Fraction(float(zf)))
-                lift_u = lift_unitary(u, sigma, c)
-                lift_cu = lift_unitary(cu, sigma, c)
-                lift_v = lift_unitary(v, sigma, c)
-            except LabelOnBreakpoint:
-                continue
-            if not (
-                lift_u.state.projectively_equal(lift_cu.state)
-                and lift_u.z == lift_cu.z
-                and map_equal_ae(lift_u.barrier, lift_cu.barrier)
-            ):
-                return False, "phase multiples act differently"
-            same_as_v = lift_u.state.projectively_equal(lift_v.state)
-            proportional = abs(abs(np.vdot(u.entries @ psi.amplitudes, v.entries @ psi.amplitudes)) - 1) < 1e-10
-            if same_as_v != proportional:
-                return False, "kernel larger than the phases"
-            break
+        psi_u, barrier_u, t_u = lifted_components(u, sigma, psi, barrier)
+        psi_cu, barrier_cu, t_cu = lifted_components(cu, sigma, psi, barrier)
+        if not (
+            psi_u.projectively_equal(psi_cu)
+            and map_equal_ae(t_u, t_cu)
+            and map_equal_ae(barrier_u, barrier_cu)
+        ):
+            return False, "phase multiples act differently"
+        same_as_v = psi_u.projectively_equal(v.apply(psi))
+        proportional = abs(abs(np.vdot(u.entries @ psi.amplitudes, v.entries @ psi.amplitudes)) - 1) < 1e-10
+        if same_as_v != proportional:
+            return False, "kernel larger than the phases"
     return True, "lift kernel is exactly the unit phases on 15 pairs"
 
 

@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qcs import dynamics, verify
 from qcs.dynamics import (
+    INTERTWINE_TOL,
     EquivalenceComplex,
     LiftedAutomorphism,
     UnitaryOperator,
@@ -24,11 +26,17 @@ from qcs.dynamics import (
     quadratic_form,
     schrodinger_equivalence_check,
 )
-from qcs.errors import DimensionMismatch, NonHermitian, UndefinedEquivalence
-from qcs.measure_maps import MapSpec, build_map, map_equal_ae
-from qcs.spectral import HermitianOperator, PureState
-from qcs.states import BarrierComplex, CompleteState, ObservableFunction
-from qcs.random_objects import random_hermitian, random_pure_state, random_unitary
+from qcs.errors import DimensionMismatch, NonHermitian, OutOfDomain, UndefinedEquivalence
+from qcs.measure_maps import MapSpec, build_map, compose, map_equal_ae
+from qcs.sampling import uniform_labels
+from qcs.spectral import HermitianOperator, PureState, spectral_cdf
+from qcs.states import BarrierComplex, CompleteState, ObservableFunction, value
+from qcs.random_objects import (
+    random_hermitian,
+    random_map_spec,
+    random_pure_state,
+    random_unitary,
+)
 
 F = Fraction
 IDENT_COMPLEX = BarrierComplex.identity()
@@ -45,6 +53,17 @@ def test_unitary_validation():
         UnitaryOperator(np.array([[1, 1], [0, 1]], dtype=complex))
     h = UnitaryOperator.hadamard()
     assert np.abs(h.entries @ h.entries - np.eye(2)).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_unitary_rejects_non_finite_entries(bad):
+    with pytest.raises(NonHermitian, match="non-finite"):
+        UnitaryOperator(np.array([[bad, 0], [0, 1]], dtype=complex))
+
+
+def test_unitary_conjugate_checks_the_dimension():
+    with pytest.raises(DimensionMismatch):
+        UnitaryOperator(np.eye(3, dtype=complex)).conjugate(pauli_z())
 
 
 def test_quadratic_form_examples():
@@ -130,6 +149,18 @@ def test_heisenberg_with_itself():
     f = obs(pauli_x())
     lhs, rhs, holds = heisenberg_check(f, f, PLUS)
     assert holds and rhs < 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+def test_heisenberg_equality_holds_at_large_operator_scale(scale):
+    """s*sx and s*sy on cos t|0> + i sin t|1> attain equality for every t;
+    the slack grows with the spectra, so rounding is not a violation."""
+    f = obs(HermitianOperator(scale * pauli_x().entries))
+    g = obs(HermitianOperator(scale * pauli_y().entries))
+    for theta in np.random.default_rng(77).uniform(0, 2 * math.pi, 300):
+        psi = PureState(np.array([math.cos(theta), 1j * math.sin(theta)]))
+        lhs, rhs, holds = heisenberg_check(f, g, psi)
+        assert holds, (theta, lhs, rhs)
 
 
 def test_evolve_rabi_oracle():
@@ -238,7 +269,7 @@ def test_intertwine_hadamard():
     sigma = EquivalenceComplex(MapSpec.rotation(F(1, 4)))
     barrier = build_map(MapSpec.rotation(F(1, 3)))
     assert intertwine_check(
-        pauli_z(), UnitaryOperator.hadamard(), sigma, PLUS, barrier, n=400, seed=5
+        pauli_z(), UnitaryOperator.hadamard(), sigma, PLUS, barrier
     )
 
 
@@ -250,7 +281,7 @@ def test_intertwine_hadamard_with_state_dependent_equivalences():
     psi = PureState(np.array([1.0, 0.0], dtype=complex), tag="start")
     barrier = build_map(MapSpec.rotation(F(2, 7)))
     assert intertwine_check(
-        pauli_z(), UnitaryOperator.hadamard(), sigma, psi, barrier, n=400, seed=8
+        pauli_z(), UnitaryOperator.hadamard(), sigma, psi, barrier
     )
 
 
@@ -259,7 +290,7 @@ def test_intertwine_identity_unitary():
     eye = UnitaryOperator(np.eye(3, dtype=complex))
     a = HermitianOperator(np.diag([0.0, 1.0, 4.0]).astype(complex))
     psi = PureState.normalized(np.array([1.0, 1.0, 1.0], dtype=complex))
-    assert intertwine_check(a, eye, sigma, psi, build_map(MapSpec.identity()), n=200, seed=2)
+    assert intertwine_check(a, eye, sigma, psi, build_map(MapSpec.identity()))
 
 
 def test_intertwine_random_case(rng):
@@ -268,7 +299,139 @@ def test_intertwine_random_case(rng):
     psi = random_pure_state(rng, 4)
     sigma = EquivalenceComplex(MapSpec.rotation(F(3, 7)))
     barrier = build_map(MapSpec.expanding(2))
-    assert intertwine_check(a, u, sigma, psi, barrier, n=300, seed=11)
+    assert intertwine_check(a, u, sigma, psi, barrier)
+
+
+def ref_intertwine_sampled(a, u, sigma, psi, barrier, n, seed):
+    """Sampled reference for intertwine_check: evaluate (U^-1 A U) and A on
+    the lifted complete state at n labels drawn away from breakpoints and
+    level boundaries."""
+    conj = u.conjugate(a)
+    new_psi, new_barrier, transport = dynamics.lifted_components(u, sigma, psi, barrier)
+    cdf_lhs = spectral_cdf(conj, psi)
+    cdf_rhs = spectral_cdf(a, new_psi)
+    guard_levels = np.array(sorted(set(cdf_lhs.levels[:-1]) | set(cdf_rhs.levels[:-1])))
+    bps = sorted(
+        {float(x) for x in barrier.breakpoints}
+        | {float(x) for x in transport.breakpoints}
+        | {float(x) for x in new_barrier.breakpoints}
+    )
+    bps_arr = np.array(bps)
+    accepted = 0
+    position = 0
+    while accepted < n:
+        batch = uniform_labels(seed, position, 4 * n)
+        position += 4 * n
+        for zf in batch:
+            if np.abs(zf - bps_arr).min() < 1e-12:
+                continue
+            s_float = float(barrier.evaluate_floats(np.array([zf]))[0])
+            if guard_levels.size and np.abs(s_float - guard_levels).min() < 1e-9:
+                continue
+            z = Fraction(float(zf))
+            lhs = value(conj, CompleteState(psi, barrier, z))
+            z2 = transport(z)
+            if new_barrier.is_breakpoint(z2):
+                continue
+            if new_barrier(z2) != barrier(z):
+                return False
+            rhs = value(a, CompleteState(new_psi, new_barrier, z2))
+            if abs(lhs - rhs) > INTERTWINE_TOL:
+                return False
+            accepted += 1
+            if accepted >= n:
+                break
+        if position > 64 * n:
+            raise OutOfDomain("could not draw enough labels away from breakpoints")
+    return True
+
+
+def random_lift_case(seed):
+    """(a, u, sigma, psi, barrier): every third case has an expanding
+    barrier, every other one a tagged state with its own equivalence, and
+    every fifth a degenerate operator."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 6))
+    if seed % 5 == 0:
+        a = HermitianOperator(np.diag(rng.integers(-1, 2, dim)).astype(complex))
+    else:
+        a = random_hermitian(rng, dim)
+    u = random_unitary(rng, dim)
+    if seed % 3 == 0:
+        barrier = build_map(MapSpec.expanding(int(rng.integers(2, 4))))
+    else:
+        barrier = verify._map_with_few_pieces(rng)
+    default = random_map_spec(rng, allow_expanding=False)
+    if seed % 2:
+        override = random_map_spec(rng, allow_expanding=False)
+        sigma = EquivalenceComplex(default, {"start": override})
+        psi = PureState(random_pure_state(rng, dim).amplitudes, tag="start")
+    else:
+        sigma = EquivalenceComplex(default)
+        psi = random_pure_state(rng, dim)
+    return a, u, sigma, psi, barrier
+
+
+def test_intertwine_exact_check_agrees_with_sampled_oracle():
+    for seed in range(60):
+        case = random_lift_case(seed)
+        exact = intertwine_check(*case)
+        assert exact == ref_intertwine_sampled(*case, n=100, seed=seed), seed
+        assert exact, seed
+
+
+def test_intertwine_fails_when_the_lifted_barrier_is_rotated(monkeypatch):
+    honest = dynamics.lifted_components
+    rot = build_map(MapSpec.rotation(F(1, 5)))
+
+    def rotated(u, sigma, psi, barrier):
+        new_psi, new_barrier, transport = honest(u, sigma, psi, barrier)
+        return new_psi, compose(rot, new_barrier), transport
+
+    monkeypatch.setattr(dynamics, "lifted_components", rotated)
+    for seed in range(6):
+        case = random_lift_case(seed)
+        assert not intertwine_check(*case), seed
+        assert not ref_intertwine_sampled(*case, n=100, seed=seed), seed
+
+
+def test_intertwine_spectral_identity_catches_a_different_unitary(monkeypatch):
+    """The lift moves the state by another unitary but keeps honest maps: the
+    map identity holds, and only the step-CDF comparison can fail."""
+    honest = dynamics.lifted_components
+    other = random_unitary(np.random.default_rng(99), 3)
+    seen = []
+
+    def misrouted(u, sigma, psi, barrier):
+        _, new_barrier, transport = honest(u, sigma, psi, barrier)
+        seen.append(map_equal_ae(compose(new_barrier, transport), barrier))
+        return other.apply(psi), new_barrier, transport
+
+    monkeypatch.setattr(dynamics, "lifted_components", misrouted)
+    rng = np.random.default_rng(5)
+    for seed in range(6):
+        a, u = random_hermitian(rng, 3), random_unitary(rng, 3)
+        psi = random_pure_state(rng, 3)
+        sigma = EquivalenceComplex(random_map_spec(rng, allow_expanding=False))
+        barrier = verify._map_with_few_pieces(rng)
+        assert not intertwine_check(a, u, sigma, psi, barrier), seed
+        assert not ref_intertwine_sampled(a, u, sigma, psi, barrier, n=100, seed=seed), seed
+    assert seen and all(seen)
+
+
+def test_lift_group_law_check_catches_a_shifted_transport(monkeypatch):
+    assert verify.check_lift_group_law().passed
+    honest = dynamics.lifted_components
+    rot = build_map(MapSpec.rotation(F(1, 5)))
+
+    def shifted(u, sigma, psi, barrier):
+        new_psi, new_barrier, transport = honest(u, sigma, psi, barrier)
+        return new_psi, new_barrier, compose(rot, transport)
+
+    monkeypatch.setattr(verify, "lifted_components", shifted)
+    result = verify.check_lift_group_law()
+    assert not result.passed
+    assert result.detail == "label transports differ"
 
 
 def test_schrodinger_equivalence_closed_form():
