@@ -314,16 +314,20 @@ def intertwine_check(
     The map identity ``new_barrier o transport = barrier`` a.e. puts both sides
     at the same quantile level barrier(z), and the spectral identity gives the
     step CDFs of U^-1 A U in psi and of A in the lifted state the same atoms,
-    with values and levels within INTERTWINE_TOL.  So the two values agree
-    within INTERTWINE_TOL at every level farther than INTERTWINE_TOL from a
-    level boundary, which covers every label a sampled check that keeps labels
-    1e-9 away from the levels would accept.
+    with values within INTERTWINE_TOL times the spectral scale of A and levels
+    within INTERTWINE_TOL.  So the two values agree within that value bound at
+    every level farther than INTERTWINE_TOL from a level boundary, which
+    covers every label a sampled check that keeps labels 1e-9 away from the
+    levels would accept.
     """
     new_psi, new_barrier, transport = lifted_components(u, sigma, psi, barrier)
     if not map_equal_ae(compose(new_barrier, transport), barrier):
         return False
     return cdfs_close(
-        spectral_cdf(u.conjugate(a), psi), spectral_cdf(a, new_psi), INTERTWINE_TOL
+        spectral_cdf(u.conjugate(a), psi),
+        spectral_cdf(a, new_psi),
+        INTERTWINE_TOL * spectral_scale(a.eigensystem.eigenvalues),
+        INTERTWINE_TOL,
     )
 
 

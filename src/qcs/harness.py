@@ -383,16 +383,19 @@ def _run_phase_space(config: ExperimentConfig) -> dict:
         raise SchemaError("observable must be an object with a 'kind'")
     okind = obs_spec["kind"]
     fn = None
-    if okind == "position":
-        fn = parse_piecewise_fn(obs_spec.get("g", {"kind": "identity"}))
-        obs = position_observable(fn, state)
-    elif okind == "momentum":
-        fn = parse_piecewise_fn(obs_spec.get("f", {"kind": "identity"}))
-        obs = momentum_observable(fn, state)
-    elif okind == "spin":
-        obs = spin_observable(state)
-    else:
-        raise SchemaError(f"unknown observable kind {okind!r}")
+    try:
+        if okind == "position":
+            fn = parse_piecewise_fn(obs_spec.get("g", {"kind": "identity"}))
+            obs = position_observable(fn, state)
+        elif okind == "momentum":
+            fn = parse_piecewise_fn(obs_spec.get("f", {"kind": "identity"}))
+            obs = momentum_observable(fn, state)
+        elif okind == "spin":
+            obs = spin_observable(state)
+        else:
+            raise SchemaError(f"unknown observable kind {okind!r}")
+    except DomainGap as exc:
+        raise SchemaError(str(exc)) from exc
     op_side = operator_mean(state, okind, fn)
     barrier, _ = realize_barrier(obs, to_unit_interval(build_measure(state)))
     label_side = label_mean(level_function(obs.cdf, barrier))

@@ -30,7 +30,7 @@ from .errors import (
     OutOfDomain,
     ValueNotInSupport,
 )
-from .spectral import StepCDF
+from .spectral import EIGENVALUE_MERGE_TOL, StepCDF, spectral_scale
 
 RationalLike = Union[Fraction, int, float, str]
 
@@ -207,32 +207,24 @@ class PiecewiseConstantDensity:
             if b != a2:
                 raise BadSpec("density cells must tile ]0,1]")
 
-    @classmethod
-    def uniform(cls) -> "PiecewiseConstantDensity":
-        return cls(((ZERO, ONE, ONE),))
-
     @property
     def mass(self) -> Fraction:
         return sum(((b - a) * d for a, b, d in self.cells), ZERO)
 
 
-def pushforward_density(m: PiecewiseAffineMap, d: PiecewiseConstantDensity) -> PiecewiseConstantDensity:
-    """Exact image density: on each image cell, sum of source density / |slope|.
+def pushforward_density(m: PiecewiseAffineMap) -> PiecewiseConstantDensity:
+    """Exact image density of Lebesgue measure: on each image cell, the sum
+    of 1 / |slope| over the pieces whose image covers it.
 
-    Uses a sweep over contribution endpoints, so it stays near-linear in the
-    number of pieces.  Mass is preserved exactly.
+    Uses a sweep over image endpoints, so it stays near-linear in the number
+    of pieces.  Mass is preserved exactly.
     """
     deltas: dict[Fraction, Fraction] = defaultdict(lambda: ZERO)
     for piece in m.pieces:
-        scale = abs(piece.slope)
-        for a, b, dens in d.cells:
-            lo = max(piece.lo, a)
-            hi = min(piece.hi, b)
-            if hi <= lo or dens == 0:
-                continue
-            im_lo, im_hi = sorted((piece(lo), piece(hi)))
-            deltas[im_lo] += dens / scale
-            deltas[im_hi] -= dens / scale
+        im_lo, im_hi = piece.image_bounds()
+        dens = 1 / abs(piece.slope)
+        deltas[im_lo] += dens
+        deltas[im_hi] -= dens
     deltas[ZERO] += ZERO
     deltas[ONE] += ZERO
     points = sorted(deltas)
@@ -252,7 +244,7 @@ def pushforward_density(m: PiecewiseAffineMap, d: PiecewiseConstantDensity) -> P
 def verify_measure_preserving(m: PiecewiseAffineMap) -> bool:
     """True iff pushing the uniform density through m gives density 1
     everywhere, to within DENSITY_TOL."""
-    image = pushforward_density(m, PiecewiseConstantDensity.uniform())
+    image = pushforward_density(m)
     return all(abs(dens - ONE) <= DENSITY_TOL for _, _, dens in image.cells)
 
 
@@ -633,15 +625,19 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     preserving, onto a chunk of the k-th level interval; the slope is the
     ratio of the level-interval length to the total source length, so the
     result is exactly measure preserving whenever the pushforward of fn
-    matches the CDF atom weights exactly.
+    matches the CDF atom weights exactly.  A value of fn names the support
+    point within ``EIGENVALUE_MERGE_TOL`` times the spectral scale of both,
+    the gap within which ``borel_apply`` merges images into one atom.
     """
     support = cdf.support
+    values = set(fn.values)
+    tol = EIGENVALUE_MERGE_TOL * spectral_scale([*support, *values])
     atom_of: dict[float, int] = {}
-    for v in set(fn.values):
+    for v in values:
         idx = bisect.bisect_left(support, v)
         best = None
         for j in (idx - 1, idx):
-            if 0 <= j < len(support) and abs(v - support[j]) <= 1e-12:
+            if 0 <= j < len(support) and abs(v - support[j]) <= tol:
                 best = j
         if best is None:
             raise ValueNotInSupport(f"value {v!r} is not a support point of the CDF")

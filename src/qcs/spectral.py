@@ -276,12 +276,13 @@ class StepCDF:
         return lo, self.exact_levels[k]
 
 
-def cdfs_close(f: StepCDF, g: StepCDF, tol: float) -> bool:
-    """Same atom count, with values and levels pairwise within ``tol``."""
+def cdfs_close(f: StepCDF, g: StepCDF, value_tol: float, level_tol: float) -> bool:
+    """Same atom count, with values pairwise within ``value_tol`` and levels
+    pairwise within ``level_tol``."""
     if len(f.support) != len(g.support):
         return False
-    return all(abs(a - b) <= tol for a, b in zip(f.support, g.support)) and all(
-        abs(a - b) <= tol for a, b in zip(f.levels, g.levels)
+    return all(abs(a - b) <= value_tol for a, b in zip(f.support, g.support)) and all(
+        abs(a - b) <= level_tol for a, b in zip(f.levels, g.levels)
     )
 
 
@@ -339,51 +340,6 @@ class PiecewiseFn:
         for c in reversed(self.coefficients[idx]):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "PiecewiseFn":
-        pieces = []
-        for cs in self.coefficients:
-            d = tuple(k * c for k, c in enumerate(cs))[1:] or (0.0,)
-            pieces.append(d)
-        return PiecewiseFn(self.breakpoints, tuple(pieces))
-
-    def is_strictly_increasing_on(self, lo: float, hi: float) -> bool:
-        """Exact-ish monotonicity check: derivative positive off isolated zeros,
-        and continuity across interior breakpoints of [lo, hi]."""
-        if not (self.breakpoints[0] < lo <= hi <= self.breakpoints[-1]):
-            return False
-        deriv = self.derivative()
-        for i, cs in enumerate(deriv.coefficients):
-            a = max(lo, self.breakpoints[i])
-            b = min(hi, self.breakpoints[i + 1])
-            if b <= a:
-                continue
-            cuts = {a, b}
-            if len(cs) > 1:
-                roots = np.roots(list(reversed(cs)))
-                cuts |= {float(r.real) for r in roots if abs(r.imag) < 1e-12 and a < r.real < b}
-            grid = sorted(cuts)
-            for u, v in zip(grid, grid[1:]):
-                if v <= u:
-                    continue
-                mid = 0.5 * (u + v)
-                val = 0.0
-                for c in reversed(cs):
-                    val = val * mid + c
-                if val <= 0.0:
-                    return False
-        for bp in self.breakpoints[1:-1]:
-            if lo < bp < hi:
-                left_idx = self.breakpoints.index(bp) - 1
-                left = 0.0
-                for c in reversed(self.coefficients[left_idx]):
-                    left = left * bp + c
-                right = 0.0
-                for c in reversed(self.coefficients[left_idx + 1]):
-                    right = right * bp + c
-                if abs(left - right) > 1e-12:
-                    return False
-        return True
 
 
 def spectral_scale(values) -> float:

@@ -298,11 +298,12 @@ def monotone_compose_check(
     psi: PureState,
     barrier: PiecewiseAffineMap,
 ) -> bool:
-    """For strictly increasing fn, the assigned values of fn(A) coincide with
-    fn of the assigned values of A, with the same barrier (exact comparison)."""
+    """For fn strictly increasing on the support of A's distribution in psi,
+    the assigned values of fn(A) coincide with fn of the assigned values of A,
+    with the same barrier (exact comparison)."""
     cdf = spectral_cdf(a, psi)
-    lo, hi = cdf.support[0], cdf.support[-1]
-    if not fn.is_strictly_increasing_on(lo, hi):
+    images = [fn(r) for r in cdf.support]
+    if any(lo >= hi for lo, hi in zip(images, images[1:])):
         raise NotMonotone("function is not strictly increasing on the spectrum")
     lhs = level_function(cdf, barrier).map_values(fn)
     rhs = level_function(spectral_cdf(borel_apply(fn, a), psi), barrier)
@@ -398,19 +399,12 @@ def spectrum_image_check(
     barrier: PiecewiseAffineMap,
     probes: Sequence[PureState],
 ) -> bool:
-    """Attained values over the probes coincide with the operator's spectrum."""
-    es = a.eigensystem
-    spectrum = set(es.eigenvalues)
+    """The values the barrier assigns over the probes are exactly the
+    operator's eigenvalues."""
     attained: set[float] = set()
     for psi in probes:
-        attained.update(spectral_cdf(a, psi).support)
-    every_value_is_eigenvalue = all(
-        any(abs(v - lam) <= 1e-12 for lam in spectrum) for v in attained
-    )
-    every_eigenvalue_attained = all(
-        any(abs(v - lam) <= 1e-12 for v in attained) for lam in spectrum
-    )
-    return every_value_is_eigenvalue and every_eigenvalue_attained
+        attained.update(level_function(spectral_cdf(a, psi), barrier).values)
+    return attained == set(a.eigensystem.eigenvalues)
 
 
 def identifiability_check(
@@ -425,7 +419,7 @@ def identifiability_check(
     to equality of the spectral CDFs, so the hypothesis is tested there.
     """
     agree = all(
-        cdfs_close(spectral_cdf(a1, p), spectral_cdf(a2, p), 1e-10) for p in probes
+        cdfs_close(spectral_cdf(a1, p), spectral_cdf(a2, p), 1e-10, 1e-10) for p in probes
     )
     if not agree:
         return True

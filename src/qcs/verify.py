@@ -33,7 +33,6 @@ from .dynamics import (
 )
 from .measure_maps import (
     MapSpec,
-    PiecewiseConstantDensity,
     PiecewiseConstantFn,
     build_map,
     compose,
@@ -204,7 +203,7 @@ def check_factorization_roundtrip():
         recovered = factor_against_cdf(fn, cdf)
         if not level_function(cdf, recovered).equal_ae(fn):
             return False, "recovered map does not reproduce the value function"
-        image = pushforward_density(recovered, PiecewiseConstantDensity.uniform())
+        image = pushforward_density(recovered)
         if any(d != ONE for _, _, d in image.cells):
             return False, "recovered map is not exactly measure preserving"
         for lo, hi, v in fn.cells():
@@ -453,7 +452,7 @@ def check_map_exactness():
     for _ in range(60):
         spec = MapSpec.composition(*(random_simple_spec(rng) for _ in range(int(rng.integers(2, 7)))))
         m = build_map(spec)
-        image = pushforward_density(m, PiecewiseConstantDensity.uniform())
+        image = pushforward_density(m)
         if image.mass != 1:
             return False, "pushforward mass is not exactly 1"
         if not verify_measure_preserving(m):
@@ -828,13 +827,7 @@ SUITES = {
 
 def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
-        seen, ordered = set(), []
-        for checks in SUITES.values():
-            for c in checks:
-                if c.check_name not in seen:
-                    seen.add(c.check_name)
-                    ordered.append(c)
-        return [c() for c in ordered]
+        return [c() for checks in SUITES.values() for c in checks]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from all, {', '.join(SUITES)}")
     return [c() for c in SUITES[name]]

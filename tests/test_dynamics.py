@@ -302,6 +302,21 @@ def test_intertwine_random_case(rng):
     assert intertwine_check(a, u, sigma, psi, barrier)
 
 
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+def test_intertwine_holds_at_large_operator_scale(scale):
+    """The eigenvalues of U^-1 A U and of A come from two diagonalizations and
+    differ by a few ulps of the largest one, so the value bound follows the
+    spectral scale."""
+    rng = np.random.default_rng(4242)
+    sigma = EquivalenceComplex(MapSpec.rotation(F(3, 7)))
+    barrier = build_map(MapSpec.rotation(F(2, 5)))
+    for _ in range(20):
+        a = HermitianOperator(scale * random_hermitian(rng, 4).entries)
+        u = random_unitary(rng, 4)
+        psi = random_pure_state(rng, 4)
+        assert intertwine_check(a, u, sigma, psi, barrier)
+
+
 def ref_intertwine_sampled(a, u, sigma, psi, barrier, n, seed):
     """Sampled reference for intertwine_check: evaluate (U^-1 A U) and A on
     the lifted complete state at n labels drawn away from breakpoints and

@@ -130,14 +130,23 @@ def test_example4_experiment():
     assert res["passed"] is True
 
 
-def test_example4_with_rotated_barrier():
-    report = run_experiment(
-        ExperimentConfig.from_json(
-            {"kind": "example4", "barrier": {"kind": "rotation", "c": "1/5"}}
-        )
-    )
+@pytest.mark.parametrize(
+    "barrier",
+    [
+        {"kind": "identity"},
+        {"kind": "rotation", "c": "1/5"},
+        {"kind": "rotation", "c": "1/3"},
+        {"kind": "rotation", "c": "3/8"},
+        {"kind": "expanding", "k": 2},
+        {"kind": "interval_exchange", "lengths": ["1/2", "1/3", "1/6"], "perm": [2, 0, 1]},
+    ],
+    ids=["identity", "rotation-1/5", "rotation-1/3", "rotation-3/8", "expanding-2", "exchange"],
+)
+def test_example4_with_rotated_barrier(barrier):
+    report = run_experiment(ExperimentConfig.from_json({"kind": "example4", "barrier": barrier}))
     assert report.results["disagreement_exact"] == "1/2"
     assert report.results["repaired_disagreement_exact"] == "0"
+    assert report.results["repair_equals_shift_ae"] is True
 
 
 def test_cat_experiment_threshold():
@@ -416,6 +425,22 @@ def test_cli_dynamics_without_finite_times_exits_2(tmp_path, capsys, times):
     path.write_text(json.dumps(config))
     assert cli_main(["run", "--config", str(path)]) == 2
     assert "times must be a nonempty list of reals" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, key", [("position", "g"), ("momentum", "f")])
+def test_cli_phase_space_function_not_covering_the_grid_exits_2(tmp_path, capsys, kind, key):
+    config = {
+        "kind": "phase_space",
+        "sigma": "0",
+        "N": 4,
+        "dq": 1.0,
+        "psi": [[0.5, 0.5, 0.5, 0.5]],
+        "observable": {"kind": kind, key: {"kind": "poly", "coeffs": [0, 1], "lo": 1.5, "hi": 9}},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert f"{kind} function undefined on the grid" in capsys.readouterr().err
 
 
 def test_cli_phase_space_with_nan_amplitude_exits_2(tmp_path, capsys):

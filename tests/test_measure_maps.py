@@ -20,7 +20,6 @@ from qcs.measure_maps import (
     AffinePiece,
     MapSpec,
     PiecewiseAffineMap,
-    PiecewiseConstantDensity,
     PiecewiseConstantFn,
     build_map,
     compose,
@@ -62,7 +61,7 @@ def test_identity_map():
 def test_expanding_two_pushforward_is_uniform():
     m = build_map(MapSpec.expanding(2))
     assert len(m.pieces) == 2
-    image = pushforward_density(m, PiecewiseConstantDensity.uniform())
+    image = pushforward_density(m)
     assert all(d == 1 for _, _, d in image.cells)
     assert image.mass == 1
 
@@ -122,18 +121,18 @@ def test_function_constructor_rejects_invalid_cells(breakpoints, values, message
 
 def test_rotation_preserves_uniform():
     rot = build_map(MapSpec.rotation(F(2, 7)))
-    image = pushforward_density(rot, PiecewiseConstantDensity.uniform())
+    image = pushforward_density(rot)
     assert all(d == 1 for _, _, d in image.cells)
 
 
 def test_expanding_three_preserves_uniform():
     m = build_map(MapSpec.expanding(3))
-    image = pushforward_density(m, PiecewiseConstantDensity.uniform())
+    image = pushforward_density(m)
     assert all(d == 1 for _, _, d in image.cells)
 
 
 def test_halving_map_density():
-    image = pushforward_density(halving_map(), PiecewiseConstantDensity.uniform())
+    image = pushforward_density(halving_map())
     lookup = {(a, b): d for a, b, d in image.cells}
     assert lookup == {(F(0), F(1, 2)): F(2), (F(1, 2), F(1)): F(0)}
     assert not verify_measure_preserving(halving_map())
@@ -234,7 +233,7 @@ def test_factor_roundtrip_through_rotation():
     assert level_function(cdf, alpha).equal_ae(fn)
     # the recovered map need not equal the rotation pointwise, only the
     # induced values must match
-    image = pushforward_density(alpha, PiecewiseConstantDensity.uniform())
+    image = pushforward_density(alpha)
     assert all(d == 1 for _, _, d in image.cells)
 
 
@@ -272,7 +271,7 @@ def reflection_map():
 def test_reflection_is_measure_preserving():
     m = reflection_map()
     assert verify_measure_preserving(m)
-    image = pushforward_density(m, PiecewiseConstantDensity.uniform())
+    image = pushforward_density(m)
     assert all(d == 1 for _, _, d in image.cells)
 
 
@@ -335,7 +334,7 @@ def simple_specs(draw):
 @given(spec=simple_specs())
 def test_built_maps_preserve_measure(spec):
     m = build_map(spec)
-    image = pushforward_density(m, PiecewiseConstantDensity.uniform())
+    image = pushforward_density(m)
     assert image.mass == 1
     assert all(d == 1 for _, _, d in image.cells)
 

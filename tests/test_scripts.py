@@ -13,7 +13,6 @@ CASES = {
     "phase_space_demo.py": ["--n", "16"],
     "born_sweep.py": ["--cases", "2", "--samples", "1000"],
     "rabi_evolution.py": ["--steps", "4", "--out", "{tmp}/rabi.csv"],
-    "run_example4.py": [],
 }
 
 

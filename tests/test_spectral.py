@@ -214,15 +214,6 @@ def test_pure_state_invariants():
     assert not a.projectively_equal(PureState(np.array([1.0, 0.0], dtype=complex)))
 
 
-def test_piecewise_fn_monotone_gate():
-    assert PiecewiseFn.affine(2.0, 1.0).is_strictly_increasing_on(-5, 5)
-    assert not PiecewiseFn.square().is_strictly_increasing_on(-1, 1)
-    assert PiecewiseFn.square().is_strictly_increasing_on(0.5, 2.0)
-    cubic = PiecewiseFn.from_poly((0.0, 0.0, 0.0, 1.0))
-    assert cubic.is_strictly_increasing_on(-1, 1)
-    assert not PiecewiseFn.absolute().is_strictly_increasing_on(-1, 1)
-
-
 @st.composite
 def step_cdfs(draw):
     n = draw(st.integers(min_value=1, max_value=6))

@@ -26,7 +26,7 @@ from qcs.measure_maps import (
     level_function,
     map_equal_ae,
 )
-from qcs.spectral import HermitianOperator, PiecewiseFn, PureState, spectral_cdf
+from qcs.spectral import HermitianOperator, PiecewiseFn, PureState, borel_apply, spectral_cdf
 from qcs.states import (
     BarrierComplex,
     CompleteState,
@@ -233,6 +233,29 @@ def test_monotone_compose_check():
         monotone_compose_check(PiecewiseFn.square(), MODEL.operator, MODEL.state, rot)
 
 
+@pytest.mark.parametrize(
+    "fn, spectrum, increasing",
+    [
+        (PiecewiseFn.from_poly((1.44, -2.4, 1.0)), (1.0, 3.0), True),
+        (PiecewiseFn.from_poly((0.0, 0.0, 0.0, 1.0)), (-1.0, 0.0, 1.0), True),
+        (PiecewiseFn.absolute(), (-1.0, 1.0), False),
+        (PiecewiseFn.square(), (-1.0, 0.0, 1.0), False),
+    ],
+    ids=["shifted-square-on-1-3", "cubic", "absolute", "square"],
+)
+def test_monotone_compose_check_needs_increase_on_the_spectrum_only(fn, spectrum, increasing):
+    """(x - 1.2)^2 falls on ]1, 1.2[ but is increasing on the spectrum {1, 3},
+    which is all the covariance needs."""
+    a = HermitianOperator(np.diag(spectrum).astype(complex))
+    psi = PureState.normalized(np.ones(len(spectrum), dtype=complex))
+    rot = build_map(MapSpec.rotation(F(1, 5)))
+    if increasing:
+        assert monotone_compose_check(fn, a, psi, rot)
+    else:
+        with pytest.raises(NotMonotone):
+            monotone_compose_check(fn, a, psi, rot)
+
+
 def test_no_go_witness_values():
     assert no_go_witness(IDENTITY) == F(1, 2)
     for c in (F(1, 7), F(3, 8), F(9, 10)):
@@ -290,12 +313,25 @@ def test_repair_barrier_roundtrip_random(rng):
     rot = build_map(MapSpec.rotation(F(5, 9)))
     fn = PiecewiseFn.absolute()
     beta = repair_barrier(a, fn, rot, psi)
-    from qcs.spectral import borel_apply
-
     image_cdf = spectral_cdf(borel_apply(fn, a), psi)
     lhs = level_function(spectral_cdf(a, psi), rot).map_values(fn)
     rhs = level_function(image_cdf, beta)
     assert rhs.equal_ae(lhs)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_repair_barrier_matches_merged_images_at_large_operator_scale(scale):
+    """borel_apply merges s^2 and (s(1 + 1e-13))^2 into one atom; the repair
+    must name that atom for both values at every operator scale."""
+    a = HermitianOperator(np.diag([-scale, scale * (1 + 1e-13), scale / 2]).astype(complex))
+    psi = PureState.normalized(np.ones(3, dtype=complex))
+    square = PiecewiseFn.square()
+    beta = repair_barrier(a, square, IDENTITY, psi)
+    assert beta.measure_preserving
+    composed = level_function(spectral_cdf(a, psi), IDENTITY).map_values(square)
+    image = level_function(spectral_cdf(borel_apply(square, a), psi), beta)
+    for lo, hi, v in composed.cells():
+        assert abs(image((lo + hi) / 2) - v) <= 1e-12 * scale**2
 
 
 def test_recover_barrier_roundtrip():
@@ -315,6 +351,10 @@ def test_spectrum_image_check_examples():
         PureState.normalized(np.array([1, 1], dtype=complex)),
     ]
     assert spectrum_image_check(sz, IDENTITY, probes)
+    # a probe set that misses an eigenvalue, and a map that never reaches the
+    # level interval of +1 under the |+> probe
+    assert not spectrum_image_check(sz, IDENTITY, probes[:1])
+    assert not spectrum_image_check(sz, HALVING, probes[2:])
     eye = HermitianOperator(np.eye(3, dtype=complex))
     assert spectrum_image_check(eye, IDENTITY, [PureState(np.array([0, 1, 0], dtype=complex))])
     # the witness state alone already attains the full spectrum

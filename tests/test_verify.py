@@ -6,14 +6,19 @@ import pytest
 from qcs import verify
 
 ACCEPTANCE_NAMES = {c.check_name for c in verify.ACCEPTANCE_CHECKS}
-SWEEPS = list(
-    {
-        c.check_name: c
-        for checks in verify.SUITES.values()
-        for c in checks
-        if c.check_name not in ACCEPTANCE_NAMES
-    }.values()
-)
+SWEEPS = [
+    c
+    for checks in verify.SUITES.values()
+    for c in checks
+    if c.check_name not in ACCEPTANCE_NAMES
+]
+
+
+def test_check_names_are_unique_across_suites():
+    """`qcs verify --suite all` runs the suites one after another, so a check
+    listed in two suites would run twice."""
+    names = [c.check_name for checks in verify.SUITES.values() for c in checks]
+    assert len(names) == len(set(names))
 
 
 @pytest.mark.parametrize("check", SWEEPS, ids=[c.check_name for c in SWEEPS])
