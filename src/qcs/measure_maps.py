@@ -38,6 +38,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 DENSITY_TOL = Fraction(1, 10**12)
 MATCH_TOL = Fraction(1, 10**12)
+# compose_with_map's float filter: a bound on the rounding error of
+# slope * z + intercept in floats, relative to |slope * z| + |intercept|
+# (a few units in the last place), and per unit of |slope| for operands
+# that underflow to subnormals
+_ROUNDING_MARGIN = 2.0**-50
+_UNDERFLOW_MARGIN = 2.0**-1000
 
 Interval = tuple[Fraction, Fraction]
 
@@ -378,12 +384,25 @@ class PiecewiseConstantFn:
 
     def masses_by_value(self) -> dict[float, Fraction]:
         """Exact pushforward of Lebesgue measure: total cell length per value,
-        added once per run of equal adjacent values."""
-        out: dict[float, Fraction] = defaultdict(lambda: ZERO)
+        in order of first appearance.
+
+        Each run of equal adjacent values adds the numerators of its two ends
+        to integer sums keyed by (value, denominator); each value's mass is
+        then one ``Fraction`` per denominator, added exactly.
+        """
+        sums: dict[float, dict[int, int]] = {}
         bps = self.breakpoints
         for start, end, v in self.runs():
-            out[v] += bps[end] - bps[start]
-        return dict(out)
+            by_den = sums.get(v)
+            if by_den is None:
+                by_den = sums[v] = {}
+            lo, hi = bps[start], bps[end]
+            by_den[hi.denominator] = by_den.get(hi.denominator, 0) + hi.numerator
+            by_den[lo.denominator] = by_den.get(lo.denominator, 0) - lo.numerator
+        return {
+            v: sum((Fraction(n, d) for d, n in by_den.items()), ZERO)
+            for v, by_den in sums.items()
+        }
 
     def disagreement(self, other: "PiecewiseConstantFn") -> Fraction:
         """Exact Lebesgue measure of the set where self and other differ.
@@ -417,41 +436,66 @@ class PiecewiseConstantFn:
         preimages of the breakpoints strictly inside its image, and its
         sub-cells take values[i..j], reversed when the slope is negative.
 
-        A piece with the same slope and intercept objects as the previous
-        piece continues its affine run, so its image end at lo is the
-        previous end at hi.  Before bisecting, the image is tested against
-        the cell of the last value emitted, where consecutive pieces of a
-        run usually land.
+        A float filter decides most pieces without exact arithmetic.  The
+        image ends are evaluated in floats and widened by a bound on their
+        rounding error (``_ROUNDING_MARGIN`` of the terms' magnitude, plus
+        ``_UNDERFLOW_MARGIN`` times the slope's for subnormal operands), so
+        the float interval [lo, hi] contains the exact image.  Rounding a
+        rational to the nearest float is monotone, so float(e_k) < lo
+        implies e_k < lo, and hi < float(e_{k+1}) implies hi < e_{k+1}: the
+        piece then lies inside cell k, and is emitted whole with value k.
+        Near ties, images that span a breakpoint, and coefficients too large
+        for a float take the exact path.
         """
         edges, values = self.breakpoints, self.values
         interior = edges[1:-1]
+        # float edges; a NaN image end finds no cell, and an end above 1
+        # cannot occur because every piece's image lies in [0, 1]
+        float_edges = [e.numerator / e.denominator for e in edges]
         bps, vals = [ZERO], []
         slope = intercept = None
-        k = 0
+        z_hi = 0.0
         for p in m.pieces:
-            if p.slope is slope and p.intercept is intercept:
-                start = end
+            hi = p.hi
+            z_lo, z_hi = z_hi, hi.numerator / hi.denominator
+            try:
+                if p.slope is not slope:
+                    slope = p.slope
+                    rising = slope > 0
+                    fs = slope.numerator / slope.denominator
+                    tiny = (abs(fs) + 2.0) * _UNDERFLOW_MARGIN
+                if p.intercept is not intercept:
+                    intercept = p.intercept
+                    fc = intercept.numerator / intercept.denominator
+                    abs_fc = abs(fc)
+            except OverflowError:
+                slope = intercept = None
             else:
-                slope, intercept = p.slope, p.intercept
-                rising = slope > 0
-                start = slope * p.lo + intercept
-            end = slope * p.hi + intercept
-            im_lo, im_hi = (start, end) if rising else (end, start)
-            if edges[k] <= im_lo and im_hi <= edges[k + 1]:
-                bps.append(p.hi)
-                vals.append(values[k])
-                continue
+                at_lo, at_hi = fs * z_lo, fs * z_hi
+                err_lo = (abs(at_lo) + abs_fc) * _ROUNDING_MARGIN + tiny
+                err_hi = (abs(at_hi) + abs_fc) * _ROUNDING_MARGIN + tiny
+                if rising:
+                    lo_f, hi_f = at_lo + fc - err_lo, at_hi + fc + err_hi
+                else:
+                    lo_f, hi_f = at_hi + fc - err_hi, at_lo + fc + err_lo
+                k = bisect.bisect_left(float_edges, lo_f) - 1
+                if k >= 0 and hi_f < float_edges[k + 1]:
+                    bps.append(hi)
+                    vals.append(values[k])
+                    continue
+            s, c = p.slope, p.intercept
+            start, end = s * p.lo + c, s * hi + c
+            im_lo, im_hi = (start, end) if s > 0 else (end, start)
             i = bisect.bisect_right(interior, im_lo)
             j = bisect.bisect_left(interior, im_hi, i)
-            cuts = [(c - intercept) / slope for c in interior[i:j]]
+            cuts = [(e - c) / s for e in interior[i:j]]
             cell_values = values[i : j + 1]
-            if not rising:
+            if s < 0:
                 cuts.reverse()
                 cell_values = cell_values[::-1]
             bps += cuts
-            bps.append(p.hi)
+            bps.append(hi)
             vals += cell_values
-            k = j if rising else i
         return PiecewiseConstantFn._built(tuple(bps), tuple(vals))
 
 
@@ -617,20 +661,12 @@ def build_map(spec: MapSpec) -> PiecewiseAffineMap:
 # ---------------------------------------------------------------------------
 # Constructive factorization against a step CDF
 
-def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffineMap:
-    """Factor fn through the quantile of cdf: find a measure-preserving map a
-    with quantile(cdf, a(z)) = fn(z) off finitely many breakpoints.
-
-    Each source cell where fn takes the k-th support value is sent, order
-    preserving, onto a chunk of the k-th level interval; the slope is the
-    ratio of the level-interval length to the total source length, so the
-    result is exactly measure preserving whenever the pushforward of fn
-    matches the CDF atom weights exactly.  A value of fn names the support
-    point within ``EIGENVALUE_MERGE_TOL`` times the spectral scale of both,
-    the gap within which ``borel_apply`` merges images into one atom.
-    """
-    support = cdf.support
-    values = set(fn.values)
+def atoms_of(values: Iterable[float], support: Sequence[float]) -> dict[float, int]:
+    """The index of the support point that names each value: the one within
+    ``EIGENVALUE_MERGE_TOL`` times the spectral scale of both, the gap within
+    which ``borel_apply`` merges images into one atom.  Raises
+    ValueNotInSupport for a value that no support point names."""
+    values = list(values)
     tol = EIGENVALUE_MERGE_TOL * spectral_scale([*support, *values])
     atom_of: dict[float, int] = {}
     for v in values:
@@ -642,6 +678,22 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
         if best is None:
             raise ValueNotInSupport(f"value {v!r} is not a support point of the CDF")
         atom_of[v] = best
+    return atom_of
+
+
+def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffineMap:
+    """Factor fn through the quantile of cdf: find a measure-preserving map a
+    with quantile(cdf, a(z)) = fn(z) off finitely many breakpoints.
+
+    Each source cell where fn takes the k-th support value is sent, order
+    preserving, onto a chunk of the k-th level interval; the slope is the
+    ratio of the level-interval length to the total source length, so the
+    result is exactly measure preserving whenever the pushforward of fn
+    matches the CDF atom weights exactly.  Each value of fn names its
+    support point by ``atoms_of``.
+    """
+    support = cdf.support
+    atom_of = atoms_of(set(fn.values), support)
 
     totals: dict[int, Fraction] = defaultdict(lambda: ZERO)
     for v, mass in fn.masses_by_value().items():

@@ -266,6 +266,12 @@ class CellEquivalence:
     kept: np.ndarray
     bounds: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        # the public constructor's checks, made once for every cell function
+        # that pcf transports
+        cells = PiecewiseConstantFn(self.bounds, (0.0,) * len(self.kept))
+        object.__setattr__(self, "bounds", cells.breakpoints)
+
     @property
     def n_cells(self) -> int:
         return len(self.kept)
@@ -273,7 +279,7 @@ class CellEquivalence:
     def pcf(self, cell_values: np.ndarray) -> PiecewiseConstantFn:
         """Transport a cell function to a piecewise-constant function on ]0,1]."""
         flat = np.asarray(cell_values, dtype=float).ravel()[self.kept]
-        return PiecewiseConstantFn(self.bounds, tuple(float(v) for v in flat))
+        return PiecewiseConstantFn._built(self.bounds, tuple(flat.tolist()))
 
 
 def to_unit_interval(measure: PhaseSpaceMeasure) -> CellEquivalence:

@@ -33,6 +33,7 @@ from .measure_maps import (
     MapSpec,
     PiecewiseAffineMap,
     PiecewiseConstantFn,
+    atoms_of,
     build_map,
     factor_against_cdf,
     level_function,
@@ -135,8 +136,19 @@ class ObservableFunction:
 
 
 def label_mean(fn: PiecewiseConstantFn, power: int = 1) -> float:
-    """Integral of fn**power over ]0,1[ with exact cell masses."""
-    return math.fsum((v**power) * float(hi - lo) for lo, hi, v in fn.cells())
+    """Integral of fn**power over ]0,1[ with exact cell masses.
+
+    Each cell length is rounded once from integers: integer true division is
+    correctly rounded, so the term is bitwise ``float(hi - lo)`` without the
+    gcd of a ``Fraction`` subtraction.
+    """
+    bps = fn.breakpoints
+    nums = [b.numerator for b in bps]
+    dens = [b.denominator for b in bps]
+    return math.fsum(
+        (v**power) * ((n1 * d0 - n0 * d1) / (d1 * d0))
+        for n0, d0, n1, d1, v in zip(nums, dens, nums[1:], dens[1:], fn.values)
+    )
 
 
 def value(a: HermitianOperator, c: CompleteState) -> float:
@@ -300,14 +312,18 @@ def monotone_compose_check(
 ) -> bool:
     """For fn strictly increasing on the support of A's distribution in psi,
     the assigned values of fn(A) coincide with fn of the assigned values of A,
-    with the same barrier (exact comparison)."""
+    with the same barrier (exact comparison).  Each fn(r_k) is named by its
+    atom of fn(A), as ``factor_against_cdf`` names values (``atoms_of``)."""
     cdf = spectral_cdf(a, psi)
     images = [fn(r) for r in cdf.support]
     if any(lo >= hi for lo, hi in zip(images, images[1:])):
         raise NotMonotone("function is not strictly increasing on the spectrum")
-    lhs = level_function(cdf, barrier).map_values(fn)
-    rhs = level_function(spectral_cdf(borel_apply(fn, a), psi), barrier)
-    return lhs.equal_ae(rhs)
+    # borel_apply merges images within its gap into one atom of fn(A)
+    target = spectral_cdf(borel_apply(fn, a), psi)
+    atom_of = atoms_of(images, target.support)
+    named = {r: target.support[atom_of[image]] for r, image in zip(cdf.support, images)}
+    lhs = level_function(cdf, barrier).map_values(named.__getitem__)
+    return lhs.equal_ae(level_function(target, barrier))
 
 
 # ---------------------------------------------------------------------------

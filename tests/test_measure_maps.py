@@ -1,6 +1,7 @@
 """Exact map algebra: pushforwards, composition, inversion, factorization."""
 
 import bisect
+import math
 from collections import defaultdict
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from qcs.measure_maps import (
     verify_measure_preserving,
 )
 from qcs.spectral import StepCDF
+from qcs.states import label_mean
 
 F = Fraction
 IDENTITY = build_map(MapSpec.identity())
@@ -435,6 +437,11 @@ def ref_masses_by_value(fn):
     return dict(out)
 
 
+def ref_label_mean(fn, power=1):
+    """One Fraction subtraction per cell, then float() of the cell length."""
+    return math.fsum((v**power) * float(hi - lo) for lo, hi, v in fn.cells())
+
+
 def ref_map_equal_ae(m1, m2):
     grid = sorted(set(m1.breakpoints) | set(m2.breakpoints))
     for lo, hi in zip(grid, grid[1:]):
@@ -491,6 +498,21 @@ def test_compose_with_map_matches_midpoint_reference(data, m):
     assert fn_cells(fn.compose_with_map(m)) == fn_cells(ref_compose_with_map(fn, m))
 
 
+@st.composite
+def mixed_denominator_functions(draw):
+    """Breakpoints over dyadic, triadic and decimal denominators of up to 95
+    bits, with values that recur in cells far apart, so a value's mass sums
+    lengths over several denominators and dict order is order of first
+    appearance."""
+    dens = (2**95, 3**40, 10**20, 2**40 * 3**20)
+    points = draw(
+        st.sets(st.builds(lambda d, t: Fraction(int(t * d), d), st.sampled_from(dens), st.floats(0, 1)), max_size=12)
+    )
+    bps = [F(0)] + sorted(points - {F(0), F(1)}) + [F(1)]
+    values = draw(st.lists(st.sampled_from([2.0, -1.0, 0.5]), min_size=len(bps) - 1, max_size=len(bps) - 1))
+    return PiecewiseConstantFn(tuple(bps), tuple(values))
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), m=signed_maps())
 def test_masses_by_value_matches_per_cell_sum(data, m):
@@ -498,6 +520,17 @@ def test_masses_by_value_matches_per_cell_sum(data, m):
     assert list(fn.masses_by_value().items()) == list(ref_masses_by_value(fn).items())
     composed = fn.compose_with_map(m)
     assert list(composed.masses_by_value().items()) == list(ref_masses_by_value(composed).items())
+    mixed = data.draw(mixed_denominator_functions())
+    for g in (mixed, mixed.compose_with_map(m)):
+        assert list(g.masses_by_value().items()) == list(ref_masses_by_value(g).items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=signed_maps(), power=st.sampled_from([1, 2]))
+def test_label_mean_is_bitwise_the_per_cell_reference(data, m, power):
+    for fn in (data.draw(functions_on(m)), data.draw(mixed_denominator_functions())):
+        for g in (fn, fn.compose_with_map(m)):
+            assert label_mean(g, power) == ref_label_mean(g, power)
 
 
 @st.composite
@@ -638,5 +671,79 @@ def test_phase_space_kernels_match_references_at_n16():
     levels = level_function(obs.cdf, barrier)
     assert fn_cells(levels) == fn_cells(ref_compose_with_map(quantile_pcf(obs.cdf), barrier))
     assert list(levels.masses_by_value().items()) == list(ref_masses_by_value(levels).items())
+    for g in (fn, levels):
+        assert label_mean(g) == ref_label_mean(g) and label_mean(g, 2) == ref_label_mean(g, 2)
     assert_rebuilds(barrier)
     assert_rebuilds(levels)
+
+
+def steep_map(width):
+    """]0, width] onto ]0, 1] with slope 1/width, then the identity."""
+    return PiecewiseAffineMap((AffinePiece(F(0), width, 1 / width, F(0)), AffinePiece(width, F(1), F(1), F(0))))
+
+
+@st.composite
+def near_tie_cases(draw):
+    """A map and a function that the float filter of compose_with_map cannot
+    decide, so it falls back to exact arithmetic.
+
+    The map has pieces of either slope sign, some cut narrower than the
+    filter's error margin, and may start with a steep piece: slopes near
+    2^1023 whose image ends involve subnormal labels, or slopes above 2^1024
+    that do not fit in a float.  The function's breakpoints sit on the
+    pieces' image ends or within 2^-60 of them.
+    """
+    m = draw(signed_maps())
+    if draw(st.booleans()):
+        exponent = draw(st.sampled_from([60, 1021, 1030, 1100]))
+        width = F(draw(st.integers(1, 3)), draw(st.integers(1, 3)) * 2**exponent)
+        m = ref_compose(m, steep_map(width))
+    pieces = []
+    for p in m.pieces:
+        narrow = F(1, 2 ** draw(st.sampled_from([60, 80, 200])))
+        cut = p.lo + (p.hi - p.lo) / 2
+        if draw(st.booleans()) and cut + narrow < p.hi:
+            pieces += [AffinePiece(p.lo, cut, p.slope, p.intercept), AffinePiece(cut, cut + narrow, p.slope, p.intercept)]
+            pieces.append(AffinePiece(cut + narrow, p.hi, p.slope, p.intercept))
+        else:
+            pieces.append(p)
+    m = PiecewiseAffineMap(tuple(pieces))
+    ends = sorted({e for p in m.pieces for e in p.image_bounds()})
+    offsets = st.builds(lambda k, t: F(k, 2**t), st.integers(-3, 3), st.integers(60, 1100))
+    chosen = draw(st.lists(st.tuples(st.sampled_from(ends), offsets), max_size=6))
+    points = {e + d for e, d in chosen if 0 < e + d < 1}
+    bps = [F(0)] + sorted(points) + [F(1)]
+    values = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=len(bps) - 1, max_size=len(bps) - 1))
+    return PiecewiseConstantFn(tuple(bps), tuple(values)), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=near_tie_cases())
+def test_compose_with_map_falls_back_to_exact_on_near_ties(case):
+    fn, m = case
+    assert fn_cells(fn.compose_with_map(m)) == fn_cells(ref_compose_with_map(fn, m))
+
+
+def test_compose_with_map_on_a_slope_too_large_for_a_float():
+    m = steep_map(F(1, 2**1100))
+    with pytest.raises(OverflowError):
+        float(m.pieces[0].slope)
+    fn = PiecewiseConstantFn((F(0), F(1, 3), F(1, 2) + F(1, 2**70), F(1)), (1.0, -1.0, 0.5))
+    assert fn_cells(fn.compose_with_map(m)) == fn_cells(ref_compose_with_map(fn, m))
+
+
+def test_compose_with_map_with_subnormal_labels():
+    # labels near the smallest subnormal t round to t, so with slope 2^40+1
+    # the float image of ]1.1t, 1.4t] is the point s*t, below its exact
+    # image and across the breakpoints 1.05st and 1.2st
+    t, s = F(1, 2**1074), F(2**40 + 1)
+    cuts = [F(0), F(11, 10) * t, F(14, 10) * t]
+    m = PiecewiseAffineMap(
+        (
+            AffinePiece(cuts[0], cuts[1], s, F(0)),
+            AffinePiece(cuts[1], cuts[2], s, F(0)),
+            AffinePiece(cuts[2], F(1), F(1), F(0)),
+        )
+    )
+    fn = PiecewiseConstantFn((F(0), F(105, 100) * s * t, F(12, 10) * s * t, F(1, 2), F(1)), (1.0, -1.0, 0.5, 2.0))
+    assert fn_cells(fn.compose_with_map(m)) == fn_cells(ref_compose_with_map(fn, m))

@@ -161,6 +161,19 @@ def test_to_unit_interval_cells():
     assert fn(F(1, 8)) == 5.0 and fn(F(1, 2)) == -2.0
 
 
+@pytest.mark.parametrize(
+    "kept, bounds, message",
+    [
+        ([0, 1], (F(0), F(1)), "n\\+1 breakpoints"),
+        ([0], (F(0), F(1, 2)), "cover"),
+        ([0, 1, 2], (F(0), F(1, 2), F(1, 2), F(1)), "strictly ascending"),
+    ],
+)
+def test_cell_equivalence_checks_its_bounds_when_built(kept, bounds, message):
+    with pytest.raises(BadSpec, match=message):
+        CellEquivalence(np.array(kept), bounds)
+
+
 def test_single_cell_equivalence_is_identity():
     from qcs.phase_space import PhaseSpaceMeasure
 

@@ -233,6 +233,18 @@ def test_monotone_compose_check():
         monotone_compose_check(PiecewiseFn.square(), MODEL.operator, MODEL.state, rot)
 
 
+def test_monotone_compose_check_compares_images_merged_into_one_atom():
+    """On diag(1, 1+1e-11), 0.01 x maps the two eigenvalues to images 1e-13
+    apart, which borel_apply merges into one atom of fn(A); both images are
+    then named by that atom, and the covariance holds."""
+    a = HermitianOperator(np.diag([1.0, 1.0 + 1e-11]).astype(complex))
+    psi = PureState.normalized(np.ones(2, dtype=complex))
+    assert len(spectral_cdf(a, psi).support) == 2
+    assert len(spectral_cdf(borel_apply(PiecewiseFn.affine(0.01, 0.0), a), psi).support) == 1
+    assert monotone_compose_check(PiecewiseFn.affine(0.01, 0.0), a, psi, IDENTITY)
+    assert monotone_compose_check(PiecewiseFn.affine(2.0, 0.0), a, psi, IDENTITY)
+
+
 @pytest.mark.parametrize(
     "fn, spectrum, increasing",
     [
