@@ -63,6 +63,7 @@ from .phase_space import (
     PhaseSpaceMeasure,
     PhaseSpaceState,
     build_measure,
+    cell_observable,
     momentum_observable,
     position_observable,
     spin_observable,

@@ -14,11 +14,11 @@ step CDFs in :mod:`qcs.spectral`.
 from __future__ import annotations
 
 import bisect
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -376,11 +376,13 @@ class PiecewiseConstantFn:
     def runs(self) -> Iterable[tuple[int, int, float]]:
         """(start, end, v) per maximal run of equal adjacent values: the
         cells start..end-1, that is ]b_start, b_end], all take the value v."""
-        start = 0
-        for v, run in groupby(self.values):
-            end = start + sum(1 for _ in run)
-            yield start, end, v
-            start = end
+        values = self.values
+        start, prev = 0, values[0]
+        for end, v in enumerate(values):
+            if v != prev:
+                yield start, end, prev
+                start, prev = end, v
+        yield start, len(values), prev
 
     def masses_by_value(self) -> dict[float, Fraction]:
         """Exact pushforward of Lebesgue measure: total cell length per value,
@@ -691,38 +693,62 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     result is exactly measure preserving whenever the pushforward of fn
     matches the CDF atom weights exactly.  Each value of fn names its
     support point by ``atoms_of``.
+
+    The arithmetic is on integers: the run ends of fn are numerators over
+    their common denominator D, and the exact levels numerators over theirs,
+    L.  Atom k has source length t_k / D and level interval
+    ]lo_k / L, (lo_k + w_k) / L], and a run of it that starts at s / D,
+    after earlier runs of total length b_k / D, has the intercept
+    (lo_k t_k + w_k (b_k - s)) / (t_k L): one ``Fraction`` per run.
     """
     support = cdf.support
     atom_of = atoms_of(set(fn.values), support)
-
-    totals: dict[int, Fraction] = defaultdict(lambda: ZERO)
-    for v, mass in fn.masses_by_value().items():
-        totals[atom_of[v]] += mass
-
-    level_lo, slopes = [], []
-    for k in range(len(support)):
-        lo_lvl, hi_lvl = cdf.level_interval(k)
-        weight = hi_lvl - lo_lvl
-        total = totals.get(k, ZERO)
-        if total == ZERO or abs(total - weight) > MATCH_TOL:
-            raise DistributionMismatch(
-                f"atom {support[k]!r}: source mass {float(total):.17g} vs weight {float(weight):.17g}"
-            )
-        level_lo.append(lo_lvl)
-        slopes.append(weight / total)
-
-    # One pass in source order.  A run of atom k whose cells start at lo
-    # starts at level level_lo[k] + slope * (before[k] - lo), where before[k]
-    # is the source length of the earlier cells of atom k; the run's cells
-    # are contiguous in source and in image, so they share that intercept.
     bps = fn.breakpoints
-    before = [ZERO] * len(support)
+
+    # Pass 1: per atom, the run ends' numerators summed per denominator;
+    # each run starts where the one before it ends, at 0 / 1 for the first.
+    sums: list[dict[int, int]] = [{} for _ in support]
+    lo_num, lo_den = 0, 1
+    for _, end, v in fn.runs():
+        by_den = sums[atom_of[v]]
+        hi = bps[end]
+        hi_num, hi_den = hi.numerator, hi.denominator
+        by_den[hi_den] = by_den.get(hi_den, 0) + hi_num
+        by_den[lo_den] = by_den.get(lo_den, 0) - lo_num
+        lo_num, lo_den = hi_num, hi_den
+    dens = {d for by_den in sums for d in by_den}
+    src_den = math.lcm(*dens)
+    scale = {d: src_den // d for d in dens}
+    totals = [sum(n * scale[d] for d, n in by_den.items()) for by_den in sums]
+
+    exact = cdf.exact_levels
+    lvl_den = math.lcm(*(c.denominator for c in exact))
+    lvl = [0] + [c.numerator * (lvl_den // c.denominator) for c in exact]
+    atoms = []  # per atom: (lo_k t_k, w_k, t_k L, slope)
+    for k, total in enumerate(totals):
+        weight = lvl[k + 1] - lvl[k]
+        if total * lvl_den != weight * src_den and (
+            total == 0 or abs(Fraction(total, src_den) - Fraction(weight, lvl_den)) > MATCH_TOL
+        ):
+            raise DistributionMismatch(
+                f"atom {support[k]!r}: source mass {total / src_den:.17g} vs weight {weight / lvl_den:.17g}"
+            )
+        atoms.append((lvl[k] * total, weight, total * lvl_den, Fraction(weight * src_den, total * lvl_den)))
+
+    # Pass 2, in source order; a run's cells are contiguous in source and in
+    # image, so they share its intercept.
+    before = [0] * len(support)
     pieces = []
+    append = pieces.append
+    hi_num = 0
     for start, end, v in fn.runs():
         k = atom_of[v]
-        slope = slopes[k]
-        offset = before[k] - bps[start]
-        intercept = level_lo[k] + slope * offset
-        pieces.extend(AffinePiece(bps[t], bps[t + 1], slope, intercept) for t in range(start, end))
-        before[k] = offset + bps[end]
+        base, weight, den, slope = atoms[k]
+        hi = bps[end]
+        lo_num, hi_num = hi_num, hi.numerator * scale[hi.denominator]
+        offset = before[k] - lo_num
+        before[k] = offset + hi_num
+        intercept = Fraction(base + weight * offset, den)
+        for t in range(start, end):
+            append(AffinePiece(bps[t], bps[t + 1], slope, intercept))
     return PiecewiseAffineMap._built(tuple(pieces))

@@ -11,6 +11,12 @@ The measure is genuinely atomless: cells are rectangles carrying constant
 density, never point masses.  A canonical equivalence onto ]0,1[ (cells in
 sector, then position, then momentum order, each occupying an interval of
 length equal to its mass) lets every barrier tool operate on these labels.
+
+Cell masses are held once, as integers: every positive float mass is
+m_i / 2^E for one shared E, and cell i has the exact share m_i / M of the
+total M = sum m_i.  The equivalence's bounds and every cell observable's
+CDF levels are prefix sums of these integers over M, so the two agree
+exactly and nothing is dropped.
 """
 
 from __future__ import annotations
@@ -19,13 +25,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadSpec, DomainGap, NotNormalized, ValueNotInSupport
+from .errors import BadSpec, DomainGap, NotNormalized
 from .measure_maps import (
-    ONE,
     ZERO,
     PiecewiseAffineMap,
     PiecewiseConstantFn,
@@ -159,8 +165,22 @@ class PhaseSpaceMeasure:
     def p_marginal(self) -> np.ndarray:
         return self.masses.sum(axis=(0, 1))
 
-    def joint_qp(self) -> np.ndarray:
-        return self.masses.sum(axis=0)
+    @cached_property
+    def cell_masses(self) -> tuple[np.ndarray, list[int], int]:
+        """(kept, masses, M): the flat indices of the cells of positive mass
+        in (sector, position, momentum) order, their masses as integers over
+        one shared power of two, and the integers' sum M.
+
+        A positive double is k * 2^e with an integer k < 2^53; with E the
+        largest -e, cell i's float mass is exactly masses[i] / 2^E, so its
+        share of the total is masses[i] / M with no rounding."""
+        flat = self.masses.ravel()
+        kept = np.flatnonzero(flat > 0.0)
+        mantissas, exponents = np.frexp(flat[kept])
+        ks = (mantissas * 2.0**53).astype(np.int64).tolist()  # exact
+        shifts = (exponents - exponents.min()).tolist()
+        masses = [k << e for k, e in zip(ks, shifts)]
+        return kept, masses, sum(masses)
 
 
 def build_measure(state: PhaseSpaceState) -> PhaseSpaceMeasure:
@@ -191,13 +211,27 @@ class CellObservable:
     cdf: StepCDF
 
 
-def _pushforward_cdf(values: np.ndarray, masses: np.ndarray) -> StepCDF:
-    agg: dict[float, list[float]] = {}
-    for v, m in zip(values.ravel(), masses.ravel()):
-        if m > 0.0:
-            agg.setdefault(float(v), []).append(float(m))
-    pairs = [(v, math.fsum(ms)) for v, ms in agg.items()]
-    return StepCDF.from_weights(pairs)
+def _sum_by_key(keys, masses: list[int]) -> dict:
+    """Integer cell masses summed per key (a cell value, or a pair of them)."""
+    out: dict = {}
+    for key, m in zip(keys, masses):
+        out[key] = out.get(key, 0) + m
+    return out
+
+
+def cell_observable(cell_values: np.ndarray, measure: PhaseSpaceMeasure) -> CellObservable:
+    """A cell function with its pushforward CDF: atom v has the exact weight
+    (sum of the integer masses of v's cells) / M, the same integers that
+    place the cells in ``to_unit_interval``."""
+    kept, masses, total = measure.cell_masses
+    flat = np.asarray(cell_values, dtype=float).ravel()[kept].tolist()
+    by_value = _sum_by_key(flat, masses)
+    support = sorted(by_value)
+    prefix = list(accumulate(by_value[v] for v in support))
+    cdf = StepCDF(
+        tuple(support), tuple(p / total for p in prefix), tuple(Fraction(p, total) for p in prefix)
+    )
+    return CellObservable(cell_values, cdf)
 
 
 def position_observable(g: PiecewiseFn, state: PhaseSpaceState) -> CellObservable:
@@ -210,7 +244,7 @@ def position_observable(g: PiecewiseFn, state: PhaseSpaceState) -> CellObservabl
     cell_values = np.broadcast_to(
         vals_q[None, :, None], measure.masses.shape
     ).copy()
-    return CellObservable(cell_values, _pushforward_cdf(cell_values, measure.masses))
+    return cell_observable(cell_values, measure)
 
 
 def momentum_observable(f: PiecewiseFn, state: PhaseSpaceState) -> CellObservable:
@@ -224,7 +258,7 @@ def momentum_observable(f: PiecewiseFn, state: PhaseSpaceState) -> CellObservabl
     cell_values = np.broadcast_to(
         vals_p[None, None, :], measure.masses.shape
     ).copy()
-    return CellObservable(cell_values, _pushforward_cdf(cell_values, measure.masses))
+    return cell_observable(cell_values, measure)
 
 
 def spin_observable(state: PhaseSpaceState) -> CellObservable:
@@ -234,7 +268,7 @@ def spin_observable(state: PhaseSpaceState) -> CellObservable:
     cell_values = np.broadcast_to(
         svals[:, None, None], measure.masses.shape
     ).copy()
-    return CellObservable(cell_values, _pushforward_cdf(cell_values, measure.masses))
+    return cell_observable(cell_values, measure)
 
 
 def operator_mean(state: PhaseSpaceState, coordinate: str, fn: PiecewiseFn | None = None) -> float:
@@ -259,8 +293,8 @@ class CellEquivalence:
     """Canonical measure equivalence of the cell space onto ]0,1[.
 
     Cells are ordered by (sector, position, momentum); each cell of positive
-    mass occupies an interval of exactly its mass, so the pushforward of the
-    cell measure is Lebesgue by construction.
+    mass occupies an interval of exactly its share of the total mass, so the
+    pushforward of the cell measure is Lebesgue by construction.
     """
 
     kept: np.ndarray
@@ -283,17 +317,11 @@ class CellEquivalence:
 
 
 def to_unit_interval(measure: PhaseSpaceMeasure) -> CellEquivalence:
-    flat = measure.masses.ravel()
-    kept = np.nonzero(flat > 0.0)[0]
-    bounds = [ZERO]
-    acc = ZERO
-    for idx in kept:
-        acc += Fraction(float(flat[idx]))
-        bounds.append(acc)
-    if abs(bounds[-1] - 1) > Fraction(1, 10**12):
-        raise NotNormalized("cell masses do not sum to 1")
-    bounds[-1] = ONE
-    return CellEquivalence(kept, tuple(bounds))
+    """Cell i of positive mass occupies ]P_{i-1} / M, P_i / M], with P_i the
+    prefix sums of the integer cell masses: strictly ascending, ending at 1."""
+    kept, masses, total = measure.cell_masses
+    bounds = (ZERO, *(Fraction(p, total) for p in accumulate(masses)))
+    return CellEquivalence(kept, bounds)
 
 
 def realize_barrier(
@@ -317,35 +345,24 @@ def shared_barrier_joint_gap(state: PhaseSpaceState) -> float:
     quantiles of one uniform level).  Returns the max absolute difference of
     the two joint mass tables; a strictly positive gap certifies that
     position and momentum need different barriers.
+
+    The joint table and both marginals sum the same integer cell masses, so
+    the difference is computed exactly over M and rounded once.
     """
     measure = build_measure(state)
-    joint = measure.joint_qp()
-    q_cdf = _pushforward_cdf(
-        np.broadcast_to(measure.q_grid[:, None], joint.shape).copy(), joint
-    )
-    p_cdf = _pushforward_cdf(
-        np.broadcast_to(measure.p_grid[None, :], joint.shape).copy(), joint
-    )
-    q_index = {v: k for k, v in enumerate(q_cdf.support)}
-    p_index = {v: k for k, v in enumerate(p_cdf.support)}
-    actual = np.zeros((len(q_cdf.support), len(p_cdf.support)))
-    try:
-        for i, qv in enumerate(measure.q_grid):
-            for j, pv in enumerate(measure.p_grid):
-                m = float(joint[i, j])
-                if m > 0.0:
-                    actual[q_index[float(qv)], p_index[float(pv)]] += m
-    except KeyError as exc:
-        # StepCDF.from_weights drops atoms whose weight is below WEIGHT_DROP_TOL
-        raise ValueNotInSupport(
-            f"value {exc.args[0]!r} has positive mass but was dropped from its marginal CDF"
-        ) from None
-    comonotone = np.zeros_like(actual)
-    for i in range(len(q_cdf.support)):
-        qlo, qhi = q_cdf.level_interval(i)
-        for j in range(len(p_cdf.support)):
-            plo, phi = p_cdf.level_interval(j)
-            overlap = min(qhi, phi) - max(qlo, plo)
-            if overlap > 0:
-                comonotone[i, j] = float(overlap)
-    return float(np.abs(actual - comonotone).max())
+    kept, masses, total = measure.cell_masses
+    shape = measure.masses.shape
+    qs = np.broadcast_to(measure.q_grid[None, :, None], shape).ravel()[kept].tolist()
+    ps = np.broadcast_to(measure.p_grid[None, None, :], shape).ravel()[kept].tolist()
+    joint = _sum_by_key(zip(qs, ps), masses)
+    q_mass, p_mass = _sum_by_key(qs, masses), _sum_by_key(ps, masses)
+    q_support, p_support = sorted(q_mass), sorted(p_mass)
+    q_levels = [0, *accumulate(q_mass[v] for v in q_support)]
+    p_levels = [0, *accumulate(p_mass[v] for v in p_support)]
+    gap = 0
+    for i, qv in enumerate(q_support):
+        qlo, qhi = q_levels[i], q_levels[i + 1]
+        for j, pv in enumerate(p_support):
+            comonotone = max(0, min(qhi, p_levels[j + 1]) - max(qlo, p_levels[j]))
+            gap = max(gap, abs(joint.get((qv, pv), 0) - comonotone))
+    return gap / total

@@ -17,8 +17,9 @@ Conventions used throughout the package:
   are one spectral atom, and the spectral reconstruction is checked against
   ``PROJECTOR_TOL`` times the same scale, so these rules follow the
   operator's size (for entries and spectra within [-1, 1] they are absolute);
-* CDF atoms with weight below ``WEIGHT_DROP_TOL`` are dropped so that levels
-  stay strictly increasing.
+* spectral CDFs (:meth:`StepCDF.from_weights`) drop atoms with weight below
+  ``WEIGHT_DROP_TOL`` so that their float levels stay strictly increasing;
+  a CDF built from exact weights keeps every atom in its exact levels.
 """
 
 from __future__ import annotations
@@ -199,12 +200,22 @@ class PureState:
 class StepCDF:
     """Right-continuous step CDF with strictly increasing levels ending at 1.
 
-    ``support[k]`` carries the atom weight ``levels[k] - levels[k-1]``; the
-    level interval of atom k is ]levels[k-1], levels[k]] with levels[-1] := 0.
+    ``support[k]`` carries the atom weight ``exact_levels[k] -
+    exact_levels[k-1]``; the level interval of atom k is
+    ]exact_levels[k-1], exact_levels[k]] with exact_levels[-1] := 0.
+
+    ``exact_levels`` are the levels as rationals, and every exact operation
+    (``level_interval``, ``atom_index`` of a ``Fraction``, ``weights``) reads
+    them.  When they are not given they are the exact values of the float
+    levels, which must then rise strictly.  When they are given (a CDF whose
+    atom weights are known exactly), they must rise strictly, and the float
+    levels must be their correctly rounded values: these are non-decreasing,
+    but two exact levels closer than a float's spacing collapse onto one.
     """
 
     support: tuple[float, ...]
     levels: tuple[float, ...]
+    exact_levels: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         support = tuple(float(r) for r in self.support)
@@ -215,10 +226,22 @@ class StepCDF:
             raise OutOfDomain("support and levels must be nonempty and aligned")
         if any(b <= a for a, b in zip(support, support[1:])):
             raise OutOfDomain("support points must be strictly ascending")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise OutOfDomain("levels must be strictly ascending")
-        if not (0.0 < levels[0] and levels[-1] == 1.0):
-            raise OutOfDomain("levels must lie in ]0,1] and end exactly at 1")
+        if self.exact_levels is None:
+            if any(b <= a for a, b in zip(levels, levels[1:])):
+                raise OutOfDomain("levels must be strictly ascending")
+            # the range test also rejects a NaN level, which passes the one above
+            if not (all(0.0 < c <= 1.0 for c in levels) and levels[-1] == 1.0):
+                raise OutOfDomain("levels must lie in ]0,1] and end exactly at 1")
+            exact = tuple(Fraction(c) for c in levels)
+        else:
+            exact = tuple(self.exact_levels)
+            if len(exact) != len(levels) or any(float(e) != c for e, c in zip(exact, levels)):
+                raise OutOfDomain("float levels must be the exact levels rounded")
+            if any(b <= a for a, b in zip(exact, exact[1:])):
+                raise OutOfDomain("exact levels must be strictly ascending")
+            if not (0 < exact[0] and exact[-1] == 1):
+                raise OutOfDomain("exact levels must lie in ]0,1] and end exactly at 1")
+        object.__setattr__(self, "exact_levels", exact)
 
     @classmethod
     def from_weights(cls, pairs: Iterable[tuple[float, float]]) -> "StepCDF":
@@ -242,14 +265,16 @@ class StepCDF:
         levels[-1] = 1.0
         return cls(tuple(v for v, _ in kept), tuple(levels))
 
-    @cached_property
-    def exact_levels(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) for c in self.levels)
-
     @property
     def weights(self) -> tuple[float, ...]:
-        prev = (0.0,) + self.levels[:-1]
-        return tuple(c - p for c, p in zip(self.levels, prev))
+        """Atom weights, each the exact level difference rounded once from
+        integers (integer true division is correctly rounded, so for
+        float-derived levels this is bitwise the float difference)."""
+        nums = [0] + [c.numerator for c in self.exact_levels]
+        dens = [1] + [c.denominator for c in self.exact_levels]
+        return tuple(
+            (n1 * d0 - n0 * d1) / (d1 * d0) for n0, d0, n1, d1 in zip(nums, dens, nums[1:], dens[1:])
+        )
 
     def atom_index(self, s) -> int:
         """Index of the atom whose level interval contains s (the >= rule)."""
@@ -260,7 +285,13 @@ class StepCDF:
         s = float(s)
         if not (0.0 < s < 1.0):
             raise OutOfDomain(f"quantile level {s!r} outside ]0,1[")
-        return bisect.bisect_left(self.levels, s)
+        k = bisect.bisect_left(self.levels, s)
+        # Rounding is monotone, so a float level above s has its exact level
+        # above s too; only a float level equal to s (exact levels collapsed
+        # onto it) can hide exact levels below s.
+        if self.levels[k] == s:
+            return bisect.bisect_left(self.exact_levels, Fraction(s))
+        return k
 
     def quantile(self, s) -> float:
         """min{r : F(r) >= s} for s in ]0,1[; accepts float or Fraction."""

@@ -456,3 +456,30 @@ def test_cli_phase_space_with_nan_amplitude_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert cli_main(["run", "--config", str(path)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["position", "momentum", "spin"])
+def test_cli_phase_space_far_tail_gaussian_exits_0(tmp_path, kind):
+    """A Gaussian whose tail cells weigh down to about 1e-112, far below the
+    float spacing of CDF levels near 1, so several float levels collapse;
+    every cell keeps its exact mass and the label mean matches."""
+    from qcs.phase_space import PhaseSpaceState, operator_mean
+
+    q = np.arange(64) * 0.5
+    psi = np.exp(-((q - 16) ** 2) / 2)
+    config = {
+        "kind": "phase_space",
+        "sigma": "0",
+        "N": 64,
+        "dq": 0.5,
+        "psi": [psi.tolist()],
+        "normalize": True,
+        "observable": {"kind": kind},
+    }
+    path, out = tmp_path / "config.json", tmp_path / "report.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    state = PhaseSpaceState.normalized(0, psi[None, :], 0.5)
+    assert abs(results["label_side"] - operator_mean(state, kind)) < 1e-12
+    assert results["passed"]

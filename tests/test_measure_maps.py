@@ -4,6 +4,7 @@ import bisect
 import math
 from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate, groupby
 
 import numpy as np
 import pytest
@@ -548,6 +549,75 @@ def test_factor_against_cdf_matches_reference(cdf, m):
     alpha = factor_against_cdf(fn, cdf)
     assert map_pieces(alpha) == map_pieces(ref_factor_against_cdf(fn, cdf))
     assert fn_cells(level_function(cdf, alpha)) == fn_cells(ref_compose_with_map(quantile_pcf(cdf), alpha))
+
+
+@st.composite
+def float_level_cdfs(draw):
+    """Step CDFs whose exact levels are the Fractions of float levels, with
+    denominators up to 2^1074: subnormal multiples of 2^-1074, sixty-fourths
+    and arbitrary floats."""
+    pool = st.one_of(
+        st.integers(1, 2**20).map(lambda k: k * 2.0**-1074),
+        st.integers(1, 63).map(lambda c: c / 64),
+        st.floats(1e-300, 1.0, exclude_max=True),
+    )
+    levels = sorted(set(draw(st.lists(pool, max_size=4)))) + [1.0]
+    return StepCDF(tuple(float(v) for v in range(len(levels))), tuple(levels))
+
+
+@st.composite
+def near_matching_functions(draw, cdf):
+    """A function whose mass per value is within MATCH_TOL of the CDF's
+    weights, mostly not equal to them: each interior level moves by a
+    triadic, decimal or mixed fraction of at most a quarter of its
+    neighbouring gaps and of 1e-13.  A signed map then scatters each value
+    over several runs."""
+    exact = (F(0),) + cdf.exact_levels
+    shifts = st.sampled_from([F(0), F(1, 3), F(-2, 3), F(7, 10), F(-1, 100), F(5, 3 * 2**7)])
+    bps = [F(0)]
+    for lo, level, hi in zip(exact, exact[1:], exact[2:]):
+        room = min(level - lo, hi - level, F(1, 10**13)) / 4
+        bps.append(level + room * draw(shifts))
+    bps.append(F(1))
+    fn = PiecewiseConstantFn(tuple(bps), cdf.support)
+    return ref_compose_with_map(fn, draw(signed_maps()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), cdf=float_level_cdfs())
+def test_factor_against_cdf_on_float_levels_and_mixed_breakpoints(data, cdf):
+    fn = data.draw(near_matching_functions(cdf))
+    alpha = factor_against_cdf(fn, cdf)
+    assert map_pieces(alpha) == map_pieces(ref_factor_against_cdf(fn, cdf))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=signed_maps())
+def test_factor_against_exact_levels_on_mixed_denominators(data, m):
+    """Exact levels over dyadic, triadic and decimal denominators, equal to
+    the function's own masses, so every piece has slope 1."""
+    fn = data.draw(mixed_denominator_functions())
+    masses = fn.masses_by_value()
+    support = sorted(masses)
+    exact = tuple(accumulate(masses[v] for v in support))
+    cdf = StepCDF(tuple(support), tuple(float(e) for e in exact), exact)
+    for g in (fn, fn.compose_with_map(m)):
+        alpha = factor_against_cdf(g, cdf)
+        assert map_pieces(alpha) == map_pieces(ref_factor_against_cdf(g, cdf))
+        assert all(p.slope == 1 for p in alpha.pieces)
+
+
+def test_runs_are_the_groups_of_equal_adjacent_values():
+    values = (1.0, 1.0, -0.0, 0.0, 0.5, math.inf, math.inf, -1.0, 0.5, 0.5)
+    fn = PiecewiseConstantFn(tuple(F(k, len(values)) for k in range(len(values) + 1)), values)
+    expected, start = [], 0
+    for v, run in groupby(values):
+        end = start + len(list(run))
+        expected.append((start, end, v))
+        start = end
+    got = list(fn.runs())
+    assert got == expected
+    assert [math.copysign(1, v) for _, _, v in got] == [math.copysign(1, v) for _, _, v in expected]
 
 
 def ref_disagreement(f, g):

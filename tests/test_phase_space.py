@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcs.errors import BadSpec, NotNormalized, QcsError
 from qcs.measure_maps import (
+    ONE,
     MapSpec,
     build_map,
     compose,
@@ -17,9 +20,12 @@ from qcs.measure_maps import (
 )
 from qcs.phase_space import (
     CellEquivalence,
+    PhaseSpaceMeasure,
     PhaseSpaceState,
     build_measure,
+    cell_observable,
     momentum_observable,
+    operator_mean,
     position_observable,
     realize_barrier,
     shared_barrier_joint_gap,
@@ -27,6 +33,7 @@ from qcs.phase_space import (
     to_unit_interval,
 )
 from qcs.spectral import PiecewiseFn
+from qcs.states import label_mean
 
 F = Fraction
 
@@ -257,6 +264,96 @@ def test_joint_gap_on_far_tail_gaussian_is_a_float_or_a_typed_error():
     except QcsError:
         return
     assert isinstance(gap, float)
+
+
+def test_joint_gap_on_far_tail_gaussian_is_a_float():
+    """Both marginals and the joint table sum the same integer cell masses,
+    so the tail values with masses near 1e-112 keep their atoms."""
+    q = np.arange(64) * 0.5
+    state = single_sector(np.exp(-((q - 16) ** 2) / 2), 0.5)
+    gap = shared_barrier_joint_gap(state)
+    assert isinstance(gap, float) and 0 < gap < 1
+
+
+def exact_pipeline_label_mean(measure, cell_values):
+    """Carry one cell function through the exact pipeline, check what the
+    integer cell masses guarantee, and return its label-side mean."""
+    kept, masses, total = measure.cell_masses
+    flat = measure.masses.ravel()
+    exact = [Fraction(float(flat[i])) for i in kept]
+    exact_total = sum(exact)
+    assert all(Fraction(m, total) == e / exact_total for m, e in zip(masses, exact))
+    equiv = to_unit_interval(measure)
+    bounds = equiv.bounds
+    assert all(a < b for a, b in zip(bounds, bounds[1:])) and bounds[-1] == ONE
+    obs = cell_observable(cell_values, measure)
+    barrier, fn = realize_barrier(obs, equiv)
+    assert all(p.slope == 1 for p in barrier.pieces)
+    levels = (Fraction(0),) + obs.cdf.exact_levels
+    weights = {v: hi - lo for v, lo, hi in zip(obs.cdf.support, levels, levels[1:])}
+    assert fn.masses_by_value() == weights
+    return label_mean(level_function(obs.cdf, barrier))
+
+
+@st.composite
+def far_tail_states(draw):
+    """States whose cell masses span hundreds of decades, down to
+    subnormals and exact zeros: narrow Gaussians and entries scaled by up to
+    1e-160, with some spin sectors empty."""
+    spin = draw(st.sampled_from([F(0), F(1, 2), F(1)]))
+    n = draw(st.integers(2, 12))
+    rows = []
+    for _ in range(int(2 * spin) + 1):
+        kind = draw(st.sampled_from(["empty", "gaussian", "scaled"]))
+        if kind == "gaussian":
+            centre = draw(st.floats(0, n - 1))
+            width = draw(st.sampled_from([0.2, 0.4, 1.0]))
+            rows.append(np.exp(-(((np.arange(n) - centre) / width) ** 2) / 2))
+        elif kind == "scaled":
+            scales = draw(st.lists(st.integers(-160, 0), min_size=n, max_size=n))
+            # an entry of size 1 keeps the normalized mass within its 1e-12 check
+            scales[draw(st.integers(0, n - 1))] = 0
+            phases = draw(st.lists(st.floats(0, 2 * math.pi), min_size=n, max_size=n))
+            rows.append(np.exp(1j * np.array(phases)) * 10.0 ** np.array(scales))
+        else:
+            rows.append(np.zeros(n))
+    if not any(np.any(r) for r in rows):
+        rows[0] = np.ones(n)
+    dq = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    return PhaseSpaceState.normalized(spin, np.array(rows), dq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=far_tail_states())
+def test_exact_pipeline_on_far_tail_states(state):
+    measure = build_measure(state)
+    identity = PiecewiseFn.identity()
+    for coordinate, obs in (
+        ("position", position_observable(identity, state)),
+        ("momentum", momentum_observable(identity, state)),
+        ("spin", spin_observable(state)),
+    ):
+        mean = exact_pipeline_label_mean(measure, obs.cell_values)
+        assert abs(mean - operator_mean(state, coordinate)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sectors=st.integers(1, 3),
+    n=st.integers(1, 6),
+    data=st.data(),
+)
+def test_exact_pipeline_on_a_single_occupied_cell(sectors, n, data):
+    masses = np.zeros((sectors, n, n))
+    cell = tuple(data.draw(st.integers(0, k - 1)) for k in masses.shape)
+    masses[cell] = 1.0
+    grid = np.arange(n) * 0.5
+    measure = PhaseSpaceMeasure(tuple(F(s) for s in range(sectors)), masses, grid, grid)
+    value = data.draw(st.floats(-1e6, 1e6))
+    cell_values = np.full(masses.shape, -7.0)
+    cell_values[cell] = value
+    assert to_unit_interval(measure).bounds == (F(0), F(1))
+    assert exact_pipeline_label_mean(measure, cell_values) == value
 
 
 def test_marginals_are_exact():

@@ -84,16 +84,16 @@ DIGESTS = {
         "csv": "353209be5d4d1611a4676189ef805084f2998098d0e6757fa876df151594d4be",
     },
     "phase_space_momentum": {
-        "json": "cae4df720cd14400ff5b13ecfee1b1b1c440337cf1cc963d9e46d91c6d062887",
-        "csv": "e6e24ab8dbdb683eaea3d556e6684dec6715cc707a88fb0a23e693ae2d6940c5",
+        "json": "efd4598066065b1465a24a1aaa7cdb64564304c9f9fd522a88928c0e8a518866",
+        "csv": "0b5a93a934427970f1e9a3f3dda3a56e5011b9b33d662c83337c9624544c97ae",
     },
     "phase_space_position": {
-        "json": "82ab207708adeafca22bcb8380b17a24ade9efc0750d2521b9e682651dc73b09",
-        "csv": "08c2f2a5b023578a0312df5cf7cc6ab778dedcd7e0b88be4e11bfbe7cd1d5668",
+        "json": "5ff0e84abe6ebd9eadeeac4d67aabd746fe8221198a793440fdc8e1798a60f7d",
+        "csv": "983ef98aa688e7aafa08a44231cb085b27eb072925db2e265b66e1fbcee971e7",
     },
     "phase_space_spin": {
-        "json": "e0fc2dba8131e0c78c8ebfcf8e02c0cc7e972fc18694a90d899a5bf5afac98d8",
-        "csv": "dd42d21357a4b6a6140790d9cc0a7b9bd44efc4e62979fed4c48302bdbf5d314",
+        "json": "bcbcddb456dd280626758b62c0b5f1f89f65b2b4aba6d438662c75ff958a2f5c",
+        "csv": "17258b9e3ddaf917e12dc9a166e5559c3ea56d5e4955a25acbc807bbf0694ea9",
     },
 }
 

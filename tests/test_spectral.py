@@ -157,6 +157,50 @@ def test_quantile_rejects_out_of_domain():
             cdf.quantile(bad)
 
 
+def test_exact_levels_may_collapse_in_floats():
+    # atom 1 weighs 2^-80, far below the float spacing near 1/2 + 1/4
+    exact = (Fraction(3, 4) - Fraction(1, 2**80), Fraction(3, 4), Fraction(1))
+    cdf = StepCDF((0.0, 1.0, 2.0), tuple(float(e) for e in exact), exact)
+    assert cdf.levels == (0.75, 0.75, 1.0)
+    assert cdf.exact_levels == exact
+    assert cdf.weights == (0.75, 2.0**-80, 0.25)
+    assert cdf.level_interval(1) == (exact[0], exact[1])
+    assert cdf.quantile(Fraction(3, 4) - Fraction(1, 2**81)) == 1.0
+    # the float level 0.75 of atom 0 stands for 3/4 - 2^-80 < 0.75
+    assert cdf.quantile(0.75) == 1.0 and cdf.quantile(Fraction(3, 4)) == 1.0
+    assert cdf.quantile(0.7) == 0.0 and cdf.quantile(0.8) == 2.0
+
+
+@pytest.mark.parametrize(
+    "levels, exact, message",
+    [
+        ((0.5, 1.0), (Fraction(1, 3), Fraction(1)), "rounded"),
+        ((1.0,), (Fraction(1), Fraction(1)), "rounded"),
+        ((0.5, 0.5, 1.0), (Fraction(1, 2), Fraction(1, 2), Fraction(1)), "strictly ascending"),
+        ((0.0, 1.0), (Fraction(0), Fraction(1)), "end exactly at 1"),
+        ((1.0, 1.0), (Fraction(1), Fraction(1) + Fraction(1, 2**80)), "end exactly at 1"),
+    ],
+)
+def test_exact_levels_are_checked(levels, exact, message):
+    with pytest.raises(OutOfDomain, match=message):
+        StepCDF(tuple(float(k) for k in range(len(levels))), levels, exact)
+
+
+@pytest.mark.parametrize("levels", [(0.5, 0.5, 1.0), (0.5, float("nan"), 1.0), (0.0, 1.0), (0.5, 0.9)])
+def test_float_levels_without_exact_levels_must_rise_strictly(levels):
+    with pytest.raises(OutOfDomain):
+        StepCDF((0.0, 1.0, 2.0)[: len(levels)], levels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=8))
+def test_spectral_cdf_weights_are_the_float_level_differences(weights):
+    cdf = StepCDF.from_weights(enumerate(weights))
+    assert cdf.exact_levels == tuple(Fraction(c) for c in cdf.levels)
+    prev = (0.0,) + cdf.levels[:-1]
+    assert cdf.weights == tuple(c - p for c, p in zip(cdf.levels, prev))
+
+
 def test_borel_square_on_witness_gives_two_atoms():
     model = squaring_witness_model()
     a2 = borel_apply(PiecewiseFn.square(), model.operator)
