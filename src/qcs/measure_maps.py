@@ -1,11 +1,16 @@
 """Exact calculus of measure-preserving piecewise-affine maps on ]0,1[.
 
-All breakpoint arithmetic is done with ``fractions.Fraction``; floats entering
-from spectral data are converted exactly (every double is rational), so
-pushforwards, compositions, inversions and preimage measures are computed by
-interval algebra with no sampling and no rounding.  Functions are understood
-almost everywhere: single points are null, and "equal a.e." means equal off
-finitely many breakpoints.
+Maps and piecewise-constant functions hold the ends of their pieces as
+integer numerators over one denominator, and a map its intercepts likewise
+over a second one; slopes are ``Fraction`` objects shared by runs of pieces.
+Floats entering from spectral data are converted exactly (every double is
+rational), and the kernels compare and cut integers against integers, so
+pushforwards, compositions, inversions and preimage measures are computed
+with no sampling and no rounding.  ``breakpoints`` and ``pieces`` are
+``Fraction`` views of the same data for the public API, built on first use
+and never by the kernels.  Functions are understood almost everywhere:
+single points are null, and "equal a.e." means equal off finitely many
+breakpoints.
 
 Pieces are left-open right-closed, matching the ]a,b] calculus used by the
 step CDFs in :mod:`qcs.spectral`.
@@ -19,17 +24,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, compress, count, repeat, starmap
+from operator import add, gt, le, mul, ne
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    BadSpec,
-    DistributionMismatch,
-    NotInjective,
-    OutOfDomain,
-    ValueNotInSupport,
-)
+from .errors import BadSpec, DistributionMismatch, NotInjective, OutOfDomain, ValueNotInSupport
 from .spectral import EIGENVALUE_MERGE_TOL, StepCDF, spectral_scale
 
 RationalLike = Union[Fraction, int, float, str]
@@ -38,12 +39,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 DENSITY_TOL = Fraction(1, 10**12)
 MATCH_TOL = Fraction(1, 10**12)
-# compose_with_map's float filter: a bound on the rounding error of
-# slope * z + intercept in floats, relative to |slope * z| + |intercept|
-# (a few units in the last place), and per unit of |slope| for operands
-# that underflow to subnormals
-_ROUNDING_MARGIN = 2.0**-50
-_UNDERFLOW_MARGIN = 2.0**-1000
 
 Interval = tuple[Fraction, Fraction]
 
@@ -76,6 +71,42 @@ def intervals_measure(items: Iterable[Interval]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Integer numerators over one denominator
+
+def _over_common(fracs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, nums): the numerators of fracs over d, their least common denominator."""
+    den = math.lcm(*(f.denominator for f in fracs))
+    return den, [f.numerator * (den // f.denominator) for f in fracs]
+
+
+def _rescale(nums: Sequence[int], den: int, to: int) -> Sequence[int]:
+    """Numerators over den brought over ``to``, a multiple of den."""
+    return nums if to == den else list(map(mul, nums, repeat(to // den)))
+
+
+def _reduced(den: int, nums: list[int]) -> tuple[int, list[int]]:
+    """den and nums divided by their greatest common divisor."""
+    g = math.gcd(den, *nums)
+    return (den, nums) if g == 1 else (den // g, [n // g for n in nums])
+
+
+def _cell_of(nums: Sequence[int], den: int, z: Fraction) -> int:
+    """The t with nums[t] < z * den <= nums[t + 1], for ascending integers."""
+    return bisect.bisect_left(nums, -((-z.numerator * den) // z.denominator), 1) - 1
+
+
+def check_partition(den: int, nums: Sequence[int], cells: int) -> None:
+    """The checks on a partition of ]0,1] into ``cells`` cells with ends
+    nums[i] / den, in one integer pass."""
+    if len(nums) != cells + 1 or not cells:
+        raise BadSpec("need n+1 breakpoints for n cells")
+    if nums[0] != 0 or nums[-1] != den:
+        raise BadSpec("cells must cover ]0,1]")
+    if any(map(le, nums[1:], nums)):
+        raise BadSpec("breakpoints must be strictly ascending")
+
+
+# ---------------------------------------------------------------------------
 # Piecewise-affine maps
 
 @dataclass(frozen=True)
@@ -95,19 +126,19 @@ class AffinePiece:
         return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True, eq=False)
 class PiecewiseAffineMap:
     """Borel map ]0,1[ -> [0,1] made of finitely many affine pieces.
 
-    Sources tile ]0,1] contiguously; the value at a breakpoint follows the
-    ]lo,hi] convention but is never relied on (breakpoints are null).
+    Piece t is z -> slopes[t] * z + cnums[t] / cden on the source interval
+    ]nums[t] / den, nums[t + 1] / den]: the ends are integer numerators over
+    one denominator, the intercepts over another.  The value at a breakpoint
+    follows the ]lo,hi] convention but is never relied on (breakpoints are
+    null).  ``pieces`` and ``breakpoints`` are ``Fraction`` views, built on
+    first use; a map built from pieces keeps the tuple it was given.
     """
 
-    pieces: tuple[AffinePiece, ...]
-
-    def __post_init__(self):
-        pieces = tuple(self.pieces)
-        object.__setattr__(self, "pieces", pieces)
+    def __init__(self, pieces: Iterable[AffinePiece]):
+        pieces = tuple(pieces)
         if not pieces:
             raise BadSpec("map needs at least one piece")
         if pieces[0].lo != ZERO or pieces[-1].hi != ONE:
@@ -123,51 +154,60 @@ class PiecewiseAffineMap:
             lo_im, hi_im = p.image_bounds()
             if lo_im < ZERO or hi_im > ONE:
                 raise BadSpec("piece image escapes [0,1]")
+        self.den, self.nums = _over_common([ZERO, *(p.hi for p in pieces)])
+        self.slopes = tuple(p.slope for p in pieces)
+        self.cden, self.cnums = _over_common([p.intercept for p in pieces])
+        self.__dict__["pieces"] = pieces
 
     @classmethod
-    def _built(cls, pieces: tuple[AffinePiece, ...]) -> "PiecewiseAffineMap":
+    def _built(cls, den, nums, slopes, cden, cnums) -> "PiecewiseAffineMap":
         """A kernel output, not re-validated: its pieces tile ]0,1] with
         nonzero slopes and images in [0,1] by construction."""
         m = object.__new__(cls)
-        object.__setattr__(m, "pieces", pieces)
+        m.den, m.nums, m.slopes, m.cden, m.cnums = den, nums, slopes, cden, cnums
         return m
 
     @cached_property
-    def _ends(self) -> list[Fraction]:
-        return [p.hi for p in self.pieces]
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @cached_property
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        return (ZERO,) + tuple(self._ends)
+    def pieces(self) -> tuple[AffinePiece, ...]:
+        bps, intercepts = self.breakpoints, {c: Fraction(c, self.cden) for c in set(self.cnums)}
+        cells = zip(bps, bps[1:], self.slopes, map(intercepts.__getitem__, self.cnums))
+        return tuple(starmap(AffinePiece, cells))
 
     def piece_at(self, z: Fraction) -> AffinePiece:
         if not (ZERO < z <= ONE):
             raise OutOfDomain(f"label {z} outside ]0,1]")
-        return self.pieces[bisect.bisect_left(self._ends, z)]
+        return self.pieces[_cell_of(self.nums, self.den, z)]
 
     def __call__(self, z: RationalLike) -> Fraction:
         z = to_fraction(z)
         if not (ZERO < z < ONE):
             raise OutOfDomain(f"label {z} outside ]0,1[")
-        return self.piece_at(z)(z)
+        t = _cell_of(self.nums, self.den, z)
+        return self.slopes[t] * z + Fraction(self.cnums[t], self.cden)
 
     def is_breakpoint(self, z: RationalLike) -> bool:
         z = to_fraction(z)
-        return z in self.breakpoints
+        n, r = divmod(z.numerator * self.den, z.denominator)
+        i = bisect.bisect_left(self.nums, n)
+        return r == 0 and i < len(self.nums) and self.nums[i] == n
 
     @cached_property
     def float_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(piece right ends, slopes, intercepts) as float arrays, for sampling."""
-        ends = np.array([float(p.hi) for p in self.pieces])
-        slopes = np.array([float(p.slope) for p in self.pieces])
-        intercepts = np.array([float(p.intercept) for p in self.pieces])
-        return ends, slopes, intercepts
+        """(piece right ends, slopes, intercepts) as float arrays, for sampling;
+        integer true division rounds each exactly as float() of its Fraction."""
+        ends = np.array([n / self.den for n in self.nums[1:]])
+        intercepts = np.array([c / self.cden for c in self.cnums])
+        return ends, np.array([float(s) for s in self.slopes]), intercepts
 
     def evaluate_floats(self, z: np.ndarray) -> np.ndarray:
         """Fast float evaluation; callers must keep z away from breakpoints."""
         ends, slopes, intercepts = self.float_arrays
         idx = np.searchsorted(ends, z, side="left")
-        idx = np.clip(idx, 0, len(self.pieces) - 1)
+        idx = np.clip(idx, 0, len(self.slopes) - 1)
         return slopes[idx] * z + intercepts[idx]
 
     @cached_property
@@ -178,17 +218,17 @@ class PiecewiseAffineMap:
 def map_equal_ae(m1: PiecewiseAffineMap, m2: PiecewiseAffineMap) -> bool:
     """Exact a.e. equality: same affine coefficients wherever two pieces overlap.
 
-    Walks both piece lists together, so each overlapping pair is met once.
+    Walks both piece lists together over the ends' common denominator, so
+    each overlapping pair is met once; intercepts are compared crosswise.
     """
+    den = math.lcm(m1.den, m2.den)
+    a, b = _rescale(m1.nums, m1.den, den), _rescale(m2.nums, m2.den, den)
+    c1, c2, d1, d2 = m1.cnums, m2.cnums, m1.cden, m2.cden
     i = j = 0
-    while i < len(m1.pieces):
-        p, q = m1.pieces[i], m2.pieces[j]
-        if p.slope != q.slope or p.intercept != q.intercept:
+    while i < len(a) - 1:
+        if m1.slopes[i] != m2.slopes[j] or c1[i] * d2 != c2[j] * d1:
             return False
-        if p.hi <= q.hi:
-            i += 1
-        if q.hi <= p.hi:
-            j += 1
+        i, j = i + (a[i + 1] <= b[j + 1]), j + (b[j + 1] <= a[i + 1])
     return True
 
 
@@ -257,72 +297,117 @@ def verify_measure_preserving(m: PiecewiseAffineMap) -> bool:
 # ---------------------------------------------------------------------------
 # Map composition and inversion
 
+def _images(m: PiecewiseAffineMap, den: int = 1):
+    """(W, alphas, cs, lo, hi): piece t's image is ]lo[t] / W, hi[t] / W].
+
+    W is a common multiple of den, m.cden and m.den times each slope's
+    denominator, so piece t sends x / m.den to (x * alphas[t] + cs[t]) / W
+    with integers alphas[t] and cs[t]; builtins are mapped over the pieces."""
+    slopes = dict(zip(map(id, m.slopes), m.slopes))
+    W = math.lcm(den, m.cden, m.den * math.lcm(*(s.denominator for s in slopes.values())))
+    alpha = {i: s.numerator * (W // (s.denominator * m.den)) for i, s in slopes.items()}
+    alphas = list(map(alpha.__getitem__, map(id, m.slopes)))
+    cs = _rescale(m.cnums, m.cden, W)
+    start = list(map(add, map(mul, m.nums, alphas), cs))
+    end = list(map(add, map(mul, m.nums[1:], alphas), cs))
+    if min(alphas) > 0:
+        return W, alphas, cs, start, end
+    return W, alphas, cs, list(map(min, start, end)), list(map(max, start, end))
+
+
+def _pullback(m: PiecewiseAffineMap, den: int, ends: Sequence[int]):
+    """Cut the pieces of m where their images cross an interior end of the
+    partition ]ends[k] / den, ends[k + 1] / den] of ]0,1].
+
+    Returns (d, nums, sources, cells): the cut pieces' ends over d, and per
+    cut piece the index of its piece of m and of the cell that holds its
+    image.  Image ends and partition ends are integers over one W
+    (``_images``); an integer bisect finds each image's cell.  A piece whose
+    image spans cells is cut at (e - cs[t]) / alphas[t], in units of
+    1 / m.den, for each end e inside the image.
+    """
+    W, alphas, cs, lo, hi = _images(m, den)
+    inner = _rescale(ends, den, W)[1:]
+    first = list(map(bisect.bisect_right, repeat(inner), lo))
+    if not any(map(gt, hi, map(inner.__getitem__, first))):
+        return m.den, m.nums, range(len(first)), first
+    nums, sources, cells, whole = [0], [], [], True
+    for t, (i, y) in enumerate(zip(first, hi)):
+        j = bisect.bisect_left(inner, y, i)
+        cuts, spanned = [], list(range(i, j + 1))
+        for e in inner[i:j]:
+            q, r = divmod(e - cs[t], alphas[t])
+            cuts.append(Fraction(e - cs[t], alphas[t]) if r else q)
+            whole = whole and not r
+        if alphas[t] < 0:
+            cuts.reverse()
+            spanned.reverse()
+        nums += [*cuts, m.nums[t + 1]]
+        sources += [t] * len(spanned)
+        cells += spanned
+    den = m.den
+    if not whole:
+        scale = math.lcm(*(x.denominator for x in nums))
+        den, nums = _reduced(den * scale, [x.numerator * (scale // x.denominator) for x in nums])
+    return den, nums, sources, cells
+
+
 def compose(outer: PiecewiseAffineMap, inner: PiecewiseAffineMap) -> PiecewiseAffineMap:
     """Exact composition outer(inner(z)); agrees pointwise off breakpoints.
 
-    The image ]im_lo, im_hi] of an inner piece meets the outer pieces i..j,
-    found by bisecting the outer piece ends; the inner piece is cut at the
-    preimages of the ends strictly inside its image, and its k-th sub-interval
-    (counted from the image's low end) is composed with outer piece i + k.
+    Each inner piece is cut where its image crosses an end of an outer
+    piece (``_pullback``), and each cut piece is composed with the outer
+    piece that holds its image.
     """
-    pieces: list[AffinePiece] = []
-    ends = outer._ends
-    for p in inner.pieces:
-        im_lo, im_hi = p.image_bounds()
-        i = bisect.bisect_right(ends, im_lo)
-        j = bisect.bisect_left(ends, im_hi, i)
-        cuts = [(c - p.intercept) / p.slope for c in ends[i:j]]
-        outers = outer.pieces[i : j + 1]
-        if p.slope < 0:
-            cuts.reverse()
-            outers = outers[::-1]
-        grid = [p.lo, *cuts, p.hi]
-        for lo, hi, q in zip(grid, grid[1:], outers):
-            pieces.append(AffinePiece(lo, hi, q.slope * p.slope, q.slope * p.intercept + q.intercept))
-    return PiecewiseAffineMap._built(tuple(pieces))
+    den, nums, sources, cells = _pullback(inner, outer.den, outer.nums)
+    # (a_k / b_k) (c_t / C_i) + c_k / C_o over C_i C_o B, B the lcm of the b_k
+    big = math.lcm(*(s.denominator for s in outer.slopes))
+    ci, co = inner.cden, outer.cden
+    scale = [s.numerator * (big // s.denominator) * co for s in outer.slopes]
+    shift = [c * big * ci for c in outer.cnums]
+    slopes, cnums = [], []
+    for t, k in zip(sources, cells):
+        slopes.append(outer.slopes[k] * inner.slopes[t])
+        cnums.append(scale[k] * inner.cnums[t] + shift[k])
+    return PiecewiseAffineMap._built(den, nums, tuple(slopes), *_reduced(ci * co * big, cnums))
 
 
 def invert(m: PiecewiseAffineMap) -> PiecewiseAffineMap:
     """Inverse of an a.e. bijection; raises NotInjective when images overlap
-    or fail to cover ]0,1[ up to finitely many points."""
-    images = []
-    for p in m.pieces:
-        lo_im, hi_im = p.image_bounds()
-        images.append((lo_im, hi_im, p))
-    images.sort(key=lambda t: (t[0], t[1]))
-    cursor = ZERO
-    inv_pieces = []
-    for lo_im, hi_im, p in images:
+    or fail to cover ]0,1[ up to finitely many points.  The image ends are
+    integers over one W (``_images``), and they are the inverse's ends."""
+    W, _, _, lo, hi = _images(m)
+    images = sorted(zip(lo, hi, count()))
+    cursor, nums, slopes, intercepts = 0, [0], [], []
+    for lo_im, hi_im, t in images:
         if lo_im != cursor:
             kind = "overlap" if lo_im < cursor else "gap"
-            raise NotInjective(f"piece images have a {kind} near {float(cursor):.6g}")
-        inv_pieces.append(AffinePiece(lo_im, hi_im, 1 / p.slope, -p.intercept / p.slope))
+            raise NotInjective(f"piece images have a {kind} near {cursor / W:.6g}")
+        s = m.slopes[t]
+        nums.append(hi_im)
+        slopes.append(1 / s)
+        intercepts.append(Fraction(-m.cnums[t], m.cden) / s)
         cursor = hi_im
-    if cursor != ONE:
+    if cursor != W:
         raise NotInjective("piece images do not cover ]0,1]")
-    return PiecewiseAffineMap._built(tuple(inv_pieces))
+    return PiecewiseAffineMap._built(*_reduced(W, nums), tuple(slopes), *_over_common(intercepts))
 
 
 # ---------------------------------------------------------------------------
 # Preimages
 
 def preimage_intervals(m: PiecewiseAffineMap, lo: Fraction, hi: Fraction) -> list[Interval]:
-    """Exact preimage of the level set ]lo, hi] as a normalized interval list."""
-    lo, hi = to_fraction(lo), to_fraction(hi)
+    """Exact preimage of the level set ]lo, hi] as a normalized interval list:
+    m pulled back through the partition of ]0,1] at lo and hi, keeping the
+    cut pieces whose image lies in ]lo, hi]."""
+    lo, hi = max(to_fraction(lo), ZERO), min(to_fraction(hi), ONE)
     if hi <= lo:
         return []
-    out = []
-    for p in m.pieces:
-        if p.slope > 0:
-            a = (lo - p.intercept) / p.slope
-            b = (hi - p.intercept) / p.slope
-        else:
-            a = (hi - p.intercept) / p.slope
-            b = (lo - p.intercept) / p.slope
-        a, b = max(a, p.lo), min(b, p.hi)
-        if b > a:
-            out.append((a, b))
-    return normalize_intervals(out)
+    ends = sorted({ZERO, lo, hi, ONE})
+    den, nums, _, cells = _pullback(m, *_over_common(ends))
+    k = ends.index(lo)
+    kept = ((Fraction(a, den), Fraction(b, den)) for a, b, c in zip(nums, nums[1:], cells) if c == k)
+    return normalize_intervals(kept)
 
 
 def preimage_measure(m: PiecewiseAffineMap, lo: Fraction, hi: Fraction) -> Fraction:
@@ -332,173 +417,95 @@ def preimage_measure(m: PiecewiseAffineMap, lo: Fraction, hi: Fraction) -> Fract
 # ---------------------------------------------------------------------------
 # Piecewise-constant functions on ]0,1]
 
-@dataclass(frozen=True, eq=False)
 class PiecewiseConstantFn:
-    """Real function constant on each cell ]b_{i-1}, b_i] of a partition of ]0,1]."""
+    """Real function constant on each cell ]b_{i-1}, b_i] of a partition of ]0,1].
 
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[float, ...]
+    The breakpoints b_i are held as integer numerators ``nums`` over one
+    denominator ``den``.  ``breakpoints`` is their ``Fraction`` view, built
+    on first use; a function built from breakpoints keeps them as its view.
+    """
 
-    def __post_init__(self):
-        bps = tuple(to_fraction(b) for b in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
-        if len(bps) != len(vals) + 1 or not vals:
-            raise BadSpec("need n+1 breakpoints for n cells")
-        if bps[0] != ZERO or bps[-1] != ONE:
-            raise BadSpec("cells must cover ]0,1]")
-        if any(b <= a for a, b in zip(bps, bps[1:])):
-            raise BadSpec("breakpoints must be strictly ascending")
+    def __init__(self, breakpoints: Iterable[RationalLike], values: Iterable[float]):
+        bps = tuple(to_fraction(b) for b in breakpoints)
+        self.values = tuple(float(v) for v in values)
+        self.den, self.nums = _over_common(bps)
+        check_partition(self.den, self.nums, len(self.values))
+        self.__dict__["breakpoints"] = bps
 
     @classmethod
-    def _built(cls, breakpoints: tuple[Fraction, ...], values: tuple[float, ...]) -> "PiecewiseConstantFn":
-        """A kernel output, not re-validated: strictly ascending rational
-        breakpoints from 0 to 1 and one float value per cell by construction."""
+    def _built(cls, den: int, nums: Sequence[int], values: tuple[float, ...]) -> "PiecewiseConstantFn":
+        """A kernel output, not re-validated: strictly ascending numerators
+        from 0 to den and one float value per cell by construction."""
         fn = object.__new__(cls)
-        object.__setattr__(fn, "breakpoints", breakpoints)
-        object.__setattr__(fn, "values", values)
+        fn.den, fn.nums, fn.values = den, nums, values
         return fn
+
+    @cached_property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __call__(self, z: RationalLike) -> float:
         z = to_fraction(z)
         if not (ZERO < z <= ONE):
             raise OutOfDomain(f"{z} outside ]0,1]")
-        return self.values[bisect.bisect_left(self.breakpoints, z) - 1]
+        return self.values[_cell_of(self.nums, self.den, z)]
 
     def cells(self) -> Iterable[tuple[Fraction, Fraction, float]]:
-        for lo, hi, v in zip(self.breakpoints, self.breakpoints[1:], self.values):
-            yield lo, hi, v
+        return zip(self.breakpoints, self.breakpoints[1:], self.values)
 
     def map_values(self, fn) -> "PiecewiseConstantFn":
-        return PiecewiseConstantFn(self.breakpoints, tuple(fn(v) for v in self.values))
+        return PiecewiseConstantFn._built(self.den, self.nums, tuple(float(fn(v)) for v in self.values))
+
+    def run_bounds(self) -> tuple[list[int], list[int]]:
+        """(starts, ends): the first cell of each maximal run of equal
+        adjacent values, and the cell after its last."""
+        values = self.values
+        starts = [0, *compress(count(1), map(ne, values, values[1:]))]
+        return starts, [*starts[1:], len(values)]
 
     def runs(self) -> Iterable[tuple[int, int, float]]:
         """(start, end, v) per maximal run of equal adjacent values: the
         cells start..end-1, that is ]b_start, b_end], all take the value v."""
-        values = self.values
-        start, prev = 0, values[0]
-        for end, v in enumerate(values):
-            if v != prev:
-                yield start, end, prev
-                start, prev = end, v
-        yield start, len(values), prev
+        starts, ends = self.run_bounds()
+        return zip(starts, ends, map(self.values.__getitem__, starts))
 
     def masses_by_value(self) -> dict[float, Fraction]:
         """Exact pushforward of Lebesgue measure: total cell length per value,
-        in order of first appearance.
-
-        Each run of equal adjacent values adds the numerators of its two ends
-        to integer sums keyed by (value, denominator); each value's mass is
-        then one ``Fraction`` per denominator, added exactly.
-        """
-        sums: dict[float, dict[int, int]] = {}
-        bps = self.breakpoints
+        in order of first appearance.  Each run adds its integer length to
+        its value's sum, and each sum becomes one ``Fraction``."""
+        sums: dict[float, int] = {}
+        nums = self.nums
         for start, end, v in self.runs():
-            by_den = sums.get(v)
-            if by_den is None:
-                by_den = sums[v] = {}
-            lo, hi = bps[start], bps[end]
-            by_den[hi.denominator] = by_den.get(hi.denominator, 0) + hi.numerator
-            by_den[lo.denominator] = by_den.get(lo.denominator, 0) - lo.numerator
-        return {
-            v: sum((Fraction(n, d) for d, n in by_den.items()), ZERO)
-            for v, by_den in sums.items()
-        }
+            sums[v] = sums.get(v, 0) + nums[end] - nums[start]
+        return {v: Fraction(n, self.den) for v, n in sums.items()}
 
     def disagreement(self, other: "PiecewiseConstantFn") -> Fraction:
         """Exact Lebesgue measure of the set where self and other differ.
 
-        Walks both breakpoint lists together, so each cell of the merged
-        partition is met once.
+        Walks both partitions together over their common denominator, so
+        each cell of the merged partition is met once.
         """
-        a, b = self.breakpoints, other.breakpoints
-        total, lo = ZERO, ZERO
+        den = math.lcm(self.den, other.den)
+        a, b = _rescale(self.nums, self.den, den), _rescale(other.nums, other.den, den)
+        total = lo = 0
         i = j = 1
         while i < len(a):
             hi = min(a[i], b[j])
             if self.values[i - 1] != other.values[j - 1]:
                 total += hi - lo
-            if a[i] == hi:
-                i += 1
-            if b[j] == hi:
-                j += 1
-            lo = hi
-        return total
+            i, j, lo = i + (a[i] == hi), j + (b[j] == hi), hi
+        return Fraction(total, den)
 
     def equal_ae(self, other: "PiecewiseConstantFn") -> bool:
         """Exact equality off breakpoints."""
         return self.disagreement(other) == 0
 
     def compose_with_map(self, m: PiecewiseAffineMap) -> "PiecewiseConstantFn":
-        """Exact f(m(z)) as a piecewise-constant function of z.
-
-        The image ]im_lo, im_hi] of a piece of m meets the cells i..j of f,
-        found by bisecting the interior breakpoints; the piece is cut at the
-        preimages of the breakpoints strictly inside its image, and its
-        sub-cells take values[i..j], reversed when the slope is negative.
-
-        A float filter decides most pieces without exact arithmetic.  The
-        image ends are evaluated in floats and widened by a bound on their
-        rounding error (``_ROUNDING_MARGIN`` of the terms' magnitude, plus
-        ``_UNDERFLOW_MARGIN`` times the slope's for subnormal operands), so
-        the float interval [lo, hi] contains the exact image.  Rounding a
-        rational to the nearest float is monotone, so float(e_k) < lo
-        implies e_k < lo, and hi < float(e_{k+1}) implies hi < e_{k+1}: the
-        piece then lies inside cell k, and is emitted whole with value k.
-        Near ties, images that span a breakpoint, and coefficients too large
-        for a float take the exact path.
-        """
-        edges, values = self.breakpoints, self.values
-        interior = edges[1:-1]
-        # float edges; a NaN image end finds no cell, and an end above 1
-        # cannot occur because every piece's image lies in [0, 1]
-        float_edges = [e.numerator / e.denominator for e in edges]
-        bps, vals = [ZERO], []
-        slope = intercept = None
-        z_hi = 0.0
-        for p in m.pieces:
-            hi = p.hi
-            z_lo, z_hi = z_hi, hi.numerator / hi.denominator
-            try:
-                if p.slope is not slope:
-                    slope = p.slope
-                    rising = slope > 0
-                    fs = slope.numerator / slope.denominator
-                    tiny = (abs(fs) + 2.0) * _UNDERFLOW_MARGIN
-                if p.intercept is not intercept:
-                    intercept = p.intercept
-                    fc = intercept.numerator / intercept.denominator
-                    abs_fc = abs(fc)
-            except OverflowError:
-                slope = intercept = None
-            else:
-                at_lo, at_hi = fs * z_lo, fs * z_hi
-                err_lo = (abs(at_lo) + abs_fc) * _ROUNDING_MARGIN + tiny
-                err_hi = (abs(at_hi) + abs_fc) * _ROUNDING_MARGIN + tiny
-                if rising:
-                    lo_f, hi_f = at_lo + fc - err_lo, at_hi + fc + err_hi
-                else:
-                    lo_f, hi_f = at_hi + fc - err_hi, at_lo + fc + err_lo
-                k = bisect.bisect_left(float_edges, lo_f) - 1
-                if k >= 0 and hi_f < float_edges[k + 1]:
-                    bps.append(hi)
-                    vals.append(values[k])
-                    continue
-            s, c = p.slope, p.intercept
-            start, end = s * p.lo + c, s * hi + c
-            im_lo, im_hi = (start, end) if s > 0 else (end, start)
-            i = bisect.bisect_right(interior, im_lo)
-            j = bisect.bisect_left(interior, im_hi, i)
-            cuts = [(e - c) / s for e in interior[i:j]]
-            cell_values = values[i : j + 1]
-            if s < 0:
-                cuts.reverse()
-                cell_values = cell_values[::-1]
-            bps += cuts
-            bps.append(hi)
-            vals += cell_values
-        return PiecewiseConstantFn._built(tuple(bps), tuple(vals))
+        """Exact f(m(z)) as a piecewise-constant function of z: each piece of
+        m is cut where its image crosses a breakpoint of f (``_pullback``),
+        and each cut piece takes the value of the cell that holds its image."""
+        den, nums, _, cells = _pullback(m, self.den, self.nums)
+        return PiecewiseConstantFn._built(den, nums, tuple(map(self.values.__getitem__, cells)))
 
 
 def quantile_pcf(cdf: StepCDF) -> PiecewiseConstantFn:
@@ -694,61 +701,48 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     matches the CDF atom weights exactly.  Each value of fn names its
     support point by ``atoms_of``.
 
-    The arithmetic is on integers: the run ends of fn are numerators over
-    their common denominator D, and the exact levels numerators over theirs,
-    L.  Atom k has source length t_k / D and level interval
-    ]lo_k / L, (lo_k + w_k) / L], and a run of it that starts at s / D,
-    after earlier runs of total length b_k / D, has the intercept
-    (lo_k t_k + w_k (b_k - s)) / (t_k L): one ``Fraction`` per run.
+    The map's ends are fn's own numerators over its denominator G.  With
+    the exact levels over L, atom k has source length t_k / G, level
+    interval ]lo_k / L, (lo_k + w_k) / L] and slope s_k = w_k G / (t_k L).
+    A run of it from x / G, after earlier runs of total length b_k / G, has
+    the intercept lo_k / L + s_k (b_k - x) / G: one integer numerator per run.
     """
     support = cdf.support
     atom_of = atoms_of(set(fn.values), support)
-    bps = fn.breakpoints
-
-    # Pass 1: per atom, the run ends' numerators summed per denominator;
-    # each run starts where the one before it ends, at 0 / 1 for the first.
-    sums: list[dict[int, int]] = [{} for _ in support]
-    lo_num, lo_den = 0, 1
-    for _, end, v in fn.runs():
-        by_den = sums[atom_of[v]]
-        hi = bps[end]
-        hi_num, hi_den = hi.numerator, hi.denominator
-        by_den[hi_den] = by_den.get(hi_den, 0) + hi_num
-        by_den[lo_den] = by_den.get(lo_den, 0) - lo_num
-        lo_num, lo_den = hi_num, hi_den
-    dens = {d for by_den in sums for d in by_den}
-    src_den = math.lcm(*dens)
-    scale = {d: src_den // d for d in dens}
-    totals = [sum(n * scale[d] for d, n in by_den.items()) for by_den in sums]
+    den, ends = fn.den, fn.nums
+    starts, stops = fn.run_bounds()
+    atoms = list(map(atom_of.__getitem__, map(fn.values.__getitem__, starts)))
+    lo, hi = list(map(ends.__getitem__, starts)), list(map(ends.__getitem__, stops))
+    totals = [0] * len(support)
+    for k, x, y in zip(atoms, lo, hi):
+        totals[k] += y - x
 
     exact = cdf.exact_levels
     lvl_den = math.lcm(*(c.denominator for c in exact))
     lvl = [0] + [c.numerator * (lvl_den // c.denominator) for c in exact]
-    atoms = []  # per atom: (lo_k t_k, w_k, t_k L, slope)
+    slopes = []
     for k, total in enumerate(totals):
         weight = lvl[k + 1] - lvl[k]
-        if total * lvl_den != weight * src_den and (
-            total == 0 or abs(Fraction(total, src_den) - Fraction(weight, lvl_den)) > MATCH_TOL
+        if total * lvl_den != weight * den and (
+            total == 0 or abs(Fraction(total, den) - Fraction(weight, lvl_den)) > MATCH_TOL
         ):
             raise DistributionMismatch(
-                f"atom {support[k]!r}: source mass {total / src_den:.17g} vs weight {weight / lvl_den:.17g}"
+                f"atom {support[k]!r}: source mass {total / den:.17g} vs weight {weight / lvl_den:.17g}"
             )
-        atoms.append((lvl[k] * total, weight, total * lvl_den, Fraction(weight * src_den, total * lvl_den)))
+        slopes.append(Fraction(weight * den, total * lvl_den))
+    cden = math.lcm(lvl_den, den * math.lcm(*(s.denominator for s in slopes)))
+    bases = [v * (cden // lvl_den) for v in lvl]  # lo_k over cden
+    per_unit = [s.numerator * (cden // (s.denominator * den)) for s in slopes]  # s_k / G
 
-    # Pass 2, in source order; a run's cells are contiguous in source and in
-    # image, so they share its intercept.
+    # one intercept per run, in source order; a run's cells are contiguous
+    # in source and in image, so they share its slope and intercept
     before = [0] * len(support)
-    pieces = []
-    append = pieces.append
-    hi_num = 0
-    for start, end, v in fn.runs():
-        k = atom_of[v]
-        base, weight, den, slope = atoms[k]
-        hi = bps[end]
-        lo_num, hi_num = hi_num, hi.numerator * scale[hi.denominator]
-        offset = before[k] - lo_num
-        before[k] = offset + hi_num
-        intercept = Fraction(base + weight * offset, den)
-        for t in range(start, end):
-            append(AffinePiece(bps[t], bps[t + 1], slope, intercept))
-    return PiecewiseAffineMap._built(tuple(pieces))
+    intercepts = []
+    for x, y, k in zip(lo, hi, atoms):
+        b = before[k]
+        before[k] = b + y - x
+        intercepts.append(bases[k] + per_unit[k] * (b - x))
+    sizes = [y - x for x, y in zip(starts, stops)]
+    piece_slopes = tuple(chain.from_iterable(map(repeat, map(slopes.__getitem__, atoms), sizes)))
+    cnums = list(chain.from_iterable(map(repeat, intercepts, sizes)))
+    return PiecewiseAffineMap._built(den, ends, piece_slopes, *_reduced(cden, cnums))

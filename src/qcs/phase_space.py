@@ -26,15 +26,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import lshift
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BadSpec, DomainGap, NotNormalized
 from .measure_maps import (
-    ZERO,
     PiecewiseAffineMap,
     PiecewiseConstantFn,
+    check_partition,
     factor_against_cdf,
 )
 from .spectral import PiecewiseFn, StepCDF
@@ -128,6 +129,22 @@ class PhaseSpaceState:
         hat = np.fft.fft(self.amplitudes, axis=1, norm="ortho") * math.sqrt(self.dq / self.dp)
         return hat[:, self.p_order]
 
+    @cached_property
+    def measure(self) -> "PhaseSpaceMeasure":
+        """The product-per-sector measure (see ``build_measure``), built once."""
+        kept_labels, blocks, hat = [], [], self.momentum_amplitudes
+        for s in range(self.n_sectors):
+            qdens = (np.abs(self.amplitudes[s]) ** 2) * self.dq
+            pdens = (np.abs(hat[s]) ** 2) * self.dp
+            mass = math.fsum(float(x) for x in qdens)
+            if mass == 0.0:
+                continue
+            kept_labels.append(self.sector_labels[s])
+            blocks.append(np.outer(qdens, pdens) / mass)
+        if not blocks:
+            raise NotNormalized("state has no sector with positive mass")
+        return PhaseSpaceMeasure(tuple(kept_labels), np.stack(blocks), self.q_grid, self.p_grid)
+
     def sector_masses(self) -> np.ndarray:
         return np.array(
             [
@@ -155,7 +172,7 @@ class PhaseSpaceMeasure:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
-        total = math.fsum(float(x) for x in m.ravel())
+        total = math.fsum(m.ravel().tolist())
         if not abs(total - 1.0) <= MASS_TOL:  # also rejects a NaN mass
             raise NotNormalized(f"total mass {total!r} is not 1 within {MASS_TOL}")
 
@@ -179,28 +196,14 @@ class PhaseSpaceMeasure:
         mantissas, exponents = np.frexp(flat[kept])
         ks = (mantissas * 2.0**53).astype(np.int64).tolist()  # exact
         shifts = (exponents - exponents.min()).tolist()
-        masses = [k << e for k, e in zip(ks, shifts)]
+        masses = list(map(lshift, ks, shifts))
         return kept, masses, sum(masses)
 
 
 def build_measure(state: PhaseSpaceState) -> PhaseSpaceMeasure:
-    """Product-per-sector measure; sectors with zero mass are omitted."""
-    kept_labels = []
-    blocks = []
-    hat = state.momentum_amplitudes
-    for s in range(state.n_sectors):
-        qdens = (np.abs(state.amplitudes[s]) ** 2) * state.dq
-        pdens = (np.abs(hat[s]) ** 2) * state.dp
-        mass = math.fsum(float(x) for x in qdens)
-        if mass == 0.0:
-            continue
-        kept_labels.append(state.sector_labels[s])
-        blocks.append(np.outer(qdens, pdens) / mass)
-    if not blocks:
-        raise NotNormalized("state has no sector with positive mass")
-    return PhaseSpaceMeasure(
-        tuple(kept_labels), np.stack(blocks), state.q_grid, state.p_grid
-    )
+    """Product-per-sector measure; sectors with zero mass are omitted.  It is
+    computed once per state, and its observables share its integer masses."""
+    return state.measure
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,12 +225,17 @@ def _sum_by_key(keys, masses: list[int]) -> dict:
 def cell_observable(cell_values: np.ndarray, measure: PhaseSpaceMeasure) -> CellObservable:
     """A cell function with its pushforward CDF: atom v has the exact weight
     (sum of the integer masses of v's cells) / M, the same integers that
-    place the cells in ``to_unit_interval``."""
+    place the cells in ``to_unit_interval``.  A stable sort by value puts
+    each atom's cells together, first occurrence first, and the level after
+    atom v is the running sum of the sorted masses at v's last cell."""
     kept, masses, total = measure.cell_masses
-    flat = np.asarray(cell_values, dtype=float).ravel()[kept].tolist()
-    by_value = _sum_by_key(flat, masses)
-    support = sorted(by_value)
-    prefix = list(accumulate(by_value[v] for v in support))
+    flat = np.asarray(cell_values, dtype=float).ravel()[kept]
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    change = ranked[1:] != ranked[:-1]
+    running = list(accumulate(map(masses.__getitem__, order.tolist())))
+    prefix = [running[i] for i in np.flatnonzero(np.append(change, True)).tolist()]
+    support = ranked[np.flatnonzero(np.insert(change, 0, True))].tolist()
     cdf = StepCDF(
         tuple(support), tuple(p / total for p in prefix), tuple(Fraction(p, total) for p in prefix)
     )
@@ -241,9 +249,7 @@ def position_observable(g: PiecewiseFn, state: PhaseSpaceState) -> CellObservabl
         vals_q = np.array([g(q) for q in measure.q_grid])
     except DomainGap as exc:
         raise DomainGap(f"position function undefined on the grid: {exc}") from exc
-    cell_values = np.broadcast_to(
-        vals_q[None, :, None], measure.masses.shape
-    ).copy()
+    cell_values = np.broadcast_to(vals_q[None, :, None], measure.masses.shape).copy()
     return cell_observable(cell_values, measure)
 
 
@@ -255,9 +261,7 @@ def momentum_observable(f: PiecewiseFn, state: PhaseSpaceState) -> CellObservabl
         vals_p = np.array([f(p) for p in measure.p_grid])
     except DomainGap as exc:
         raise DomainGap(f"momentum function undefined on the grid: {exc}") from exc
-    cell_values = np.broadcast_to(
-        vals_p[None, None, :], measure.masses.shape
-    ).copy()
+    cell_values = np.broadcast_to(vals_p[None, None, :], measure.masses.shape).copy()
     return cell_observable(cell_values, measure)
 
 
@@ -265,9 +269,7 @@ def spin_observable(state: PhaseSpaceState) -> CellObservable:
     """The sector label as a label function; CDF steps are sector masses."""
     measure = build_measure(state)
     svals = np.array([float(s) for s in measure.sector_labels])
-    cell_values = np.broadcast_to(
-        svals[:, None, None], measure.masses.shape
-    ).copy()
+    cell_values = np.broadcast_to(svals[:, None, None], measure.masses.shape).copy()
     return cell_observable(cell_values, measure)
 
 
@@ -288,23 +290,33 @@ def operator_mean(state: PhaseSpaceState, coordinate: str, fn: PiecewiseFn | Non
     return math.fsum(fn(x) * float(w) for x, w in zip(grid, dens))
 
 
-@dataclass(frozen=True, eq=False)
 class CellEquivalence:
     """Canonical measure equivalence of the cell space onto ]0,1[.
 
     Cells are ordered by (sector, position, momentum); each cell of positive
     mass occupies an interval of exactly its share of the total mass, so the
-    pushforward of the cell measure is Lebesgue by construction.
+    pushforward of the cell measure is Lebesgue by construction.  Cell i is
+    ]nums[i] / den, nums[i + 1] / den]; ``bounds`` is the ``Fraction`` view,
+    built on first use.
     """
 
-    kept: np.ndarray
-    bounds: tuple[Fraction, ...]
+    def __init__(self, kept: np.ndarray, bounds: Sequence[Fraction]):
+        # checked once here, for every cell function that pcf transports
+        cells = PiecewiseConstantFn(bounds, (0.0,) * len(kept))
+        self.kept, self.den, self.nums = kept, cells.den, cells.nums
+        self.__dict__["bounds"] = cells.breakpoints
 
-    def __post_init__(self):
-        # the public constructor's checks, made once for every cell function
-        # that pcf transports
-        cells = PiecewiseConstantFn(self.bounds, (0.0,) * len(self.kept))
-        object.__setattr__(self, "bounds", cells.breakpoints)
+    @classmethod
+    def over(cls, kept: np.ndarray, den: int, nums: list[int]) -> "CellEquivalence":
+        """Cells ]nums[i] / den, nums[i + 1] / den], checked on the integers."""
+        check_partition(den, nums, len(kept))
+        equiv = object.__new__(cls)
+        equiv.kept, equiv.den, equiv.nums = kept, den, nums
+        return equiv
+
+    @cached_property
+    def bounds(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def n_cells(self) -> int:
@@ -313,15 +325,15 @@ class CellEquivalence:
     def pcf(self, cell_values: np.ndarray) -> PiecewiseConstantFn:
         """Transport a cell function to a piecewise-constant function on ]0,1]."""
         flat = np.asarray(cell_values, dtype=float).ravel()[self.kept]
-        return PiecewiseConstantFn._built(self.bounds, tuple(flat.tolist()))
+        return PiecewiseConstantFn._built(self.den, self.nums, tuple(flat.tolist()))
 
 
 def to_unit_interval(measure: PhaseSpaceMeasure) -> CellEquivalence:
     """Cell i of positive mass occupies ]P_{i-1} / M, P_i / M], with P_i the
-    prefix sums of the integer cell masses: strictly ascending, ending at 1."""
+    prefix sums of the integer cell masses: the integers pass through as
+    they are, and their ascent is checked in one pass."""
     kept, masses, total = measure.cell_masses
-    bounds = (ZERO, *(Fraction(p, total) for p in accumulate(masses)))
-    return CellEquivalence(kept, bounds)
+    return CellEquivalence.over(kept, total, [0, *accumulate(masses)])
 
 
 def realize_barrier(

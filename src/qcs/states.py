@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import mul, sub, truediv
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,7 +40,6 @@ from .measure_maps import (
     factor_against_cdf,
     level_function,
     preimage_intervals,
-    preimage_measure,
     to_fraction,
 )
 from .sampling import keyed_uniform, uniform_labels
@@ -139,16 +140,12 @@ def label_mean(fn: PiecewiseConstantFn, power: int = 1) -> float:
     """Integral of fn**power over ]0,1[ with exact cell masses.
 
     Each cell length is rounded once from integers: integer true division is
-    correctly rounded, so the term is bitwise ``float(hi - lo)`` without the
-    gcd of a ``Fraction`` subtraction.
+    correctly rounded, so each term (v ** power) * ((b - a) / den) is
+    bitwise ``v ** power * float(hi - lo)``.
     """
-    bps = fn.breakpoints
-    nums = [b.numerator for b in bps]
-    dens = [b.denominator for b in bps]
-    return math.fsum(
-        (v**power) * ((n1 * d0 - n0 * d1) / (d1 * d0))
-        for n0, d0, n1, d1, v in zip(nums, dens, nums[1:], dens[1:], fn.values)
-    )
+    nums, den = fn.nums, fn.den
+    lengths = map(truediv, map(sub, nums[1:], nums), repeat(den))
+    return math.fsum(map(mul, map(pow, fn.values, repeat(power)), lengths))
 
 
 def value(a: HermitianOperator, c: CompleteState) -> float:
@@ -163,17 +160,14 @@ def value(a: HermitianOperator, c: CompleteState) -> float:
 def value_distribution(
     a: HermitianOperator, psi: PureState, barrier: PiecewiseAffineMap
 ) -> list[tuple[float, Fraction]]:
-    """Exact outcome distribution: Lebesgue measure of the barrier preimage of
-    each level interval.  Probabilities are exact rationals; the claim under
-    test elsewhere is that they equal the spectral weights."""
+    """Exact outcome distribution: the measure of the barrier preimage of each
+    level interval, read off the level function.  Probabilities are exact
+    rationals; the claim under test elsewhere is that they equal the weights."""
     if not barrier.measure_preserving:
         raise NotABarrier("value distributions require a measure-preserving barrier")
     cdf = spectral_cdf(a, psi)
-    out = []
-    for k, r in enumerate(cdf.support):
-        lo, hi = cdf.level_interval(k)
-        out.append((r, preimage_measure(barrier, lo, hi)))
-    return out
+    masses = level_function(cdf, barrier).masses_by_value()
+    return [(r, masses.get(r, Fraction(0))) for r in cdf.support]
 
 
 def value_region(

@@ -747,6 +747,48 @@ def test_phase_space_kernels_match_references_at_n16():
     assert_rebuilds(levels)
 
 
+@st.composite
+def deep_chains(draw):
+    """Six to ten maps whose offsets and block lengths are over dyadic,
+    triadic, decimal or mixed denominators, with up to two expanding maps
+    among them, so common denominators grow along the chain."""
+    dens = st.sampled_from([2**40, 3**25, 10**12, 2**20 * 3**10])
+    specs = []
+    for den in draw(st.lists(dens, min_size=6, max_size=10)):
+        if draw(st.booleans()):
+            specs.append(MapSpec.rotation(F(draw(st.integers(1, den - 1)), den)))
+            continue
+        cuts = sorted(draw(st.sets(st.integers(1, den - 1), min_size=1, max_size=3)))
+        lengths = [F(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
+        specs.append(MapSpec.interval_exchange(lengths, draw(st.permutations(range(len(lengths))))))
+    for k in draw(st.lists(st.integers(2, 3), max_size=2)):
+        specs.insert(draw(st.integers(0, len(specs))), MapSpec.expanding(k))
+    return specs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), specs=deep_chains(), cdf=dyadic_cdfs())
+def test_deep_compositions_match_references(data, specs, cdf):
+    m = ref = IDENTITY
+    for spec in specs:
+        step = build_map(spec)
+        m, ref = compose(step, m), ref_compose(step, ref)
+        assert map_pieces(m) == map_pieces(ref)
+        assert_rebuilds(m)
+    assert map_pieces(build_map(MapSpec.composition(*specs))) == map_pieces(m)
+    fn = data.draw(mixed_denominator_functions())
+    composed, levels = fn.compose_with_map(m), level_function(cdf, m)
+    assert fn_cells(composed) == fn_cells(ref_compose_with_map(fn, m))
+    assert fn_cells(levels) == fn_cells(ref_compose_with_map(quantile_pcf(cdf), m))
+    for g in (composed, levels):
+        assert list(g.masses_by_value().items()) == list(ref_masses_by_value(g).items())
+        assert label_mean(g) == ref_label_mean(g) and label_mean(g, 2) == ref_label_mean(g, 2)
+        assert_rebuilds(g)
+    alpha = factor_against_cdf(levels, cdf)
+    assert map_pieces(alpha) == map_pieces(ref_factor_against_cdf(levels, cdf))
+    assert_rebuilds(alpha)
+
+
 def steep_map(width):
     """]0, width] onto ]0, 1] with slope 1/width, then the identity."""
     return PiecewiseAffineMap((AffinePiece(F(0), width, 1 / width, F(0)), AffinePiece(width, F(1), F(1), F(0))))

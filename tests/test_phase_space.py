@@ -356,6 +356,46 @@ def test_exact_pipeline_on_a_single_occupied_cell(sectors, n, data):
     assert exact_pipeline_label_mean(measure, cell_values) == value
 
 
+def test_measure_is_built_once_per_state():
+    rng = np.random.default_rng(5)
+    state = PhaseSpaceState.normalized(F(1, 2), rng.normal(size=(2, 8)) + 0j, dq=0.5)
+    measure = build_measure(state)
+    assert build_measure(state) is measure and measure.cell_masses is build_measure(state).cell_masses
+
+
+def test_phase_space_kernels_build_no_fraction_view():
+    """realize_barrier, level_function, label_mean and masses_by_value run on
+    the integer numerators; the Fraction views of the equivalence, the
+    barriers and the functions stay unbuilt until asked for.  A view cached
+    on every piece once raised the peak memory of an N=128 round by half."""
+    rng = np.random.default_rng(16)
+    raw = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+    state = PhaseSpaceState.normalized(F(1, 2), raw, dq=0.25)
+    equiv = to_unit_interval(build_measure(state))
+    identity = PiecewiseFn.identity()
+    built = []
+    for obs in (
+        position_observable(identity, state),
+        momentum_observable(identity, state),
+        spin_observable(state),
+    ):
+        barrier, fn = realize_barrier(obs, equiv)
+        levels = level_function(obs.cdf, barrier)
+        for g in (fn, levels):
+            label_mean(g)
+            g.masses_by_value()
+        assert "pieces" not in vars(barrier) and "breakpoints" not in vars(barrier)
+        assert "breakpoints" not in vars(fn) and "breakpoints" not in vars(levels)
+        built.append((barrier, levels))
+    assert "bounds" not in vars(equiv)
+    # on demand, the views are the integers over their denominators
+    assert equiv.bounds == tuple(F(n, equiv.den) for n in equiv.nums)
+    for barrier, levels in built:
+        assert levels.breakpoints == tuple(F(n, levels.den) for n in levels.nums)
+        assert [p.hi for p in barrier.pieces] == [F(n, barrier.den) for n in barrier.nums[1:]]
+        assert [p.intercept for p in barrier.pieces] == [F(c, barrier.cden) for c in barrier.cnums]
+
+
 def test_marginals_are_exact():
     rng = np.random.default_rng(7)
     n = 16
