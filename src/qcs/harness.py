@@ -22,7 +22,6 @@ from .errors import DomainGap, QcsError, SchemaError
 from .measure_maps import (
     MapSpec,
     build_map,
-    compose,
     level_function,
     to_fraction,
 )
@@ -36,9 +35,8 @@ from .spectral import (
 from .states import (
     BarrierComplex,
     label_mean,
-    no_go_witness,
-    repair_barrier,
     sample_values,
+    squaring_repair,
     squaring_witness_model,
     value_distribution,
 )
@@ -155,8 +153,10 @@ def parse_hermitian(obj, what: str) -> HermitianOperator:
         raise SchemaError(f"{what}: {exc}") from exc
 
 
-def parse_state(obj, normalize: bool, what: str) -> PureState:
+def parse_state(obj, normalize: bool, what: str, *ops: HermitianOperator) -> PureState:
     vec = parse_vector(obj)
+    if any(op.dim != len(vec) for op in ops):
+        raise SchemaError(f"{what} dim {len(vec)} vs operator dims {[op.dim for op in ops]}")
     try:
         return PureState.normalized(vec) if normalize else PureState(vec)
     except QcsError as exc:
@@ -217,6 +217,8 @@ def parse_barrier_complex(obj) -> BarrierComplex:
         if not isinstance(entry, dict) or "map" not in entry:
             raise SchemaError("barrier override needs a 'map'")
         key = (entry.get("operator"), entry.get("state"))
+        if not all(tag is None or isinstance(tag, str) for tag in key):
+            raise SchemaError("barrier override operator and state must be tag strings")
         overrides[key] = parse_map_spec(entry["map"])
     try:
         return BarrierComplex(default, overrides)
@@ -232,7 +234,7 @@ def _run_measure(config: ExperimentConfig) -> dict:
     if "operator" not in payload or "state" not in payload:
         raise SchemaError("measure experiment needs 'operator' and 'state'")
     a = parse_hermitian(payload["operator"], "operator")
-    psi = parse_state(payload["state"], bool(payload.get("normalize", False)), "state")
+    psi = parse_state(payload["state"], bool(payload.get("normalize", False)), "state", a)
     barrier = build_map(parse_map_spec(payload.get("barrier"), MapSpec.identity()))
     cdf = spectral_cdf(a, psi)
     dist = value_distribution(a, psi, barrier)
@@ -265,9 +267,14 @@ def _run_measure(config: ExperimentConfig) -> dict:
         }
         out_path = payload.get("samples_out")
         if out_path:
-            with open(out_path, "w") as fh:
-                for x in samples:
-                    fh.write(f"{float(x):.17g}\n")
+            if not isinstance(out_path, str):
+                raise SchemaError("samples_out must be a path string")
+            try:
+                with open(out_path, "w") as fh:
+                    for x in samples:
+                        fh.write(f"{float(x):.17g}\n")
+            except OSError as exc:
+                raise SchemaError(f"cannot write samples_out {out_path}: {exc}") from exc
             results["samples_path"] = str(out_path)
     return results
 
@@ -279,7 +286,7 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
             raise SchemaError(f"dynamics experiment needs '{key}'")
     h = parse_hermitian(payload["H"], "H")
     a = parse_hermitian(payload["A"], "A")
-    psi0 = parse_state(payload["psi0"], bool(payload.get("normalize", False)), "psi0")
+    psi0 = parse_state(payload["psi0"], bool(payload.get("normalize", False)), "psi0", h, a)
     times = payload["times"]
     if not isinstance(times, list) or not times or not all(_is_finite_real(t) for t in times):
         raise SchemaError("times must be a nonempty list of reals")
@@ -296,15 +303,9 @@ def _run_example4(config: ExperimentConfig) -> dict:
     payload = config.payload
     model = squaring_witness_model()
     alpha = build_map(parse_map_spec(payload.get("barrier"), MapSpec.identity()))
-    square = PiecewiseFn.square()
     cdf = spectral_cdf(model.operator, model.state)
-    a2 = borel_apply(square, model.operator)
-    cdf2 = spectral_cdf(a2, model.state)
-    disagreement = no_go_witness(alpha)
-    beta = repair_barrier(model.operator, square, alpha, model.state)
-    repaired = no_go_witness(alpha, squared_barrier=beta)
-    shift = compose(build_map(MapSpec.rotation(Fraction(3, 8))), alpha)
-    shift_matches = level_function(cdf2, beta).equal_ae(level_function(cdf2, shift))
+    cdf2 = spectral_cdf(borel_apply(PiecewiseFn.square(), model.operator), model.state)
+    disagreement, repaired, shift_matches = squaring_repair(alpha)
     return {
         "cdf": [{"value": v, "level": c} for v, c in zip(cdf.support, cdf.levels)],
         "squared_cdf": [{"value": v, "level": c} for v, c in zip(cdf2.support, cdf2.levels)],
@@ -326,15 +327,11 @@ def _run_cat(config: ExperimentConfig) -> dict:
     if "p" not in payload or "z" not in payload:
         raise SchemaError("cat experiment needs 'p' and 'z'")
     try:
-        p = to_fraction(payload["p"])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational p: {exc}") from exc
+        p, z = to_fraction(payload["p"]), to_fraction(payload["z"])
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise SchemaError(f"bad rational p or z: {exc}") from exc
     if not (0 < p < 1):
         raise SchemaError("p must lie strictly between 0 and 1")
-    z_raw = payload["z"]
-    if isinstance(z_raw, bool) or not isinstance(z_raw, (int, float, str)):
-        raise SchemaError("z must be a real in ]0,1[")
-    z = to_fraction(z_raw)
     if not (0 < z < 1):
         raise SchemaError("z must lie strictly between 0 and 1")
     alpha = build_map(parse_map_spec(payload.get("barrier"), MapSpec.identity()))
@@ -366,11 +363,11 @@ def _run_phase_space(config: ExperimentConfig) -> dict:
     if not isinstance(dq, (int, float)) or isinstance(dq, bool) or not dq > 0:
         raise SchemaError("dq must be positive")
     psi_rows = payload["psi"]
-    if not isinstance(psi_rows, list):
-        raise SchemaError("psi must be a list of sector arrays")
-    amps = _finite(np.array([[_entry_to_complex(x) for x in row] for row in psi_rows], dtype=complex))
-    if amps.ndim != 2 or amps.shape[1] != n:
+    if not isinstance(psi_rows, list) or not psi_rows:
+        raise SchemaError("psi must be a nonempty list of sector arrays")
+    if not all(isinstance(row, list) and len(row) == n for row in psi_rows):
         raise SchemaError("psi sector arrays must have length N")
+    amps = _finite(np.array([[_entry_to_complex(x) for x in row] for row in psi_rows], dtype=complex))
     try:
         if payload.get("normalize", False):
             state = PhaseSpaceState.normalized(spin, amps, float(dq))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count, repeat, starmap
-from operator import add, gt, le, mul, ne
+from operator import add, gt, index, le, mul, ne
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -48,6 +48,14 @@ def to_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def _as_int(x) -> int | None:
+    """x if it is an integer (numpy integers too, bools not), else None."""
+    try:
+        return None if isinstance(x, bool) else index(x)
+    except TypeError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -141,22 +149,22 @@ class PiecewiseAffineMap:
         pieces = tuple(pieces)
         if not pieces:
             raise BadSpec("map needs at least one piece")
-        if pieces[0].lo != ZERO or pieces[-1].hi != ONE:
+        den, ends = _over_common([x for p in pieces for x in (p.lo, p.hi)])
+        los, his = ends[::2], ends[1::2]
+        if los[0] != 0 or his[-1] != den:
             raise BadSpec("pieces must cover ]0,1]")
-        for p, q in zip(pieces, pieces[1:]):
-            if p.hi != q.lo:
-                raise BadSpec("pieces must tile ]0,1] without gaps or overlaps")
-        for p in pieces:
-            if p.hi <= p.lo:
-                raise BadSpec("piece source interval is empty")
-            if p.slope == 0:
-                raise BadSpec("piece slope must be nonzero")
-            lo_im, hi_im = p.image_bounds()
-            if lo_im < ZERO or hi_im > ONE:
-                raise BadSpec("piece image escapes [0,1]")
-        self.den, self.nums = _over_common([ZERO, *(p.hi for p in pieces)])
+        if los[1:] != his[:-1]:
+            raise BadSpec("pieces must tile ]0,1] without gaps or overlaps")
+        if any(map(le, his, los)):
+            raise BadSpec("piece source interval is empty")
         self.slopes = tuple(p.slope for p in pieces)
+        if not all(self.slopes):
+            raise BadSpec("piece slope must be nonzero")
+        self.den, self.nums = den, [0, *his]
         self.cden, self.cnums = _over_common([p.intercept for p in pieces])
+        W, _, _, lo, hi = _images(self)
+        if min(lo) < 0 or max(hi) > W:
+            raise BadSpec("piece image escapes [0,1]")
         self.__dict__["pieces"] = pieces
 
     @classmethod
@@ -551,19 +559,20 @@ class MapSpec:
                 raise BadSpec("rotation offset must satisfy 0 <= c < 1")
         elif self.kind == "interval_exchange":
             lengths = tuple(to_fraction(x) for x in self.lengths or ())
-            perm = tuple(int(i) for i in self.perm or ())
+            perm = tuple(map(_as_int, self.perm or ()))
             object.__setattr__(self, "lengths", lengths)
             object.__setattr__(self, "perm", perm)
             if not lengths or any(x <= 0 for x in lengths):
                 raise BadSpec("block lengths must be positive")
             if sum(lengths) != ONE:
                 raise BadSpec("block lengths must sum to 1")
-            if sorted(perm) != list(range(len(lengths))):
+            if None in perm or sorted(perm) != list(range(len(lengths))):
                 raise BadSpec("perm must be a permutation of the blocks")
         elif self.kind == "expanding":
-            if self.k is None or int(self.k) < 2:
+            k = _as_int(self.k)
+            if k is None or k < 2:
                 raise BadSpec("expanding factor must be an integer >= 2")
-            object.__setattr__(self, "k", int(self.k))
+            object.__setattr__(self, "k", k)
         elif self.kind == "composition":
             maps = tuple(self.maps or ())
             object.__setattr__(self, "maps", maps)
@@ -612,7 +621,7 @@ class MapSpec:
                 return cls.expanding(field("k"))
             if kind == "composition":
                 return cls.composition(*(cls.from_json(m) for m in field("maps")))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise BadSpec(f"bad {kind} map spec: {exc}") from exc
         raise BadSpec(f"unknown map kind {kind!r}")
 

@@ -37,6 +37,7 @@ from .measure_maps import (
     PiecewiseConstantFn,
     atoms_of,
     build_map,
+    compose,
     factor_against_cdf,
     level_function,
     preimage_intervals,
@@ -392,6 +393,19 @@ def repair_barrier(
     composed = level_function(cdf, barrier).map_values(fn)
     target = spectral_cdf(borel_apply(fn, a), psi)
     return factor_against_cdf(composed, target)
+
+
+def squaring_repair(barrier: PiecewiseAffineMap) -> tuple[Fraction, Fraction, bool]:
+    """The squaring witness through ``barrier``: the same-barrier
+    disagreement, the disagreement once A^2 takes the repaired barrier, and
+    whether that barrier gives A^2 the values of the 3/8 shift of ``barrier``."""
+    model = squaring_witness_model()
+    square = PiecewiseFn.square()
+    beta = repair_barrier(model.operator, square, barrier, model.state)
+    cdf2 = spectral_cdf(borel_apply(square, model.operator), model.state)
+    shift = compose(build_map(MapSpec.rotation(Fraction(3, 8))), barrier)
+    shift_matches = level_function(cdf2, beta).equal_ae(level_function(cdf2, shift))
+    return no_go_witness(barrier), no_go_witness(barrier, squared_barrier=beta), shift_matches
 
 
 def recover_barrier(

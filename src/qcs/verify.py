@@ -70,9 +70,9 @@ from .states import (
     label_mean,
     no_go_witness,
     recover_barrier,
-    repair_barrier,
     sample_values,
     spectrum_image_check,
+    squaring_repair,
     squaring_witness_model,
     value_distribution,
     value_region,
@@ -177,17 +177,17 @@ def check_squaring_example():
         build_map(MapSpec.rotation(Fraction(1, 3))),
         _map_with_few_pieces(rng),
     ]:
-        if no_go_witness(barrier) != Fraction(1, 2):
+        disagreement, repaired, repair_is_shift = squaring_repair(barrier)
+        if disagreement != Fraction(1, 2):
             return False, "same-barrier disagreement is not exactly 1/2"
+        if repaired != 0:
+            return False, "factored repair does not vanish exactly"
+        if not repair_is_shift:
+            return False, "factored repair differs from the shift as a level map"
     alpha = build_map(MapSpec.identity())
     shift = build_map(MapSpec.rotation(Fraction(3, 8)))
     if no_go_witness(alpha, squared_barrier=compose(shift, alpha)) != 0:
         return False, "shift repair does not vanish exactly"
-    beta = repair_barrier(model.operator, square, alpha, model.state)
-    if no_go_witness(alpha, squared_barrier=beta) != 0:
-        return False, "factored repair does not vanish exactly"
-    if not level_function(cdf2, beta).equal_ae(level_function(cdf2, compose(shift, alpha))):
-        return False, "factored repair differs from the shift as a level map"
     return True, "indicators, 1/2 disagreement, and exact repair all hold"
 
 

@@ -483,3 +483,56 @@ def test_cli_phase_space_far_tail_gaussian_exits_0(tmp_path, kind):
     state = PhaseSpaceState.normalized(0, psi[None, :], 0.5)
     assert abs(results["label_side"] - operator_mean(state, kind)) < 1e-12
     assert results["passed"]
+
+
+MEASURE = '"kind": "measure", "operator": [[1, 0], [0, -1]], "state": [1, 0]'
+DYNAMICS = '"kind": "dynamics", "H": [[0, 1], [1, 0]], "times": [0.0, 1.0]'
+PHASE_SPACE = '"kind": "phase_space", "sigma": "0", "N": 2, "dq": 1.0, "observable": {"kind": "spin"}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param('{"kind": "cat", "p": "3/10", "z": 1e400}', id="cat-z-overflow"),
+        pytest.param('{"kind": "cat", "p": "3/10", "z": NaN}', id="cat-z-nan"),
+        pytest.param('{"kind": "cat", "p": "3/10", "z": "abc"}', id="cat-z-text"),
+        pytest.param('{"kind": "cat", "p": 1e400, "z": 0.8}', id="cat-p-overflow"),
+        pytest.param('{"kind": "cat", "p": [1], "z": 0.8}', id="cat-p-list"),
+        pytest.param("{%s, \"psi\": [[1, 2], [3]]}" % PHASE_SPACE, id="phase-space-ragged-psi"),
+        pytest.param("{%s, \"psi\": [5, 6]}" % PHASE_SPACE, id="phase-space-scalar-rows"),
+        pytest.param(
+            '{%s, "A": [[1, 0], [0, -1]], "psi0": [1, 0], "barrier": {"overrides": '
+            '[{"operator": [1], "map": {"kind": "identity"}}]}}' % DYNAMICS,
+            id="dynamics-override-operator-list",
+        ),
+        pytest.param(
+            '{"kind": "measure", "operator": [[1, 0], [0, -1]], "state": [1, 0, 0]}',
+            id="measure-dimension-mismatch",
+        ),
+        pytest.param(
+            '{%s, "A": [[1, 0, 0], [0, -1, 0], [0, 0, 0]], "psi0": [1, 0]}' % DYNAMICS,
+            id="dynamics-observable-dimension-mismatch",
+        ),
+        pytest.param(
+            '{%s, "A": [[1, 0], [0, -1]], "psi0": [1, 0, 0]}' % DYNAMICS,
+            id="dynamics-state-dimension-mismatch",
+        ),
+        pytest.param(
+            '{%s, "samples": 10, "samples_out": "@TMP@/missing/samples.txt"}' % MEASURE,
+            id="measure-unwritable-samples-out",
+        ),
+        pytest.param('{%s, "samples": 10, "samples_out": ["samples.txt"]}' % MEASURE, id="measure-samples-out-list"),
+        pytest.param('{%s, "barrier": {"kind": "expanding", "k": 2.5}}' % MEASURE, id="map-k-float"),
+        pytest.param(
+            '{%s, "barrier": {"kind": "interval_exchange", "lengths": ["1/2", "1/2"], "perm": [0.5, 1]}}'
+            % MEASURE,
+            id="map-perm-float",
+        ),
+        pytest.param('{%s, "barrier": {"kind": "rotation", "c": 1e400}}' % MEASURE, id="map-c-overflow"),
+    ],
+)
+def test_cli_malformed_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text.replace("@TMP@", str(tmp_path)))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")

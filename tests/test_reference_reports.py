@@ -1,70 +1,22 @@
-"""Pinned digests of rendered reports for fixed configs.
+"""Pinned digests of rendered reports for the committed configs.
 
-Each config is run once and rendered as json and as csv with the runtime
-set to 0; the SHA-256 of each rendering is pinned, so any change to a
-deterministic report field (a number's last bit included) shows here.
+Every file under configs/ is run once and rendered as json and as csv with
+the runtime set to 0; the SHA-256 of each rendering is pinned, so any change
+to a deterministic report field (a number's last bit included) shows here.
+Each config must also run to exit 0 through ``qcs run``.
 """
 
 import dataclasses
 import hashlib
-import math
+import json
+from pathlib import Path
 
 import pytest
 
+from qcs.cli import main as cli_main
 from qcs.harness import ExperimentConfig, render_report, run_experiment
 
-N_GRID = 8
-
-
-def _phase_space_psi():
-    """Two spin sectors on the grid, in [re, im] pairs, normalized by the runner."""
-    return [
-        [[math.cos(1.3 * k + s), math.sin(0.7 * k - s) + 0.25] for k in range(N_GRID)]
-        for s in range(2)
-    ]
-
-
-def _phase_space(observable):
-    return {
-        "kind": "phase_space",
-        "sigma": "1/2",
-        "N": N_GRID,
-        "dq": 0.25,
-        "psi": _phase_space_psi(),
-        "normalize": True,
-        "observable": observable,
-    }
-
-
-CONFIGS = {
-    "measure": {
-        "kind": "measure",
-        "operator": [[1, [0, 1], 0], [[0, -1], 0, 0.5], [0, 0.5, -1]],
-        "state": [[1.0, 0.0], [1.0, 1.0], [0.0, -1.0]],
-        "normalize": True,
-        "barrier": {"kind": "rotation", "c": "3/8"},
-        "seed": 5,
-        "samples": 2000,
-    },
-    "dynamics": {
-        "kind": "dynamics",
-        "H": [[0, 1], [1, 0]],
-        "A": [[1, 0], [0, -1]],
-        "psi0": [1, 0],
-        "times": [0.0, 0.25, 0.5, 1.0, 2.0],
-        "barrier": {"kind": "rotation", "c": "1/5"},
-        "sigma": {"kind": "rotation", "c": "1/3"},
-    },
-    "example4": {"kind": "example4", "barrier": {"kind": "rotation", "c": "1/5"}},
-    "cat": {"kind": "cat", "p": "3/10", "z": 0.8},
-    "phase_space_position": _phase_space(
-        {"kind": "position", "g": {"kind": "poly", "coeffs": [0.5, -1, 2]}}
-    ),
-    "phase_space_momentum": _phase_space(
-        {"kind": "momentum", "f": {"kind": "affine", "a": 2, "b": -1}}
-    ),
-    "phase_space_spin": _phase_space({"kind": "spin"}),
-}
+CONFIGS = {p.stem: p for p in (Path(__file__).resolve().parents[1] / "configs").glob("*.json")}
 
 DIGESTS = {
     "cat": {
@@ -95,6 +47,10 @@ DIGESTS = {
         "json": "bcbcddb456dd280626758b62c0b5f1f89f65b2b4aba6d438662c75ff958a2f5c",
         "csv": "17258b9e3ddaf917e12dc9a166e5559c3ea56d5e4955a25acbc807bbf0694ea9",
     },
+    "rabi": {
+        "json": "697c9fae4ae5664f71011729802d320bc1f9ea7ab9ff59aa4beadaadf7952165",
+        "csv": "efedfe10a4532d83bbefbeba38d8e19ab6769cafc7f565532b993a62f384ec82",
+    },
 }
 
 
@@ -102,12 +58,17 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def rendered_digests(name: str) -> dict[str, str]:
-    report = run_experiment(ExperimentConfig.from_json(CONFIGS[name]))
+def test_every_config_has_a_digest_and_every_digest_a_config():
+    assert sorted(CONFIGS) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_reference_report_digests(name):
+    report = run_experiment(ExperimentConfig.from_json(json.loads(CONFIGS[name].read_text())))
     report = dataclasses.replace(report, runtime=0.0)
-    return {fmt: _digest(render_report(report, fmt)) for fmt in ("json", "csv")}
+    assert {fmt: _digest(render_report(report, fmt)) for fmt in ("json", "csv")} == DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_reference_report_digests(name):
-    assert rendered_digests(name) == DIGESTS[name]
+def test_config_runs_through_the_cli(name, tmp_path):
+    assert cli_main(["run", "--config", str(CONFIGS[name]), "--out", str(tmp_path / "report")]) == 0
