@@ -153,6 +153,13 @@ def parse_hermitian(obj, what: str) -> HermitianOperator:
         raise SchemaError(f"{what}: {exc}") from exc
 
 
+def parse_normalize(payload: dict) -> bool:
+    flag = payload.get("normalize", False)
+    if not isinstance(flag, bool):
+        raise SchemaError("normalize must be true or false")
+    return flag
+
+
 def parse_state(obj, normalize: bool, what: str, *ops: HermitianOperator) -> PureState:
     vec = parse_vector(obj)
     if any(op.dim != len(vec) for op in ops):
@@ -212,8 +219,11 @@ def parse_barrier_complex(obj) -> BarrierComplex:
     if not isinstance(obj, dict):
         raise SchemaError("barrier complex must be an object")
     default = parse_map_spec(obj.get("default"), MapSpec.identity())
+    entries = obj.get("overrides", [])
+    if not isinstance(entries, list):
+        raise SchemaError("barrier overrides must be a list")
     overrides = {}
-    for entry in obj.get("overrides", []):
+    for entry in entries:
         if not isinstance(entry, dict) or "map" not in entry:
             raise SchemaError("barrier override needs a 'map'")
         key = (entry.get("operator"), entry.get("state"))
@@ -234,7 +244,7 @@ def _run_measure(config: ExperimentConfig) -> dict:
     if "operator" not in payload or "state" not in payload:
         raise SchemaError("measure experiment needs 'operator' and 'state'")
     a = parse_hermitian(payload["operator"], "operator")
-    psi = parse_state(payload["state"], bool(payload.get("normalize", False)), "state", a)
+    psi = parse_state(payload["state"], parse_normalize(payload), "state", a)
     barrier = build_map(parse_map_spec(payload.get("barrier"), MapSpec.identity()))
     cdf = spectral_cdf(a, psi)
     dist = value_distribution(a, psi, barrier)
@@ -286,7 +296,7 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
             raise SchemaError(f"dynamics experiment needs '{key}'")
     h = parse_hermitian(payload["H"], "H")
     a = parse_hermitian(payload["A"], "A")
-    psi0 = parse_state(payload["psi0"], bool(payload.get("normalize", False)), "psi0", h, a)
+    psi0 = parse_state(payload["psi0"], parse_normalize(payload), "psi0", h, a)
     times = payload["times"]
     if not isinstance(times, list) or not times or not all(_is_finite_real(t) for t in times):
         raise SchemaError("times must be a nonempty list of reals")
@@ -368,11 +378,9 @@ def _run_phase_space(config: ExperimentConfig) -> dict:
     if not all(isinstance(row, list) and len(row) == n for row in psi_rows):
         raise SchemaError("psi sector arrays must have length N")
     amps = _finite(np.array([[_entry_to_complex(x) for x in row] for row in psi_rows], dtype=complex))
+    build = PhaseSpaceState.normalized if parse_normalize(payload) else PhaseSpaceState
     try:
-        if payload.get("normalize", False):
-            state = PhaseSpaceState.normalized(spin, amps, float(dq))
-        else:
-            state = PhaseSpaceState(spin, amps, float(dq))
+        state = build(spin, amps, float(dq))
     except QcsError as exc:
         raise SchemaError(f"bad phase-space state: {exc}") from exc
     obs_spec = payload["observable"]

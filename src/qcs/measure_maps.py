@@ -28,8 +28,6 @@ from itertools import chain, compress, count, repeat, starmap
 from operator import add, gt, index, le, mul, ne
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 from .errors import BadSpec, DistributionMismatch, NotInjective, OutOfDomain, ValueNotInSupport
 from .spectral import EIGENVALUE_MERGE_TOL, StepCDF, spectral_scale
 
@@ -202,21 +200,6 @@ class PiecewiseAffineMap:
         n, r = divmod(z.numerator * self.den, z.denominator)
         i = bisect.bisect_left(self.nums, n)
         return r == 0 and i < len(self.nums) and self.nums[i] == n
-
-    @cached_property
-    def float_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(piece right ends, slopes, intercepts) as float arrays, for sampling;
-        integer true division rounds each exactly as float() of its Fraction."""
-        ends = np.array([n / self.den for n in self.nums[1:]])
-        intercepts = np.array([c / self.cden for c in self.cnums])
-        return ends, np.array([float(s) for s in self.slopes]), intercepts
-
-    def evaluate_floats(self, z: np.ndarray) -> np.ndarray:
-        """Fast float evaluation; callers must keep z away from breakpoints."""
-        ends, slopes, intercepts = self.float_arrays
-        idx = np.searchsorted(ends, z, side="left")
-        idx = np.clip(idx, 0, len(self.slopes) - 1)
-        return slopes[idx] * z + intercepts[idx]
 
     @cached_property
     def measure_preserving(self) -> bool:

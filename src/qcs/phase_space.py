@@ -300,19 +300,10 @@ class CellEquivalence:
     built on first use.
     """
 
-    def __init__(self, kept: np.ndarray, bounds: Sequence[Fraction]):
+    def __init__(self, kept: np.ndarray, den: int, nums: list[int]):
         # checked once here, for every cell function that pcf transports
-        cells = PiecewiseConstantFn(bounds, (0.0,) * len(kept))
-        self.kept, self.den, self.nums = kept, cells.den, cells.nums
-        self.__dict__["bounds"] = cells.breakpoints
-
-    @classmethod
-    def over(cls, kept: np.ndarray, den: int, nums: list[int]) -> "CellEquivalence":
-        """Cells ]nums[i] / den, nums[i + 1] / den], checked on the integers."""
         check_partition(den, nums, len(kept))
-        equiv = object.__new__(cls)
-        equiv.kept, equiv.den, equiv.nums = kept, den, nums
-        return equiv
+        self.kept, self.den, self.nums = kept, den, nums
 
     @cached_property
     def bounds(self) -> tuple[Fraction, ...]:
@@ -333,7 +324,7 @@ def to_unit_interval(measure: PhaseSpaceMeasure) -> CellEquivalence:
     prefix sums of the integer cell masses: the integers pass through as
     they are, and their ascent is checked in one pass."""
     kept, masses, total = measure.cell_masses
-    return CellEquivalence.over(kept, total, [0, *accumulate(masses)])
+    return CellEquivalence(kept, total, [0, *accumulate(masses)])
 
 
 def realize_barrier(

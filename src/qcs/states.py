@@ -40,6 +40,7 @@ from .measure_maps import (
     compose,
     factor_against_cdf,
     level_function,
+    normalize_intervals,
     preimage_intervals,
     to_fraction,
 )
@@ -56,7 +57,6 @@ from .spectral import (
 )
 
 BREAKPOINT_EPS = 1e-15
-LEVEL_GUARD_EPS = 1e-12
 
 Interval = tuple[Fraction, Fraction]
 
@@ -178,9 +178,11 @@ def value_region(
     lo: float,
     hi: float,
 ) -> list[Interval]:
-    """Exact label region where the assigned value falls in ]lo, hi]."""
-    cdf = spectral_cdf(a, psi)
-    return preimage_intervals(barrier, Fraction(cdf.evaluate(lo)), Fraction(cdf.evaluate(hi)))
+    """Exact label region where the assigned value falls in ]lo, hi]: the
+    runs of the level function whose value lies there."""
+    fn = level_function(spectral_cdf(a, psi), barrier)
+    kept = normalize_intervals((fn.nums[i], fn.nums[j]) for i, j, v in fn.runs() if lo < v <= hi)
+    return [(Fraction(x, fn.den), Fraction(y, fn.den)) for x, y in kept]
 
 
 def sample_values(
@@ -195,15 +197,16 @@ def sample_values(
 
     Labels are uniform on ]0,1[ from the (seed, position) counter stream;
     a label within 1e-15 of a barrier breakpoint is replaced from a stream
-    keyed by its position, so output is independent of chunking.  Values are
-    computed on the float fast path and re-derived exactly whenever the
-    barrier image lands within 1e-12 of a level boundary.
+    keyed by its position, so output is independent of chunking.  Every
+    other output is the exact level function at its label, so it equals
+    ``value()`` there.
     """
     if n < 1:
         raise OutOfDomain("need at least one sample")
     cdf = spectral_cdf(a, psi)
     z = uniform_labels(seed, start, n)
-    bps = np.array([float(b) for b in barrier.breakpoints])
+    # integer true division is correctly rounded: float() of each breakpoint
+    bps = np.array([x / barrier.den for x in barrier.nums])
     bad = _nearest_distance(bps, z) < BREAKPOINT_EPS
     for i in np.nonzero(bad)[0]:
         for candidate in keyed_uniform(seed, start + int(i)):
@@ -212,14 +215,15 @@ def sample_values(
                 break
         else:
             raise LabelOnBreakpoint("could not draw a label away from breakpoints")
-    s = barrier.evaluate_floats(z)
-    levels = np.array(cdf.levels)
-    idx = np.searchsorted(levels, s, side="left")
-    idx = np.clip(idx, 0, len(levels) - 1)
-    support = np.array(cdf.support)
-    out = support[idx]
-    near = _nearest_distance(levels, s) < LEVEL_GUARD_EPS
-    for i in np.nonzero(near)[0]:
+    fn = level_function(cdf, barrier)
+    ends = np.array([x / fn.den for x in fn.nums])
+    idx = np.searchsorted(ends, z)
+    out = np.array(fn.values)[idx - 1]
+    # ends[idx - 1] < z <= ends[idx], each end the correctly rounded exact
+    # end e.  Rounding is monotone and z is a float, so z != ends[idx]
+    # proves e[idx - 1] < z < e[idx]: z lies inside cell idx - 1.  Only the
+    # ties are decided on the exact label.
+    for i in np.nonzero(ends[idx] == z)[0]:
         out[i] = cdf.quantile(barrier(Fraction(z[i])))
     return out
 

@@ -266,7 +266,7 @@ def check_rabi_dynamics():
         return False, f"evolution-expectation gap {gap:.3e}"
     f = ObservableFunction(sz, BarrierComplex.identity())
     h_fn = ObservableFunction(sx, BarrierComplex.identity())
-    lhs, rhs, sgap = schrodinger_equivalence_check(f, h_fn, sx, psi0, t0=0.3, dt=1e-4)
+    lhs, rhs, sgap = schrodinger_equivalence_check(f, h_fn, psi0, t0=0.3, dt=1e-4)
     if abs(lhs - (-2 * math.sin(0.6))) >= 1e-5 or sgap >= 1e-5:
         return False, f"generator equivalence gap {sgap:.3e}"
     rng = np.random.default_rng(404)
@@ -278,7 +278,7 @@ def check_rabi_dynamics():
         fo = ObservableFunction(a, BarrierComplex.identity())
         ho = ObservableFunction(h, BarrierComplex.identity())
         t0 = float(rng.uniform(0.1, 1.5))
-        _, _, g = schrodinger_equivalence_check(fo, ho, h, psi, t0, dt=1e-4)
+        _, _, g = schrodinger_equivalence_check(fo, ho, psi, t0, dt=1e-4)
         if g >= 1e-5:
             return False, f"random generator equivalence gap {g:.3e}"
     return True, f"closed form to {worst:.1e}, label gap {gap:.1e}, FD gap {sgap:.1e}"

@@ -506,6 +506,16 @@ PHASE_SPACE = '"kind": "phase_space", "sigma": "0", "N": 2, "dq": 1.0, "observab
             id="dynamics-override-operator-list",
         ),
         pytest.param(
+            '{%s, "A": [[1, 0], [0, -1]], "psi0": [1, 0], "barrier": {"overrides": 5}}' % DYNAMICS,
+            id="dynamics-overrides-not-a-list",
+        ),
+        pytest.param('{%s, "normalize": "no"}' % MEASURE, id="measure-normalize-text"),
+        pytest.param(
+            '{%s, "A": [[1, 0], [0, -1]], "psi0": [1, 0], "normalize": 1}' % DYNAMICS,
+            id="dynamics-normalize-number",
+        ),
+        pytest.param('{%s, "psi": [[1, 0]], "normalize": "no"}' % PHASE_SPACE, id="phase-space-normalize-text"),
+        pytest.param(
             '{"kind": "measure", "operator": [[1, 0], [0, -1]], "state": [1, 0, 0]}',
             id="measure-dimension-mismatch",
         ),

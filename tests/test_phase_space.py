@@ -163,7 +163,7 @@ def test_to_unit_interval_cells():
     assert equiv.bounds[0] == 0 and equiv.bounds[-1] == 1
     assert abs(float(equiv.bounds[1]) - 0.5) < 1e-12
     # two cells with masses (1/4, 3/4) occupy the matching subintervals
-    eq = CellEquivalence(np.array([0, 1]), (F(0), F(1, 4), F(1)))
+    eq = CellEquivalence(np.array([0, 1]), 4, [0, 1, 4])
     fn = eq.pcf(np.array([[[5.0, -2.0]]]))
     assert fn(F(1, 8)) == 5.0 and fn(F(1, 2)) == -2.0
 
@@ -171,14 +171,15 @@ def test_to_unit_interval_cells():
 @pytest.mark.parametrize(
     "kept, bounds, message",
     [
-        ([0, 1], (F(0), F(1)), "n\\+1 breakpoints"),
-        ([0], (F(0), F(1, 2)), "cover"),
-        ([0, 1, 2], (F(0), F(1, 2), F(1, 2), F(1)), "strictly ascending"),
+        ([0, 1], [0, 2], "n\\+1 breakpoints"),
+        ([0], [0, 1], "cover"),
+        ([0, 1, 2], [0, 1, 1, 2], "strictly ascending"),
     ],
 )
 def test_cell_equivalence_checks_its_bounds_when_built(kept, bounds, message):
+    """Bound numerators over the denominator 2."""
     with pytest.raises(BadSpec, match=message):
-        CellEquivalence(np.array(kept), bounds)
+        CellEquivalence(np.array(kept), 2, bounds)
 
 
 def test_single_cell_equivalence_is_identity():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qcs import states
 from qcs.errors import (
     DimensionMismatch,
     LabelOnBreakpoint,
@@ -143,7 +144,7 @@ def test_sample_values_stream_is_pinned(seed, start, n):
 
 def test_nearest_distance_equals_the_dense_minimum():
     """The searchsorted neighbour distance is the dense minimum bitwise, so
-    redraw and exact-path decisions do not change."""
+    redraw decisions do not change."""
     rng = np.random.default_rng(17)
     for size in (1, 2, 5, 40):
         points = np.sort(rng.random(size))
@@ -164,6 +165,47 @@ def test_sample_values_agree_with_the_values_function():
     for z, v in zip(labels, out):
         expected = value(MODEL.operator, CompleteState(MODEL.state, rot, F(float(z))))
         assert v == expected
+
+
+def _sample_at(monkeypatch, labels, a, psi, barrier):
+    """sample_values with the label stream replaced by ``labels``."""
+    labels = np.array(labels, dtype=float)
+    monkeypatch.setattr(states, "uniform_labels", lambda seed, start, n: labels.copy())
+    return labels, sample_values(a, psi, barrier, seed=0, n=len(labels))
+
+
+def test_sample_values_equal_value_at_labels_next_to_level_ends(monkeypatch):
+    """Labels at and within 3 ulps of the cell ends of the level function,
+    under a barrier whose slope 99991 spreads each ulp of label over 99991
+    ulps of level: every output is the exact value at its label."""
+    rng = np.random.default_rng(3)
+    a, psi = random_hermitian(rng, 6), random_pure_state(rng, 6)
+    k = 99991
+    barrier = build_map(MapSpec.expanding(k))
+    levels = spectral_cdf(a, psi).exact_levels[:-1]
+    labels = []
+    for i in range(k - 400, k - 1, 7):
+        for c in levels:
+            near = [float((i + c) / k)]
+            for _ in range(3):
+                near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], 1.0)]
+            labels += near
+    labels, out = _sample_at(monkeypatch, labels, a, psi, barrier)
+    checked = 0
+    for z, v in zip(labels, out):
+        if barrier.is_breakpoint(F(z)):
+            continue
+        assert v == value(a, CompleteState(psi, barrier, F(z)))
+        checked += 1
+    assert checked == 57 * len(levels) * 7
+
+
+def test_sample_values_decide_labels_on_level_ends_exactly(monkeypatch):
+    """Labels exactly on the model's levels 5/8 and 7/8 under the identity
+    barrier tie with cell ends and take the exact path."""
+    labels, out = _sample_at(monkeypatch, [0.625, 0.875, 0.5], MODEL.operator, MODEL.state, IDENTITY)
+    expected = [value(MODEL.operator, CompleteState(MODEL.state, IDENTITY, F(z))) for z in labels]
+    assert out.tolist() == expected == [-1.0, 0.0, -1.0]
 
 
 def test_sample_values_identity_operator():
