@@ -116,8 +116,6 @@ class EquivalenceComplex:
         cache = self.__dict__["_built"]
         if spec not in cache:
             fwd = build_map(spec)
-            if not fwd.measure_preserving:
-                raise UndefinedEquivalence(f"map spec {spec} is not measure preserving")
             cache[spec] = (fwd, invert(fwd))
         return cache[spec]
 

@@ -74,8 +74,9 @@ class ExperimentConfig:
             raise SchemaError(f"kind must be one of {KINDS}, got {kind!r}")
         seed = obj.get("seed", 0)
         samples = obj.get("samples", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise SchemaError("seed must be a nonnegative integer")
+        # the label stream is keyed by a 64-bit Philox key (qcs.sampling)
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+            raise SchemaError("seed must be an integer in [0, 2**64)")
         if not isinstance(samples, int) or isinstance(samples, bool) or samples < 0:
             raise SchemaError("samples must be a nonnegative integer")
         return cls(
@@ -206,7 +207,7 @@ def parse_piecewise_fn(obj) -> PiecewiseFn:
             lo = float(obj.get("lo", -math.inf))
             hi = float(obj.get("hi", math.inf))
             return PiecewiseFn.from_poly([float(c) for c in field("coeffs")], lo, hi)
-    except (TypeError, ValueError, DomainGap) as exc:
+    except (TypeError, ValueError, OverflowError, DomainGap) as exc:
         raise SchemaError(f"bad {kind} function spec: {exc}") from exc
     raise SchemaError(f"unknown function kind {kind!r}")
 
@@ -230,10 +231,7 @@ def parse_barrier_complex(obj) -> BarrierComplex:
         if not all(tag is None or isinstance(tag, str) for tag in key):
             raise SchemaError("barrier override operator and state must be tag strings")
         overrides[key] = parse_map_spec(entry["map"])
-    try:
-        return BarrierComplex(default, overrides)
-    except QcsError as exc:
-        raise SchemaError(f"bad barrier complex: {exc}") from exc
+    return BarrierComplex(default, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +368,8 @@ def _run_phase_space(config: ExperimentConfig) -> dict:
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise SchemaError("N must be an integer >= 2")
     dq = payload["dq"]
-    if not isinstance(dq, (int, float)) or isinstance(dq, bool) or not dq > 0:
-        raise SchemaError("dq must be positive")
+    if not _is_finite_real(dq) or not dq > 0:
+        raise SchemaError("dq must be a positive finite number")
     psi_rows = payload["psi"]
     if not isinstance(psi_rows, list) or not psi_rows:
         raise SchemaError("psi must be a nonempty list of sector arrays")

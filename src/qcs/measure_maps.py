@@ -24,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count, repeat, starmap
+from itertools import accumulate, chain, compress, count, repeat, starmap
 from operator import add, gt, index, le, mul, ne
 from typing import Iterable, Sequence, Union
 
@@ -232,18 +232,6 @@ class PiecewiseConstantDensity:
 
     cells: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
-    def __post_init__(self):
-        cells = tuple((to_fraction(a), to_fraction(b), to_fraction(d)) for a, b, d in self.cells)
-        object.__setattr__(self, "cells", cells)
-        if not cells or cells[0][0] != ZERO or cells[-1][1] != ONE:
-            raise BadSpec("density cells must cover ]0,1]")
-        for a, b, d in cells:
-            if b <= a or d < 0:
-                raise BadSpec("density cells must be nonempty with nonnegative values")
-        for (_, b, _), (a2, _, _) in zip(cells, cells[1:]):
-            if b != a2:
-                raise BadSpec("density cells must tile ]0,1]")
-
     @property
     def mass(self) -> Fraction:
         return sum(((b - a) * d for a, b, d in self.cells), ZERO)
@@ -253,29 +241,30 @@ def pushforward_density(m: PiecewiseAffineMap) -> PiecewiseConstantDensity:
     """Exact image density of Lebesgue measure: on each image cell, the sum
     of 1 / |slope| over the pieces whose image covers it.
 
-    Uses a sweep over image endpoints, so it stays near-linear in the number
-    of pieces.  Mass is preserved exactly.
+    Sweeps the integer image ends of ``_images``.  Piece t has slope
+    alphas[t] * m.den / W, so it adds big // |alphas[t]| to an integer
+    level, big the lcm of the |alphas|, and a level l is the density
+    l * W / (big * m.den).  Mass is preserved exactly.
     """
-    deltas: dict[Fraction, Fraction] = defaultdict(lambda: ZERO)
-    for piece in m.pieces:
-        im_lo, im_hi = piece.image_bounds()
-        dens = 1 / abs(piece.slope)
-        deltas[im_lo] += dens
-        deltas[im_hi] -= dens
-    deltas[ZERO] += ZERO
-    deltas[ONE] += ZERO
+    W, alphas, _, lo, hi = _images(m)
+    big = math.lcm(*set(alphas))
+    step = {a: big // abs(a) for a in set(alphas)}
+    deltas = defaultdict(int, {0: 0, W: 0})
+    for s, x, y in zip(map(step.__getitem__, alphas), lo, hi):
+        deltas[x] += s
+        deltas[y] -= s
     points = sorted(deltas)
-    cells: list[tuple[Fraction, Fraction, Fraction]] = []
-    level = ZERO
+    cells = []
+    level = 0
     for pt, nxt in zip(points, points[1:]):
         level += deltas[pt]
-        if nxt > pt:
-            if cells and cells[-1][2] == level:
-                a, _, dd = cells[-1]
-                cells[-1] = (a, nxt, dd)
-            else:
-                cells.append((pt, nxt, level))
-    return PiecewiseConstantDensity(tuple(cells))
+        if cells and cells[-1][2] == level:
+            cells[-1][1] = nxt
+        else:
+            cells.append([pt, nxt, level])
+    scale = big * m.den
+    cells = tuple((Fraction(a, W), Fraction(b, W), Fraction(v * W, scale)) for a, b, v in cells)
+    return PiecewiseConstantDensity(cells)
 
 
 def verify_measure_preserving(m: PiecewiseAffineMap) -> bool:
@@ -501,7 +490,7 @@ class PiecewiseConstantFn:
 
 def quantile_pcf(cdf: StepCDF) -> PiecewiseConstantFn:
     """The quantile function of a step CDF as an exact piecewise-constant function."""
-    return PiecewiseConstantFn((ZERO,) + cdf.exact_levels, cdf.support)
+    return PiecewiseConstantFn._built(*_over_common((ZERO, *cdf.exact_levels)), cdf.support)
 
 
 def level_function(cdf: StepCDF, m: PiecewiseAffineMap) -> PiecewiseConstantFn:
@@ -624,35 +613,32 @@ class MapSpec:
         return {"kind": "composition", "maps": [m.to_json() for m in self.maps]}
 
 
+def _exchange(lengths: Sequence[Fraction], perm: Sequence[int]) -> PiecewiseAffineMap:
+    """The interval exchange sending block i, of length lengths[i], to image
+    slot perm[i], with its ends over the lengths' common denominator."""
+    den, sizes = _over_common(lengths)
+    slot_sizes = [0] * len(sizes)
+    for i, p in enumerate(perm):
+        slot_sizes[p] = sizes[i]
+    nums, slots = [0, *accumulate(sizes)], [0, *accumulate(slot_sizes)]
+    cnums = [slots[p] - x for p, x in zip(perm, nums)]
+    return PiecewiseAffineMap._built(den, nums, (ONE,) * len(sizes), *_reduced(den, cnums))
+
+
 def build_map(spec: MapSpec) -> PiecewiseAffineMap:
-    """Materialize a MapSpec as an exact piecewise-affine map."""
-    if spec.kind == "identity":
-        return PiecewiseAffineMap((AffinePiece(ZERO, ONE, ONE, ZERO),))
+    """Materialize a MapSpec, checked when it was made, on integer ends with no
+    second check: every kind is measure preserving by construction (interval
+    exchanges, identity and rotations among them, z -> k z mod 1, and their
+    compositions)."""
+    if spec.kind == "identity" or spec.kind == "rotation" and spec.c == 0:
+        return _exchange((ONE,), (0,))
     if spec.kind == "rotation":
-        c = spec.c
-        if c == ZERO:
-            return build_map(MapSpec.identity())
-        return PiecewiseAffineMap(
-            (
-                AffinePiece(ZERO, ONE - c, ONE, c),
-                AffinePiece(ONE - c, ONE, ONE, c - ONE),
-            )
-        )
+        return _exchange((ONE - spec.c, spec.c), (1, 0))
     if spec.kind == "interval_exchange":
-        lengths, perm = spec.lengths, spec.perm
-        starts = [sum(lengths[:i], ZERO) for i in range(len(lengths))]
-        pieces = []
-        for i, length in enumerate(lengths):
-            target = sum((lengths[j] for j in range(len(lengths)) if perm[j] < perm[i]), ZERO)
-            pieces.append(AffinePiece(starts[i], starts[i] + length, ONE, target - starts[i]))
-        return PiecewiseAffineMap(tuple(pieces))
+        return _exchange(spec.lengths, spec.perm)
     if spec.kind == "expanding":
         k = spec.k
-        pieces = [
-            AffinePiece(Fraction(i, k), Fraction(i + 1, k), Fraction(k), Fraction(-i))
-            for i in range(k)
-        ]
-        return PiecewiseAffineMap(tuple(pieces))
+        return PiecewiseAffineMap._built(k, list(range(k + 1)), (Fraction(k),) * k, 1, list(range(0, -k, -1)))
     built = build_map(spec.maps[0])
     for sub in spec.maps[1:]:
         built = compose(build_map(sub), built)

@@ -124,7 +124,7 @@ def _check(name: str):
 def _map_with_few_pieces(rng, max_pieces: int = 6, allow_expanding: bool = True):
     while True:
         m = build_map(random_map_spec(rng, allow_expanding=allow_expanding))
-        if len(m.pieces) <= max_pieces:
+        if len(m.slopes) <= max_pieces:
             return m
 
 

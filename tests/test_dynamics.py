@@ -26,7 +26,7 @@ from qcs.dynamics import (
     quadratic_form,
     schrodinger_equivalence_check,
 )
-from qcs.errors import DimensionMismatch, NonHermitian, OutOfDomain, UndefinedEquivalence
+from qcs.errors import DimensionMismatch, NonHermitian, NotInjective, OutOfDomain, UndefinedEquivalence
 from qcs.measure_maps import MapSpec, build_map, compose, map_equal_ae
 from qcs.sampling import uniform_labels
 from qcs.spectral import HermitianOperator, PureState, spectral_cdf
@@ -263,6 +263,10 @@ def test_equivalence_complex_requires_a_rule():
     with pytest.raises(UndefinedEquivalence):
         sigma.forward(PureState(np.array([1, 0], dtype=complex)))
     assert sigma.forward(PureState(np.array([1, 0], dtype=complex), tag="known"))
+    # every spec builds a measure-preserving map; the inverse rejects the
+    # ones that are not bijections
+    with pytest.raises(NotInjective):
+        EquivalenceComplex(MapSpec.expanding(2))
 
 
 def test_intertwine_hadamard():

@@ -488,6 +488,8 @@ def test_cli_phase_space_far_tail_gaussian_exits_0(tmp_path, kind):
 MEASURE = '"kind": "measure", "operator": [[1, 0], [0, -1]], "state": [1, 0]'
 DYNAMICS = '"kind": "dynamics", "H": [[0, 1], [1, 0]], "times": [0.0, 1.0]'
 PHASE_SPACE = '"kind": "phase_space", "sigma": "0", "N": 2, "dq": 1.0, "observable": {"kind": "spin"}'
+POSITION = '"kind": "phase_space", "sigma": "0", "N": 2, "dq": 1.0, "psi": [[1, 0]], "observable": {"kind": "position", "g": %s}'
+HUGE = str(10**400)
 
 
 @pytest.mark.parametrize(
@@ -539,10 +541,33 @@ PHASE_SPACE = '"kind": "phase_space", "sigma": "0", "N": 2, "dq": 1.0, "observab
             id="map-perm-float",
         ),
         pytest.param('{%s, "barrier": {"kind": "rotation", "c": 1e400}}' % MEASURE, id="map-c-overflow"),
+        pytest.param(
+            '{"kind": "phase_space", "sigma": "0", "N": 2, "dq": %s, "psi": [[1, 0]], "observable": {"kind": "spin"}}'
+            % HUGE,
+            id="phase-space-dq-huge-int",
+        ),
+        pytest.param("{%s}" % (POSITION % '{"kind": "constant", "c": %s}' % HUGE), id="fn-c-huge-int"),
+        pytest.param("{%s}" % (POSITION % '{"kind": "affine", "a": %s, "b": 0}' % HUGE), id="fn-a-huge-int"),
+        pytest.param("{%s}" % (POSITION % '{"kind": "affine", "a": 1, "b": %s}' % HUGE), id="fn-b-huge-int"),
+        pytest.param("{%s}" % (POSITION % '{"kind": "poly", "coeffs": [0, %s]}' % HUGE), id="fn-coeffs-huge-int"),
+        pytest.param("{%s}" % (POSITION % '{"kind": "poly", "coeffs": [0, 1], "lo": -%s}' % HUGE), id="fn-lo-huge-int"),
+        pytest.param("{%s}" % (POSITION % '{"kind": "poly", "coeffs": [0, 1], "hi": %s}' % HUGE), id="fn-hi-huge-int"),
+        pytest.param('{%s, "seed": %d}' % (MEASURE, 2**64 + 1), id="seed-beyond-64-bits"),
     ],
 )
 def test_cli_malformed_config_exits_2(tmp_path, capsys, text):
     path = tmp_path / "config.json"
     path.write_text(text.replace("@TMP@", str(tmp_path)))
     assert cli_main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_cli_seed_beyond_64_bits_exits_2(tmp_path, capsys):
+    """The label stream is keyed by 64 bits, so seeds 1 and 2**64 + 1 would
+    draw the same labels; the override is rejected like the config key."""
+    path = tmp_path / "config.json"
+    path.write_text('{%s, "samples": 10}' % MEASURE)
+    assert cli_main(["run", "--config", str(path), "--seed", str(2**64 - 1)]) == 0
+    capsys.readouterr()
+    assert cli_main(["run", "--config", str(path), "--seed", str(2**64 + 1)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")

@@ -8,7 +8,7 @@ from itertools import accumulate, groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcs.errors import (
@@ -45,6 +45,16 @@ IDENTITY = build_map(MapSpec.identity())
 def halving_map():
     """u -> u/2, total but not measure preserving."""
     return PiecewiseAffineMap((AffinePiece(F(0), F(1), F(1, 2), F(0)),))
+
+
+def chord_map():
+    """Two-chord approximation of u -> u^2, not measure preserving."""
+    return PiecewiseAffineMap(
+        (
+            AffinePiece(F(0), F(1, 2), F(1, 2), F(0)),
+            AffinePiece(F(1, 2), F(1), F(3, 2), F(-1, 2)),
+        )
+    )
 
 
 def test_rotation_pieces():
@@ -142,14 +152,7 @@ def test_halving_map_density():
 
 
 def test_chordal_parabola_is_not_preserving():
-    # two-chord approximation of u -> u^2
-    chords = PiecewiseAffineMap(
-        (
-            AffinePiece(F(0), F(1, 2), F(1, 2), F(0)),
-            AffinePiece(F(1, 2), F(1), F(3, 2), F(-1, 2)),
-        )
-    )
-    assert not verify_measure_preserving(chords)
+    assert not verify_measure_preserving(chord_map())
 
 
 def test_compose_rotations_cancel():
@@ -474,6 +477,73 @@ def signed_maps(draw):
 
 
 @st.composite
+def built_specs(draw):
+    """The identity, a simple spec (rotation(0) among them), or a
+    composition of up to three of these."""
+    specs = draw(st.lists(st.one_of(st.just(MapSpec.identity()), simple_specs()), min_size=1, max_size=3))
+    return specs[0] if len(specs) == 1 else MapSpec.composition(*specs)
+
+
+def ref_build_map(spec):
+    """The piece builder: each kind's ``AffinePiece`` list through the public
+    constructor, and compositions through ``compose``."""
+    if spec.kind == "identity" or spec.kind == "rotation" and spec.c == 0:
+        return PiecewiseAffineMap((AffinePiece(F(0), F(1), F(1), F(0)),))
+    if spec.kind == "rotation":
+        c = spec.c
+        return PiecewiseAffineMap((AffinePiece(F(0), 1 - c, F(1), c), AffinePiece(1 - c, F(1), F(1), c - 1)))
+    if spec.kind == "interval_exchange":
+        lengths, perm, n = spec.lengths, spec.perm, len(spec.lengths)
+        starts = [sum(lengths[:i], F(0)) for i in range(n)]
+        targets = [sum((lengths[j] for j in range(n) if perm[j] < perm[i]), F(0)) for i in range(n)]
+        return PiecewiseAffineMap(
+            tuple(AffinePiece(a, a + x, F(1), t - a) for a, x, t in zip(starts, lengths, targets))
+        )
+    if spec.kind == "expanding":
+        k = spec.k
+        return PiecewiseAffineMap(tuple(AffinePiece(F(i, k), F(i + 1, k), F(k), F(-i)) for i in range(k)))
+    built = ref_build_map(spec.maps[0])
+    for sub in spec.maps[1:]:
+        built = compose(ref_build_map(sub), built)
+    return built
+
+
+def ref_pushforward_density(m):
+    """The per-piece ``Fraction`` sweep: each piece adds 1 / |slope| on its
+    image bounds; adjacent cells of equal density merge."""
+    deltas = defaultdict(lambda: F(0))
+    for p in m.pieces:
+        im_lo, im_hi = p.image_bounds()
+        deltas[im_lo] += 1 / abs(p.slope)
+        deltas[im_hi] -= 1 / abs(p.slope)
+    deltas[F(0)] += 0
+    deltas[F(1)] += 0
+    points = sorted(deltas)
+    cells, level = [], F(0)
+    for pt, nxt in zip(points, points[1:]):
+        level += deltas[pt]
+        if cells and cells[-1][2] == level:
+            cells[-1] = (cells[-1][0], nxt, level)
+        else:
+            cells.append((pt, nxt, level))
+    return cells
+
+
+def representation(m):
+    return m.den, list(m.nums), m.slopes, m.cden, list(m.cnums)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=built_specs())
+@example(spec=MapSpec.rotation(0))
+@example(spec=MapSpec.expanding(97))
+@example(spec=MapSpec.interval_exchange([F(1, 6), F(1, 6), F(2, 3)], [2, 0, 1]))
+@example(spec=MapSpec.composition(MapSpec.expanding(3), MapSpec.rotation(F(1, 3)), MapSpec.expanding(2)))
+def test_build_map_matches_the_piece_builder(spec):
+    assert representation(build_map(spec)) == representation(ref_build_map(spec))
+
+
+@st.composite
 def functions_on(draw, m):
     """A piecewise-constant function whose breakpoints mix random rationals
     with image ends of m's pieces, so some levels sit exactly on an image end.
@@ -592,6 +662,16 @@ def test_factor_against_cdf_on_float_levels_and_mixed_breakpoints(data, cdf):
 
 
 @settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=signed_maps(), cdf=dyadic_cdfs(), float_cdf=float_level_cdfs())
+def test_pushforward_density_matches_the_fraction_sweep(data, m, cdf, float_cdf):
+    """On signed maps, on factor outputs (exact, and within MATCH_TOL, whose
+    densities miss 1), and on the halving and chord maps."""
+    near = factor_against_cdf(data.draw(near_matching_functions(float_cdf)), float_cdf)
+    for out in (m, factor_against_cdf(level_function(cdf, m), cdf), near, halving_map(), chord_map()):
+        assert list(pushforward_density(out).cells) == ref_pushforward_density(out)
+
+
+@settings(max_examples=80, deadline=None)
 @given(data=st.data(), m=signed_maps())
 def test_factor_against_exact_levels_on_mixed_denominators(data, m):
     """Exact levels over dyadic, triadic and decimal denominators, equal to
@@ -686,8 +766,9 @@ def assert_rebuilds(out):
     inner=signed_maps(),
     spec=simple_specs().filter(lambda s: s.kind != "expanding"),
     flip=st.booleans(),
+    built=built_specs(),
 )
-def test_kernel_outputs_pass_the_public_checks(data, cdf, outer, inner, spec, flip):
+def test_kernel_outputs_pass_the_public_checks(data, cdf, outer, inner, spec, flip, built):
     bijection = build_map(spec)
     if flip:
         bijection = compose(reflection_map(), bijection)
@@ -699,6 +780,7 @@ def test_kernel_outputs_pass_the_public_checks(data, cdf, outer, inner, spec, fl
         alpha,
         fn.compose_with_map(inner),
         level_function(cdf, alpha),
+        build_map(built),
     ):
         assert_rebuilds(out)
 
