@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -130,21 +131,59 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_REALS = {int, float}
+
+
+def _complex_array(rows: list, width: int) -> np.ndarray:
+    """The complex (len(rows), width) array of rows of ``width`` entries,
+    every entry a real or an [re, im] pair.
+
+    When every entry is a real, or every entry a list or tuple of exactly two
+    reals, and each number's exact type is int or float (so no bool, str or
+    numpy scalar), one numpy call converts the flattened numbers: pairs
+    become float pairs viewed as complex, which keeps the sign of a zero
+    part.  Anything else, or an int beyond float range, is read entry by
+    entry, which reports the first bad entry.
+    """
+    shape = (len(rows), width)
+    entries = list(chain.from_iterable(rows))
+    kinds = set(map(type, entries))
+    try:
+        if kinds <= _REALS:
+            return np.array(entries, dtype=float).reshape(shape).astype(complex)
+        if kinds <= {list, tuple} and set(map(len, entries)) == {2}:
+            parts = list(chain.from_iterable(entries))
+            if set(map(type, parts)) <= _REALS:
+                return np.array(parts, dtype=float).view(complex).reshape(shape)
+    except OverflowError:
+        pass
+    return np.array([[_entry_to_complex(x) for x in row] for row in rows], dtype=complex)
+
+
 def parse_matrix(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError("matrix must be a nonempty list of rows")
-    rows = []
-    for row in obj:
+    for k, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != len(obj):
+            # rows are read in order: a bad entry in an earlier row is reported first
+            _complex_array(obj[:k], len(obj))
             raise SchemaError("matrix must be square")
-        rows.append([_entry_to_complex(x) for x in row])
-    return _finite(np.array(rows, dtype=complex))
+    return _finite(_complex_array(obj, len(obj)))
 
 
 def parse_vector(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError("vector must be a nonempty list")
-    return _finite(np.array([_entry_to_complex(x) for x in obj], dtype=complex))
+    return _finite(_complex_array([obj], len(obj))[0])
+
+
+def parse_sectors(obj, n: int) -> np.ndarray:
+    """Phase-space amplitudes: one row of N entries per spin sector."""
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError("psi must be a nonempty list of sector arrays")
+    if not all(isinstance(row, list) and len(row) == n for row in obj):
+        raise SchemaError("psi sector arrays must have length N")
+    return _finite(_complex_array(obj, n))
 
 
 def parse_hermitian(obj, what: str) -> HermitianOperator:
@@ -370,12 +409,7 @@ def _run_phase_space(config: ExperimentConfig) -> dict:
     dq = payload["dq"]
     if not _is_finite_real(dq) or not dq > 0:
         raise SchemaError("dq must be a positive finite number")
-    psi_rows = payload["psi"]
-    if not isinstance(psi_rows, list) or not psi_rows:
-        raise SchemaError("psi must be a nonempty list of sector arrays")
-    if not all(isinstance(row, list) and len(row) == n for row in psi_rows):
-        raise SchemaError("psi sector arrays must have length N")
-    amps = _finite(np.array([[_entry_to_complex(x) for x in row] for row in psi_rows], dtype=complex))
+    amps = parse_sectors(payload["psi"], n)
     build = PhaseSpaceState.normalized if parse_normalize(payload) else PhaseSpaceState
     try:
         state = build(spin, amps, float(dq))

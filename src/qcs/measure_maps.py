@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -204,6 +205,11 @@ class PiecewiseAffineMap:
     @cached_property
     def measure_preserving(self) -> bool:
         return verify_measure_preserving(self)
+
+    @cached_property
+    def _level_memo(self) -> "weakref.WeakKeyDictionary[StepCDF, PiecewiseConstantFn]":
+        """Level functions of this map, keyed weakly by step CDF object."""
+        return weakref.WeakKeyDictionary()
 
 
 def map_equal_ae(m1: PiecewiseAffineMap, m2: PiecewiseAffineMap) -> bool:
@@ -494,8 +500,16 @@ def quantile_pcf(cdf: StepCDF) -> PiecewiseConstantFn:
 
 
 def level_function(cdf: StepCDF, m: PiecewiseAffineMap) -> PiecewiseConstantFn:
-    """The deterministic outcome z -> quantile(cdf, m(z)) as an exact function."""
-    return quantile_pcf(cdf).compose_with_map(m)
+    """The deterministic outcome z -> quantile(cdf, m(z)) as an exact function.
+
+    The result is memoised per (step CDF object, map) on the map; the memo
+    holds the CDF only weakly.  Callers share it and must not change it.
+    """
+    memo = m._level_memo
+    fn = memo.get(cdf)
+    if fn is None:
+        fn = memo[cdf] = quantile_pcf(cdf).compose_with_map(m)
+    return fn
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,23 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qcs import harness
 from qcs.errors import BadSpec, EmptySample, SchemaError
 from qcs.harness import (
     ExperimentConfig,
     Report,
     emit_report,
+    parse_matrix,
     parse_piecewise_fn,
+    parse_sectors,
+    parse_vector,
     render_report,
     run_experiment,
 )
-from qcs.measure_maps import MapSpec
+from qcs.measure_maps import MapSpec, PiecewiseConstantFn
 from qcs.spectral import StepCDF
 from qcs.stats import empirical_cdf, ks_statistic, ks_threshold
 from qcs import verify
@@ -571,3 +577,201 @@ def test_cli_seed_beyond_64_bits_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["run", "--config", str(path), "--seed", str(2**64 + 1)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+# ---------------------------------------------------------------------------
+# Matrix, vector and sector parsing against the per-entry reference
+
+
+def _ref_entry(x) -> complex:
+    try:
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            return complex(float(x), 0.0)
+        if isinstance(x, (list, tuple)) and len(x) == 2:
+            re, im = x
+            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
+                return complex(float(re), float(im))
+    except OverflowError:
+        pass
+    raise SchemaError(f"matrix entries must be finite reals or [re, im] pairs, got {x!r}")
+
+
+def ref_parse_entries(rows) -> np.ndarray:
+    """The per-entry parse's last step: the entries, each converted on its
+    own, stacked into one array and checked for finiteness once."""
+    out = np.array(rows, dtype=complex)
+    if not np.isfinite(out).all():
+        raise SchemaError("matrix entries must be finite reals or [re, im] pairs")
+    return out
+
+
+def ref_parse_matrix(obj) -> np.ndarray:
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError("matrix must be a nonempty list of rows")
+    rows = []
+    for row in obj:
+        if not isinstance(row, list) or len(row) != len(obj):
+            raise SchemaError("matrix must be square")
+        rows.append([_ref_entry(x) for x in row])
+    return ref_parse_entries(rows)
+
+
+def ref_parse_vector(obj) -> np.ndarray:
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError("vector must be a nonempty list")
+    return ref_parse_entries([_ref_entry(x) for x in obj])
+
+
+def ref_parse_sectors(obj, n) -> np.ndarray:
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError("psi must be a nonempty list of sector arrays")
+    if not all(isinstance(row, list) and len(row) == n for row in obj):
+        raise SchemaError("psi sector arrays must have length N")
+    return ref_parse_entries([[_ref_entry(x) for x in row] for row in obj])
+
+
+def _outcome(parse, *args):
+    """(bytes, shape) of the parsed array, or the error's type and message."""
+    try:
+        out = parse(*args)
+    except SchemaError as exc:
+        return type(exc), str(exc)
+    assert out.dtype == np.complex128
+    return out.tobytes(), out.shape
+
+
+EDGE_REALS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5, -2.75,
+    2**53 + 1, 2**63, -(2**63), 2**63 + 1, 2**64 - 1, 2**64 + 1, 3**500,
+    1 << 900, -(1 << 900), 10**400, -(10**400), math.nan, math.inf, -math.inf,
+]
+REALS = st.one_of(st.sampled_from(EDGE_REALS), st.floats(), st.integers())
+NON_REALS = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["1.5", "0", "-0.0", "nan", "1e400", "ab"]),
+    st.text(max_size=2),
+    st.builds(np.float64, st.floats()),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+)
+
+
+def _pairs(part):
+    return st.builds(lambda re, im, tup: (re, im) if tup else [re, im], part, part, st.booleans())
+
+
+ANY_ENTRY = st.one_of(
+    REALS,
+    _pairs(REALS),
+    NON_REALS,
+    _pairs(st.one_of(REALS, NON_REALS)),
+    st.lists(REALS, min_size=1, max_size=3).filter(lambda x: len(x) != 2),
+    st.tuples(REALS, REALS, REALS),
+)
+
+
+@st.composite
+def entry_rows(draw, n_rows: int, width: int):
+    """n_rows rows of width entries: all reals, all pairs, or anything."""
+    entry = draw(st.sampled_from([REALS, _pairs(REALS), ANY_ENTRY]))
+    return [draw(st.lists(entry, min_size=width, max_size=width)) for _ in range(n_rows)]
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(entry_rows(n, n))
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        rows[k] = draw(
+            st.one_of(
+                st.lists(ANY_ENTRY, max_size=n + 1),
+                st.lists(REALS, min_size=n, max_size=n).map(tuple),
+                NON_REALS,
+            )
+        )
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+@example([[-0.0, [1, -0.0]], [[-0.0, 0.0], (2**64 + 1, 5e-324)]])
+@example([[True, 0], [0, 1]])
+@example([["1.5", 0], [0, 1]])
+@example([[1, 2], [3, 10**400]])
+@example([[[1, 2], [3, 4]], [[5, 6], [7, 8, 9]]])
+def test_parse_matrix_matches_the_per_entry_reference(obj):
+    assert _outcome(parse_matrix, obj) == _outcome(ref_parse_matrix, obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: entry_rows(1, n)).map(lambda rows: rows[0]))
+@example([[-0.0, 0.0], [0.0, -0.0]])
+@example([False, 1.0])
+@example([(1, 2), [3.5, 1 << 900]])
+def test_parse_vector_matches_the_per_entry_reference(obj):
+    assert _outcome(parse_vector, obj) == _outcome(ref_parse_vector, obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.integers(1, 3), st.integers(2, 4)).flatmap(
+        lambda s: st.tuples(entry_rows(*s), st.integers(1, 5))
+    )
+)
+@example(([[1, -0.0], [[0, 0], 2]], 2))
+@example(([[1, 2], [3, 4]], 3))
+@example(([[[-0.0, 0.0], (1, 2)]], 2))
+@example(([[True, 1.0]], 2))
+@example(([["1.5", 0]], 2))
+def test_parse_sectors_matches_the_per_entry_reference(case):
+    rows, n = case
+    assert _outcome(parse_sectors, rows, n) == _outcome(ref_parse_sectors, rows, n)
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that appends to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("as_pairs", [False, True])
+def test_well_formed_configs_parse_without_per_entry_calls(monkeypatch, as_pairs):
+    rng = np.random.default_rng(64)
+    m = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    v = rng.normal(size=64) + 1j * rng.normal(size=64)
+    if as_pairs:
+        matrix = [[[x.real, x.imag] for x in row] for row in m.tolist()]
+        vector = [(x.real, x.imag) for x in v.tolist()]
+    else:
+        matrix = m.real.tolist()
+        vector = [int(x) for x in (v.real * 1000)]
+    expected = ref_parse_matrix(matrix), ref_parse_vector(vector), ref_parse_sectors(matrix, 64)
+    calls = _count_calls(monkeypatch, harness, "_entry_to_complex")
+    got = parse_matrix(matrix), parse_vector(vector), parse_sectors(matrix, 64)
+    assert calls == []
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+
+def test_qcs_run_measure_builds_one_level_function(tmp_path, monkeypatch, capsys):
+    """value_distribution and the sampled KS check share one level function."""
+    config = {
+        "kind": "measure",
+        "operator": [[1, 0, 0], [0, 0, 0], [0, 0, -1]],
+        "state": [1, 1, 1],
+        "normalize": True,
+        "barrier": {"kind": "composition", "maps": [{"kind": "rotation", "c": "1/3"}, {"kind": "expanding", "k": 3}]},
+        "samples": 500,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    calls = _count_calls(monkeypatch, PiecewiseConstantFn, "compose_with_map")
+    assert cli_main(["run", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["ks"]["n"] == 500
+    assert len(calls) == 1

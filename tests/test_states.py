@@ -146,6 +146,65 @@ def test_sample_values_stream_is_pinned(seed, start, n):
     assert _digest(np.concatenate(chunks)) == SAMPLE_DIGESTS[seed, start, n]
 
 
+def test_chunked_sampling_builds_one_level_function(monkeypatch):
+    """Four chunks on one (operator, state, barrier) share one level function."""
+    from qcs.measure_maps import PiecewiseConstantFn
+
+    rng = np.random.default_rng(5)
+    a, psi = random_hermitian(rng, 6), random_pure_state(rng, 6)
+    barrier = build_map(MapSpec.composition(MapSpec.rotation(F(1, 3)), MapSpec.expanding(3)))
+    calls = []
+    original = PiecewiseConstantFn.compose_with_map
+
+    def counted(fn, m):
+        calls.append(m)
+        return original(fn, m)
+
+    monkeypatch.setattr(PiecewiseConstantFn, "compose_with_map", counted)
+    chunks = [sample_values(a, psi, barrier, 7, 256, start=256 * k) for k in range(4)]
+    assert calls == [barrier]
+    monkeypatch.undo()
+    assert np.array_equal(np.concatenate(chunks), sample_values(a, psi, barrier, 7, 1024))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, -(2**64)])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    """The Philox key is one 64-bit word: seed -1 would draw the labels of
+    2**64 - 1, and 2**64 those of 0."""
+    from qcs.sampling import keyed_uniform, uniform_labels
+
+    with pytest.raises(OutOfDomain):
+        uniform_labels(seed, 0, 4)
+    with pytest.raises(OutOfDomain):
+        keyed_uniform(seed, 0)
+    with pytest.raises(OutOfDomain):
+        sample_values(MODEL.operator, MODEL.state, IDENTITY, seed, 4)
+
+
+def test_extreme_seeds_draw_distinct_streams():
+    from qcs.sampling import keyed_uniform, uniform_labels
+
+    top, zero = uniform_labels(2**64 - 1, 0, 8), uniform_labels(0, 0, 8)
+    assert not np.array_equal(top, zero)
+    assert not np.array_equal(keyed_uniform(2**64 - 1, 0), keyed_uniform(0, 0))
+
+
+@pytest.mark.parametrize("start, count", [(-1, 4), (0, -1), (-4, -4)])
+def test_negative_start_or_count_is_out_of_domain(start, count):
+    from qcs.sampling import uniform_labels
+
+    with pytest.raises(OutOfDomain, match="nonnegative"):
+        uniform_labels(3, start, count)
+
+
+def test_negative_redraw_position_is_out_of_domain():
+    """Position -1 would wrap to the redraw key of position 2**64 - 1."""
+    from qcs.sampling import keyed_uniform
+
+    with pytest.raises(OutOfDomain):
+        keyed_uniform(3, -1)
+
+
 def test_nearest_distance_equals_the_dense_minimum():
     """The searchsorted neighbour distance is the dense minimum bitwise, so
     redraw decisions do not change."""
