@@ -14,7 +14,6 @@ from .spectral import (
     spectral_cdf,
 )
 from .measure_maps import (
-    AffinePiece,
     MapSpec,
     PiecewiseAffineMap,
     PiecewiseConstantDensity,

@@ -32,6 +32,7 @@ from .spectral import (
     PureState,
     borel_apply,
     spectral_cdf,
+    spectral_scale,
 )
 from .states import (
     BarrierComplex,
@@ -343,7 +344,8 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
         gap = abs(op_side - label_side)
         rows.append({"t": t, "operator_side": op_side, "label_side": label_side, "gap": gap})
     worst = max(row["gap"] for row in rows)
-    return {"rows": rows, "max_gap": worst, "passed": bool(worst < 1e-10)}
+    bound = 1e-10 * spectral_scale(a.eigensystem.eigenvalues)
+    return {"rows": rows, "max_gap": worst, "passed": bool(worst < bound)}
 
 
 def _run_example4(config: ExperimentConfig) -> dict:
@@ -444,7 +446,7 @@ def _run_phase_space(config: ExperimentConfig) -> dict:
         "operator_side": op_side,
         "label_side": label_side,
         "gap": gap,
-        "passed": bool(gap < 1e-12),
+        "passed": bool(gap < 1e-12 * spectral_scale(obs.cdf.support)),
         "rows": [
             {"value": v, "weight": w} for v, w in zip(obs.cdf.support, obs.cdf.weights)
         ],

@@ -6,11 +6,10 @@ over a second one; slopes are ``Fraction`` objects shared by runs of pieces.
 Floats entering from spectral data are converted exactly (every double is
 rational), and the kernels compare and cut integers against integers, so
 pushforwards, compositions, inversions and preimage measures are computed
-with no sampling and no rounding.  ``breakpoints`` and ``pieces`` are
-``Fraction`` views of the same data for the public API, built on first use
-and never by the kernels.  Functions are understood almost everywhere:
-single points are null, and "equal a.e." means equal off finitely many
-breakpoints.
+with no sampling and no rounding.  ``breakpoints`` is a ``Fraction`` view
+of the ends, built on first use and never by the kernels.  Functions are
+understood almost everywhere: single points are null, and "equal a.e."
+means equal off finitely many breakpoints.
 
 Pieces are left-open right-closed, matching the ]a,b] calculus used by the
 step CDFs in :mod:`qcs.spectral`.
@@ -25,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat, starmap
+from itertools import accumulate, chain, compress, count, repeat
 from operator import add, gt, index, le, mul, ne
 from typing import Iterable, Sequence, Union
 
@@ -116,23 +115,6 @@ def check_partition(den: int, nums: Sequence[int], cells: int) -> None:
 # ---------------------------------------------------------------------------
 # Piecewise-affine maps
 
-@dataclass(frozen=True)
-class AffinePiece:
-    """z -> slope*z + intercept on the source interval ]lo, hi]."""
-
-    lo: Fraction
-    hi: Fraction
-    slope: Fraction
-    intercept: Fraction
-
-    def __call__(self, z: Fraction) -> Fraction:
-        return self.slope * z + self.intercept
-
-    def image_bounds(self) -> tuple[Fraction, Fraction]:
-        a, b = self(self.lo), self(self.hi)
-        return (a, b) if a <= b else (b, a)
-
-
 class PiecewiseAffineMap:
     """Borel map ]0,1[ -> [0,1] made of finitely many affine pieces.
 
@@ -140,31 +122,21 @@ class PiecewiseAffineMap:
     ]nums[t] / den, nums[t + 1] / den]: the ends are integer numerators over
     one denominator, the intercepts over another.  The value at a breakpoint
     follows the ]lo,hi] convention but is never relied on (breakpoints are
-    null).  ``pieces`` and ``breakpoints`` are ``Fraction`` views, built on
-    first use; a map built from pieces keeps the tuple it was given.
+    null).  The constructor checks that the ends tile ]0,1], that every
+    slope is nonzero and that every image lies in [0,1].
     """
 
-    def __init__(self, pieces: Iterable[AffinePiece]):
-        pieces = tuple(pieces)
-        if not pieces:
-            raise BadSpec("map needs at least one piece")
-        den, ends = _over_common([x for p in pieces for x in (p.lo, p.hi)])
-        los, his = ends[::2], ends[1::2]
-        if los[0] != 0 or his[-1] != den:
-            raise BadSpec("pieces must cover ]0,1]")
-        if los[1:] != his[:-1]:
-            raise BadSpec("pieces must tile ]0,1] without gaps or overlaps")
-        if any(map(le, his, los)):
-            raise BadSpec("piece source interval is empty")
-        self.slopes = tuple(p.slope for p in pieces)
+    def __init__(self, den: int, nums: Sequence[int], slopes: Iterable[RationalLike], cden: int, cnums: Sequence[int]):
+        self.den, self.nums, self.slopes = den, list(nums), tuple(map(to_fraction, slopes))
+        self.cden, self.cnums = cden, list(cnums)
+        check_partition(den, self.nums, len(self.slopes))
+        if cden <= 0 or len(self.cnums) != len(self.slopes):
+            raise BadSpec("need one intercept per piece over a positive denominator")
         if not all(self.slopes):
             raise BadSpec("piece slope must be nonzero")
-        self.den, self.nums = den, [0, *his]
-        self.cden, self.cnums = _over_common([p.intercept for p in pieces])
         W, _, _, lo, hi = _images(self)
         if min(lo) < 0 or max(hi) > W:
             raise BadSpec("piece image escapes [0,1]")
-        self.__dict__["pieces"] = pieces
 
     @classmethod
     def _built(cls, den, nums, slopes, cden, cnums) -> "PiecewiseAffineMap":
@@ -176,18 +148,11 @@ class PiecewiseAffineMap:
 
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
+        """The ends as ``Fraction`` objects, built on first use.  No library
+        path reads them; the traced benchmark run counts pieces and
+        denominator bits from them (``perfbench/spans.py``), and its
+        measure workload compares labels with them."""
         return tuple(Fraction(n, self.den) for n in self.nums)
-
-    @cached_property
-    def pieces(self) -> tuple[AffinePiece, ...]:
-        bps, intercepts = self.breakpoints, {c: Fraction(c, self.cden) for c in set(self.cnums)}
-        cells = zip(bps, bps[1:], self.slopes, map(intercepts.__getitem__, self.cnums))
-        return tuple(starmap(AffinePiece, cells))
-
-    def piece_at(self, z: Fraction) -> AffinePiece:
-        if not (ZERO < z <= ONE):
-            raise OutOfDomain(f"label {z} outside ]0,1]")
-        return self.pieces[_cell_of(self.nums, self.den, z)]
 
     def __call__(self, z: RationalLike) -> Fraction:
         z = to_fraction(z)
@@ -310,32 +275,32 @@ def _pullback(m: PiecewiseAffineMap, den: int, ends: Sequence[int]):
     image.  Image ends and partition ends are integers over one W
     (``_images``); an integer bisect finds each image's cell.  A piece whose
     image spans cells is cut at (e - cs[t]) / alphas[t], in units of
-    1 / m.den, for each end e inside the image.
+    1 / m.den, for each end e inside the image: an integer over m.den * L,
+    L the lcm of the alphas of the cut pieces.  The ends are then reduced,
+    unless every cut falls on a multiple of 1 / m.den.
     """
     W, alphas, cs, lo, hi = _images(m, den)
     inner = _rescale(ends, den, W)[1:]
     first = list(map(bisect.bisect_right, repeat(inner), lo))
-    if not any(map(gt, hi, map(inner.__getitem__, first))):
+    spans = list(map(gt, hi, map(inner.__getitem__, first)))
+    if not any(spans):
         return m.den, m.nums, range(len(first)), first
+    scale = math.lcm(*compress(alphas, spans))
     nums, sources, cells, whole = [0], [], [], True
     for t, (i, y) in enumerate(zip(first, hi)):
         j = bisect.bisect_left(inner, y, i)
-        cuts, spanned = [], list(range(i, j + 1))
-        for e in inner[i:j]:
-            q, r = divmod(e - cs[t], alphas[t])
-            cuts.append(Fraction(e - cs[t], alphas[t]) if r else q)
-            whole = whole and not r
+        c, per = cs[t], scale // alphas[t]
+        cuts, spanned = [(e - c) * per for e in inner[i:j]], list(range(i, j + 1))
+        whole = whole and not any(x % scale for x in cuts)
         if alphas[t] < 0:
             cuts.reverse()
             spanned.reverse()
-        nums += [*cuts, m.nums[t + 1]]
+        nums += [*cuts, m.nums[t + 1] * scale]
         sources += [t] * len(spanned)
         cells += spanned
-    den = m.den
-    if not whole:
-        scale = math.lcm(*(x.denominator for x in nums))
-        den, nums = _reduced(den * scale, [x.numerator * (scale // x.denominator) for x in nums])
-    return den, nums, sources, cells
+    if whole:
+        return m.den, [x // scale for x in nums], sources, cells
+    return (*_reduced(m.den * scale, nums), sources, cells)
 
 
 def compose(outer: PiecewiseAffineMap, inner: PiecewiseAffineMap) -> PiecewiseAffineMap:
@@ -407,16 +372,13 @@ class PiecewiseConstantFn:
     """Real function constant on each cell ]b_{i-1}, b_i] of a partition of ]0,1].
 
     The breakpoints b_i are held as integer numerators ``nums`` over one
-    denominator ``den``.  ``breakpoints`` is their ``Fraction`` view, built
-    on first use; a function built from breakpoints keeps them as its view.
+    denominator ``den``; the constructor checks that they partition ]0,1]
+    into one cell per value.
     """
 
-    def __init__(self, breakpoints: Iterable[RationalLike], values: Iterable[float]):
-        bps = tuple(to_fraction(b) for b in breakpoints)
-        self.values = tuple(float(v) for v in values)
-        self.den, self.nums = _over_common(bps)
-        check_partition(self.den, self.nums, len(self.values))
-        self.__dict__["breakpoints"] = bps
+    def __init__(self, den: int, nums: Sequence[int], values: Iterable[float]):
+        self.den, self.nums, self.values = den, list(nums), tuple(float(v) for v in values)
+        check_partition(den, self.nums, len(self.values))
 
     @classmethod
     def _built(cls, den: int, nums: Sequence[int], values: tuple[float, ...]) -> "PiecewiseConstantFn":
@@ -428,6 +390,9 @@ class PiecewiseConstantFn:
 
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
+        """The breakpoints as ``Fraction`` objects, built on first use.  No
+        library path reads them; the traced benchmark run counts cells and
+        denominator bits from them (``perfbench/spans.py``)."""
         return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __call__(self, z: RationalLike) -> float:
@@ -435,9 +400,6 @@ class PiecewiseConstantFn:
         if not (ZERO < z <= ONE):
             raise OutOfDomain(f"{z} outside ]0,1]")
         return self.values[_cell_of(self.nums, self.den, z)]
-
-    def cells(self) -> Iterable[tuple[Fraction, Fraction, float]]:
-        return zip(self.breakpoints, self.breakpoints[1:], self.values)
 
     def map_values(self, fn) -> "PiecewiseConstantFn":
         return PiecewiseConstantFn._built(self.den, self.nums, tuple(float(fn(v)) for v in self.values))

@@ -296,18 +296,13 @@ class CellEquivalence:
     Cells are ordered by (sector, position, momentum); each cell of positive
     mass occupies an interval of exactly its share of the total mass, so the
     pushforward of the cell measure is Lebesgue by construction.  Cell i is
-    ]nums[i] / den, nums[i + 1] / den]; ``bounds`` is the ``Fraction`` view,
-    built on first use.
+    ]nums[i] / den, nums[i + 1] / den].
     """
 
     def __init__(self, kept: np.ndarray, den: int, nums: list[int]):
         # checked once here, for every cell function that pcf transports
         check_partition(den, nums, len(kept))
         self.kept, self.den, self.nums = kept, den, nums
-
-    @cached_property
-    def bounds(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def n_cells(self) -> int:

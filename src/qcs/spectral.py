@@ -386,16 +386,11 @@ def eigensystem(a: HermitianOperator) -> EigenSystem:
     must match the operator within ``PROJECTOR_TOL`` times the same scale."""
     w, v = np.linalg.eigh(a.entries)
     scale = spectral_scale(w)
-    gap = EIGENVALUE_MERGE_TOL * scale
-    atoms = []
-    i = 0
-    while i < a.dim:
-        j = i
-        while j + 1 < a.dim and w[j + 1] - w[j] <= gap:
-            j += 1
-        atoms.append((float(np.mean(w[i : j + 1])), v[:, i : j + 1]))
-        i = j + 1
-    system = EigenSystem(tuple(atoms))
+    # gaps of halves, so none overflows near +-1e308; halving is exact
+    # wherever a gap can be near the merge bound
+    apart = ~(np.diff(w / 2) <= EIGENVALUE_MERGE_TOL * scale / 2)
+    starts = [0, *(np.flatnonzero(apart) + 1).tolist(), a.dim]
+    system = EigenSystem(tuple((float(np.mean(w[i:j])), v[:, i:j]) for i, j in zip(starts, starts[1:])))
     if np.abs(system.matrix() - a.entries).max() > PROJECTOR_TOL * scale:
         raise NonHermitian("spectral reconstruction failed")
     return system
@@ -436,10 +431,10 @@ def borel_apply(fn: PiecewiseFn, a: HermitianOperator) -> HermitianOperator:
     Hermitian.
     """
     images = sorted(((fn(lam), v) for lam, v in a.eigensystem.atoms), key=lambda t: t[0])
-    gap = EIGENVALUE_MERGE_TOL * spectral_scale([val for val, _ in images])
+    half_gap = EIGENVALUE_MERGE_TOL * spectral_scale([val for val, _ in images]) / 2
     merged: list[tuple[float, list[np.ndarray]]] = []
     for val, v in images:
-        if merged and val - merged[-1][0] <= gap:
+        if merged and val / 2 - merged[-1][0] / 2 <= half_gap:
             merged[-1][1].append(v)
         else:
             merged.append((val, [v]))

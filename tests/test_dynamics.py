@@ -88,13 +88,6 @@ def test_gradient_identity_operator():
     assert gradient_check(f, psi, h=1e-4) < 1e-8
 
 
-def test_gradient_random_cases(rng):
-    for _ in range(5):
-        a = random_hermitian(rng, 4)
-        psi = random_pure_state(rng, 4)
-        assert gradient_check(obs(a), psi, h=1e-5) < 1e-6
-
-
 def test_lie_product_of_spin_axes():
     lie = algebra_product("lie", obs(pauli_x()), obs(pauli_y()))
     assert np.abs(lie.operator.entries - pauli_z().entries).max() < 1e-12

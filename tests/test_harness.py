@@ -491,6 +491,59 @@ def test_cli_phase_space_far_tail_gaussian_exits_0(tmp_path, kind):
     assert results["passed"]
 
 
+def run_cli(tmp_path, config):
+    """Exit code and report results of `qcs run` on a config."""
+    path, out = tmp_path / "config.json", tmp_path / "report.json"
+    path.write_text(json.dumps(config))
+    code = cli_main(["run", "--config", str(path), "--out", str(out)])
+    return code, json.loads(out.read_text())["results"]
+
+
+def test_cli_dynamics_pass_bound_follows_the_scale_of_the_observable(tmp_path):
+    """An observable of norm near 1.3e6 leaves the evolution identity a
+    float gap of 7e-10, past the bare 1e-10 but far inside 1e-10 times the
+    spectral scale."""
+    config = {
+        "kind": "dynamics",
+        "A": [[0, 1e6], [1e6, 5e5]],
+        "H": [[1, 0.3], [0.3, -1]],
+        "psi0": [0.6, 0.8],
+        "times": np.linspace(0, 6.28, 16).tolist(),
+    }
+    code, results = run_cli(tmp_path, config)
+    assert code == 0 and results["passed"] is True
+    assert 1e-10 < results["max_gap"] < 1e-8
+
+
+def test_cli_phase_space_pass_bound_follows_the_scale_of_the_observable(tmp_path):
+    """g = 1000 q on a grid up to q = 31.5 leaves a label-side gap of
+    1.8e-12, past the bare 1e-12 but inside 1e-12 times the spectral scale."""
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=64) + 1j * rng.normal(size=64)
+    config = {
+        "kind": "phase_space",
+        "sigma": "0",
+        "N": 64,
+        "dq": 0.5,
+        "psi": [[[z.real, z.imag] for z in psi]],
+        "normalize": True,
+        "observable": {"kind": "position", "g": {"kind": "affine", "a": 1000, "b": 0}},
+    }
+    code, results = run_cli(tmp_path, config)
+    assert code == 0 and results["passed"] is True
+    assert 1e-12 < results["gap"] < 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_measure_with_eigenvalues_near_the_float_limit_runs_without_warnings(tmp_path):
+    """The gap of the eigenvalues +-1e308 overflows a float; the merge
+    compares gaps without forming it."""
+    config = {"kind": "measure", "operator": [[1e308, 0], [0, -1e308]], "state": [0.6, 0.8], "samples": 200}
+    code, results = run_cli(tmp_path, config)
+    assert code == 0
+    assert [row["eigenvalue"] for row in results["rows"]] == [-1e308, 1e308]
+
+
 MEASURE = '"kind": "measure", "operator": [[1, 0], [0, -1]], "state": [1, 0]'
 DYNAMICS = '"kind": "dynamics", "H": [[0, 1], [1, 0]], "times": [0.0, 1.0]'
 PHASE_SPACE = '"kind": "phase_space", "sigma": "0", "N": 2, "dq": 1.0, "observable": {"kind": "spin"}'

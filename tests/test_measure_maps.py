@@ -19,7 +19,6 @@ from qcs.errors import (
     ValueNotInSupport,
 )
 from qcs.measure_maps import (
-    AffinePiece,
     MapSpec,
     PiecewiseAffineMap,
     PiecewiseConstantFn,
@@ -28,6 +27,8 @@ from qcs.measure_maps import (
     factor_against_cdf,
     intervals_measure,
     invert,
+    _images,
+    _pullback,
     level_function,
     map_equal_ae,
     preimage_intervals,
@@ -38,42 +39,39 @@ from qcs.measure_maps import (
 from qcs.spectral import StepCDF
 from qcs.states import label_mean
 
+from layout import cells_of, ends_of, fn_of, image_bounds, map_of, piece_at, pieces_of
+
 F = Fraction
 IDENTITY = build_map(MapSpec.identity())
 
 
 def halving_map():
     """u -> u/2, total but not measure preserving."""
-    return PiecewiseAffineMap((AffinePiece(F(0), F(1), F(1, 2), F(0)),))
+    return PiecewiseAffineMap(1, [0, 1], (F(1, 2),), 1, [0])
 
 
 def chord_map():
     """Two-chord approximation of u -> u^2, not measure preserving."""
-    return PiecewiseAffineMap(
-        (
-            AffinePiece(F(0), F(1, 2), F(1, 2), F(0)),
-            AffinePiece(F(1, 2), F(1), F(3, 2), F(-1, 2)),
-        )
-    )
+    return PiecewiseAffineMap(2, [0, 1, 2], (F(1, 2), F(3, 2)), 2, [0, -1])
 
 
 def test_rotation_pieces():
     rot = build_map(MapSpec.rotation(F(3, 8)))
-    assert len(rot.pieces) == 2
+    assert len(rot.slopes) == 2
     assert rot(F(1, 2)) == F(7, 8)
     assert rot(F(3, 4)) == F(1, 8)
     assert rot.measure_preserving
 
 
 def test_identity_map():
-    assert len(IDENTITY.pieces) == 1
+    assert len(IDENTITY.slopes) == 1
     assert IDENTITY(F(1, 3)) == F(1, 3)
     assert IDENTITY.measure_preserving
 
 
 def test_expanding_two_pushforward_is_uniform():
     m = build_map(MapSpec.expanding(2))
-    assert len(m.pieces) == 2
+    assert len(m.slopes) == 2
     image = pushforward_density(m)
     assert all(d == 1 for _, _, d in image.cells)
     assert image.mass == 1
@@ -100,20 +98,26 @@ def test_bad_specs_rejected():
 @pytest.mark.parametrize(
     "pieces, message",
     [
-        ((), "at least one piece"),
-        (((F(0), F(1, 2), F(1), F(0)),), "cover"),
-        (((F(1, 4), F(1), F(1), F(0)),), "cover"),
-        (((F(0), F(1, 2), F(1), F(0)), (F(3, 4), F(1), F(1), F(0))), "gaps or overlaps"),
-        (((F(0), F(3, 4), F(1), F(0)), (F(1, 2), F(1), F(1), F(0))), "gaps or overlaps"),
-        (((F(0), F(1, 2), F(1), F(0)), (F(1, 2), F(1, 2), F(1), F(0)), (F(1, 2), F(1), F(1), F(0))), "empty"),
-        (((F(0), F(1), F(0), F(1, 2)),), "slope must be nonzero"),
-        (((F(0), F(1), F(2), F(0)),), "escapes"),
-        (((F(0), F(1), F(-1), F(1, 2)),), "escapes"),
+        ((1, [0], (), 1, []), "n\\+1 breakpoints"),
+        ((2, [0, 1], (F(1),), 1, [0]), "cover"),
+        ((4, [1, 4], (F(1),), 1, [0]), "cover"),
+        # pieces that leave a gap or overlap are ends that fall back, and an
+        # empty piece is an end repeated
+        ((4, [0, 2, 1, 4], (F(1), F(1), F(1)), 1, [0, 0, 0]), "strictly ascending"),
+        ((4, [0, 3, 2, 4], (F(1), F(1), F(1)), 1, [0, 0, 0]), "strictly ascending"),
+        ((2, [0, 1, 1, 2], (F(1), F(1), F(1)), 1, [0, 0, 0]), "strictly ascending"),
+        ((1, [0, 1], (F(0),), 2, [1]), "slope must be nonzero"),
+        ((1, [0, 1], (F(2),), 1, [0]), "escapes"),
+        ((1, [0, 1], (F(-1),), 2, [1]), "escapes"),
+        ((2, [0, 1, 2], (F(1),), 1, [0]), "n\\+1 breakpoints"),
+        ((1, [0, 1], (F(1),), 1, []), "one intercept per piece"),
+        ((1, [0, 1], (F(1),), 0, [0]), "positive denominator"),
     ],
 )
 def test_map_constructor_rejects_invalid_pieces(pieces, message):
+    """Each case is a map in the integer layout (den, nums, slopes, cden, cnums)."""
     with pytest.raises(BadSpec, match=message):
-        PiecewiseAffineMap(tuple(AffinePiece(*p) for p in pieces))
+        PiecewiseAffineMap(*pieces)
 
 
 @pytest.mark.parametrize(
@@ -129,7 +133,7 @@ def test_map_constructor_rejects_invalid_pieces(pieces, message):
 )
 def test_function_constructor_rejects_invalid_cells(breakpoints, values, message):
     with pytest.raises(BadSpec, match=message):
-        PiecewiseConstantFn(breakpoints, values)
+        fn_of(breakpoints, values)
 
 
 def test_rotation_preserves_uniform():
@@ -216,7 +220,7 @@ def test_map_domain_guard():
 
 
 def test_pcf_basics():
-    fn = PiecewiseConstantFn((F(0), F(1, 2), F(1)), (2.0, -1.0))
+    fn = PiecewiseConstantFn(2, [0, 1, 2], (2.0, -1.0))
     assert fn(F(1, 4)) == 2.0
     assert fn(F(1, 2)) == 2.0
     assert fn(F(3, 4)) == -1.0
@@ -245,14 +249,14 @@ def test_factor_roundtrip_through_rotation():
 
 def test_factor_constant_against_two_atoms_mismatch():
     cdf = StepCDF((0.0, 1.0), (0.5, 1.0))
-    constant = PiecewiseConstantFn((F(0), F(1)), (0.0,))
+    constant = PiecewiseConstantFn(1, [0, 1], (0.0,))
     with pytest.raises(DistributionMismatch):
         factor_against_cdf(constant, cdf)
 
 
 def test_factor_value_not_in_support():
     cdf = StepCDF((0.0, 1.0), (0.5, 1.0))
-    stranger = PiecewiseConstantFn((F(0), F(1, 2), F(1)), (0.0, 7.0))
+    stranger = PiecewiseConstantFn(2, [0, 1, 2], (0.0, 7.0))
     with pytest.raises(ValueNotInSupport):
         factor_against_cdf(stranger, cdf)
 
@@ -262,7 +266,7 @@ def test_factor_lands_inside_level_intervals():
     rot = build_map(MapSpec.rotation(F(1, 3)))
     fn = level_function(cdf, rot)
     alpha = factor_against_cdf(fn, cdf)
-    for lo, hi, v in fn.cells():
+    for lo, hi, v in cells_of(fn):
         mid = (lo + hi) / 2
         k = cdf.support.index(v)
         lvl_lo, lvl_hi = cdf.level_interval(k)
@@ -271,7 +275,7 @@ def test_factor_lands_inside_level_intervals():
 
 def reflection_map():
     """u -> 1 - u: the simplest measure-preserving map with negative slope."""
-    return PiecewiseAffineMap((AffinePiece(F(0), F(1), F(-1), F(1)),))
+    return PiecewiseAffineMap(1, [0, 1], (F(-1),), 1, [1])
 
 
 def test_reflection_is_measure_preserving():
@@ -380,37 +384,37 @@ def test_pointwise_composition_agrees(spec, z):
 
 def ref_compose(outer, inner):
     pieces = []
-    outer_bps = list(outer.breakpoints)
-    for p in inner.pieces:
-        im_lo, im_hi = p.image_bounds()
-        cuts = {p.lo, p.hi}
+    outer_bps = ends_of(outer)
+    for lo_p, hi_p, slope, intercept in pieces_of(inner):
+        im_lo, im_hi = image_bounds((lo_p, hi_p, slope, intercept))
+        cuts = {lo_p, hi_p}
         for c in outer_bps[bisect.bisect_right(outer_bps, im_lo) : bisect.bisect_left(outer_bps, im_hi)]:
-            z = (c - p.intercept) / p.slope
-            if p.lo < z < p.hi:
+            z = (c - intercept) / slope
+            if lo_p < z < hi_p:
                 cuts.add(z)
         grid = sorted(cuts)
         for lo, hi in zip(grid, grid[1:]):
-            q = outer.piece_at(p((lo + hi) / 2))
-            pieces.append(AffinePiece(lo, hi, q.slope * p.slope, q.slope * p.intercept + q.intercept))
-    return PiecewiseAffineMap(tuple(pieces))
+            _, _, s, c = piece_at(outer, slope * (lo + hi) / 2 + intercept)
+            pieces.append((lo, hi, s * slope, s * intercept + c))
+    return map_of(pieces)
 
 
 def ref_compose_with_map(fn, m):
     pieces = []
-    interior = list(fn.breakpoints[1:-1])
-    for p in m.pieces:
-        im_lo, im_hi = p.image_bounds()
-        cuts = {p.lo, p.hi}
+    interior = ends_of(fn)[1:-1]
+    for lo_p, hi_p, slope, intercept in pieces_of(m):
+        im_lo, im_hi = image_bounds((lo_p, hi_p, slope, intercept))
+        cuts = {lo_p, hi_p}
         for c in interior[bisect.bisect_right(interior, im_lo) : bisect.bisect_left(interior, im_hi)]:
-            z = (c - p.intercept) / p.slope
-            if p.lo < z < p.hi:
+            z = (c - intercept) / slope
+            if lo_p < z < hi_p:
                 cuts.add(z)
         grid = sorted(cuts)
         for lo, hi in zip(grid, grid[1:]):
-            pieces.append((lo, hi, fn(p((lo + hi) / 2))))
+            pieces.append((lo, hi, fn(slope * (lo + hi) / 2 + intercept)))
     pieces.sort(key=lambda t: t[0])
     bps = [pieces[0][0]] + [hi for _, hi, _ in pieces]
-    return PiecewiseConstantFn(tuple(bps), tuple(v for _, _, v in pieces))
+    return fn_of(bps, [v for _, _, v in pieces])
 
 
 def ref_factor_against_cdf(fn, cdf):
@@ -418,7 +422,7 @@ def ref_factor_against_cdf(fn, cdf):
     support = cdf.support
     totals = defaultdict(lambda: F(0))
     sources = defaultdict(list)
-    for lo, hi, v in fn.cells():
+    for lo, hi, v in cells_of(fn):
         k = min(range(len(support)), key=lambda j: abs(v - support[j]))
         totals[k] += hi - lo
         sources[k].append((lo, hi))
@@ -428,40 +432,31 @@ def ref_factor_against_cdf(fn, cdf):
         slope = (hi_lvl - lo_lvl) / totals[k]
         pos = lo_lvl
         for lo, hi in sources[k]:
-            pieces.append(AffinePiece(lo, hi, slope, pos - slope * lo))
+            pieces.append((lo, hi, slope, pos - slope * lo))
             pos += slope * (hi - lo)
-    pieces.sort(key=lambda p: p.lo)
-    return PiecewiseAffineMap(tuple(pieces))
+    pieces.sort(key=lambda p: p[0])
+    return map_of(pieces)
 
 
 def ref_masses_by_value(fn):
     out = defaultdict(lambda: F(0))
-    for lo, hi, v in fn.cells():
+    for lo, hi, v in cells_of(fn):
         out[v] += hi - lo
     return dict(out)
 
 
 def ref_label_mean(fn, power=1):
     """One Fraction subtraction per cell, then float() of the cell length."""
-    return math.fsum((v**power) * float(hi - lo) for lo, hi, v in fn.cells())
+    return math.fsum((v**power) * float(hi - lo) for lo, hi, v in cells_of(fn))
 
 
 def ref_map_equal_ae(m1, m2):
-    grid = sorted(set(m1.breakpoints) | set(m2.breakpoints))
+    grid = sorted(set(ends_of(m1)) | set(ends_of(m2)))
     for lo, hi in zip(grid, grid[1:]):
         mid = (lo + hi) / 2
-        p, q = m1.piece_at(mid), m2.piece_at(mid)
-        if p.slope != q.slope or p.intercept != q.intercept:
+        if piece_at(m1, mid)[2:] != piece_at(m2, mid)[2:]:
             return False
     return True
-
-
-def map_pieces(m):
-    return [(p.lo, p.hi, p.slope, p.intercept) for p in m.pieces]
-
-
-def fn_cells(fn):
-    return list(fn.cells())
 
 
 @st.composite
@@ -485,23 +480,21 @@ def built_specs(draw):
 
 
 def ref_build_map(spec):
-    """The piece builder: each kind's ``AffinePiece`` list through the public
-    constructor, and compositions through ``compose``."""
+    """The piece builder: each kind's (lo, hi, slope, intercept) pieces
+    through the public constructor, and compositions through ``compose``."""
     if spec.kind == "identity" or spec.kind == "rotation" and spec.c == 0:
-        return PiecewiseAffineMap((AffinePiece(F(0), F(1), F(1), F(0)),))
+        return map_of([(F(0), F(1), F(1), F(0))])
     if spec.kind == "rotation":
         c = spec.c
-        return PiecewiseAffineMap((AffinePiece(F(0), 1 - c, F(1), c), AffinePiece(1 - c, F(1), F(1), c - 1)))
+        return map_of([(F(0), 1 - c, F(1), c), (1 - c, F(1), F(1), c - 1)])
     if spec.kind == "interval_exchange":
         lengths, perm, n = spec.lengths, spec.perm, len(spec.lengths)
         starts = [sum(lengths[:i], F(0)) for i in range(n)]
         targets = [sum((lengths[j] for j in range(n) if perm[j] < perm[i]), F(0)) for i in range(n)]
-        return PiecewiseAffineMap(
-            tuple(AffinePiece(a, a + x, F(1), t - a) for a, x, t in zip(starts, lengths, targets))
-        )
+        return map_of((a, a + x, F(1), t - a) for a, x, t in zip(starts, lengths, targets))
     if spec.kind == "expanding":
         k = spec.k
-        return PiecewiseAffineMap(tuple(AffinePiece(F(i, k), F(i + 1, k), F(k), F(-i)) for i in range(k)))
+        return map_of((F(i, k), F(i + 1, k), F(k), F(-i)) for i in range(k))
     built = ref_build_map(spec.maps[0])
     for sub in spec.maps[1:]:
         built = compose(ref_build_map(sub), built)
@@ -512,10 +505,10 @@ def ref_pushforward_density(m):
     """The per-piece ``Fraction`` sweep: each piece adds 1 / |slope| on its
     image bounds; adjacent cells of equal density merge."""
     deltas = defaultdict(lambda: F(0))
-    for p in m.pieces:
-        im_lo, im_hi = p.image_bounds()
-        deltas[im_lo] += 1 / abs(p.slope)
-        deltas[im_hi] -= 1 / abs(p.slope)
+    for p in pieces_of(m):
+        im_lo, im_hi = image_bounds(p)
+        deltas[im_lo] += 1 / abs(p[2])
+        deltas[im_hi] -= 1 / abs(p[2])
     deltas[F(0)] += 0
     deltas[F(1)] += 0
     points = sorted(deltas)
@@ -548,25 +541,25 @@ def functions_on(draw, m):
     """A piecewise-constant function whose breakpoints mix random rationals
     with image ends of m's pieces, so some levels sit exactly on an image end.
     Values repeat, so adjacent cells can share a value."""
-    ends = sorted({e for p in m.pieces for e in p.image_bounds()} - {F(0), F(1)})
+    ends = sorted({e for p in pieces_of(m) for e in image_bounds(p)} - {F(0), F(1)})
     chosen = draw(st.lists(st.sampled_from(ends), max_size=4)) if ends else []
     extra = draw(st.lists(rationals.filter(lambda f: 0 < f < 1), max_size=4))
     bps = [F(0)] + sorted(set(chosen) | set(extra)) + [F(1)]
     values = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=len(bps) - 1, max_size=len(bps) - 1))
-    return PiecewiseConstantFn(tuple(bps), tuple(values))
+    return fn_of(bps, values)
 
 
 @settings(max_examples=80, deadline=None)
 @given(outer=signed_maps(), inner=signed_maps())
 def test_compose_matches_midpoint_reference(outer, inner):
-    assert map_pieces(compose(outer, inner)) == map_pieces(ref_compose(outer, inner))
+    assert pieces_of(compose(outer, inner)) == pieces_of(ref_compose(outer, inner))
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), m=signed_maps())
 def test_compose_with_map_matches_midpoint_reference(data, m):
     fn = data.draw(functions_on(m))
-    assert fn_cells(fn.compose_with_map(m)) == fn_cells(ref_compose_with_map(fn, m))
+    assert cells_of(fn.compose_with_map(m)) == cells_of(ref_compose_with_map(fn, m))
 
 
 @st.composite
@@ -581,7 +574,7 @@ def mixed_denominator_functions(draw):
     )
     bps = [F(0)] + sorted(points - {F(0), F(1)}) + [F(1)]
     values = draw(st.lists(st.sampled_from([2.0, -1.0, 0.5]), min_size=len(bps) - 1, max_size=len(bps) - 1))
-    return PiecewiseConstantFn(tuple(bps), tuple(values))
+    return fn_of(bps, values)
 
 
 @settings(max_examples=80, deadline=None)
@@ -617,8 +610,8 @@ def dyadic_cdfs(draw):
 def test_factor_against_cdf_matches_reference(cdf, m):
     fn = ref_compose_with_map(quantile_pcf(cdf), m)
     alpha = factor_against_cdf(fn, cdf)
-    assert map_pieces(alpha) == map_pieces(ref_factor_against_cdf(fn, cdf))
-    assert fn_cells(level_function(cdf, alpha)) == fn_cells(ref_compose_with_map(quantile_pcf(cdf), alpha))
+    assert pieces_of(alpha) == pieces_of(ref_factor_against_cdf(fn, cdf))
+    assert cells_of(level_function(cdf, alpha)) == cells_of(ref_compose_with_map(quantile_pcf(cdf), alpha))
 
 
 @st.composite
@@ -649,7 +642,7 @@ def near_matching_functions(draw, cdf):
         room = min(level - lo, hi - level, F(1, 10**13)) / 4
         bps.append(level + room * draw(shifts))
     bps.append(F(1))
-    fn = PiecewiseConstantFn(tuple(bps), cdf.support)
+    fn = fn_of(bps, cdf.support)
     return ref_compose_with_map(fn, draw(signed_maps()))
 
 
@@ -658,7 +651,7 @@ def near_matching_functions(draw, cdf):
 def test_factor_against_cdf_on_float_levels_and_mixed_breakpoints(data, cdf):
     fn = data.draw(near_matching_functions(cdf))
     alpha = factor_against_cdf(fn, cdf)
-    assert map_pieces(alpha) == map_pieces(ref_factor_against_cdf(fn, cdf))
+    assert pieces_of(alpha) == pieces_of(ref_factor_against_cdf(fn, cdf))
 
 
 @settings(max_examples=80, deadline=None)
@@ -683,13 +676,13 @@ def test_factor_against_exact_levels_on_mixed_denominators(data, m):
     cdf = StepCDF(tuple(support), tuple(float(e) for e in exact), exact)
     for g in (fn, fn.compose_with_map(m)):
         alpha = factor_against_cdf(g, cdf)
-        assert map_pieces(alpha) == map_pieces(ref_factor_against_cdf(g, cdf))
-        assert all(p.slope == 1 for p in alpha.pieces)
+        assert pieces_of(alpha) == pieces_of(ref_factor_against_cdf(g, cdf))
+        assert all(s == 1 for s in alpha.slopes)
 
 
 def test_runs_are_the_groups_of_equal_adjacent_values():
     values = (1.0, 1.0, -0.0, 0.0, 0.5, math.inf, math.inf, -1.0, 0.5, 0.5)
-    fn = PiecewiseConstantFn(tuple(F(k, len(values)) for k in range(len(values) + 1)), values)
+    fn = PiecewiseConstantFn(len(values), range(len(values) + 1), values)
     expected, start = [], 0
     for v, run in groupby(values):
         end = start + len(list(run))
@@ -701,7 +694,7 @@ def test_runs_are_the_groups_of_equal_adjacent_values():
 
 
 def ref_disagreement(f, g):
-    grid = sorted(set(f.breakpoints) | set(g.breakpoints))
+    grid = sorted(set(ends_of(f)) | set(ends_of(g)))
     return sum((hi - lo for lo, hi in zip(grid, grid[1:]) if f((lo + hi) / 2) != g((lo + hi) / 2)), F(0))
 
 
@@ -740,11 +733,11 @@ def test_reflection_kernels_match_references():
     r = reflection_map()
     rot = build_map(MapSpec.rotation(F(1, 3)))
     for outer, inner in ((r, rot), (rot, r), (r, r)):
-        assert map_pieces(compose(outer, inner)) == map_pieces(ref_compose(outer, inner))
+        assert pieces_of(compose(outer, inner)) == pieces_of(ref_compose(outer, inner))
     # levels 1/3 and 2/3 are image ends of the rotation's pieces
-    fn = PiecewiseConstantFn((F(0), F(1, 3), F(2, 3), F(1)), (1.0, -1.0, 1.0))
+    fn = PiecewiseConstantFn(3, [0, 1, 2, 3], (1.0, -1.0, 1.0))
     for m in (r, compose(r, rot)):
-        assert fn_cells(fn.compose_with_map(m)) == fn_cells(ref_compose_with_map(fn, m))
+        assert cells_of(fn.compose_with_map(m)) == cells_of(ref_compose_with_map(fn, m))
     assert map_equal_ae(compose(r, r), IDENTITY) and not map_equal_ae(r, IDENTITY)
 
 
@@ -752,10 +745,11 @@ def assert_rebuilds(out):
     """A kernel output passes the public constructor's checks, which the
     kernels skip, and comes back unchanged."""
     if isinstance(out, PiecewiseAffineMap):
-        assert map_pieces(PiecewiseAffineMap(out.pieces)) == map_pieces(out)
+        rebuilt = PiecewiseAffineMap(out.den, out.nums, out.slopes, out.cden, out.cnums)
+        assert representation(rebuilt) == representation(out)
     else:
-        rebuilt = PiecewiseConstantFn(out.breakpoints, out.values)
-        assert rebuilt.breakpoints == out.breakpoints and rebuilt.values == out.values
+        rebuilt = PiecewiseConstantFn(out.den, out.nums, out.values)
+        assert (rebuilt.den, rebuilt.nums, rebuilt.values) == (out.den, list(out.nums), out.values)
 
 
 @settings(max_examples=80, deadline=None)
@@ -790,12 +784,12 @@ def test_compose_with_map_reuses_run_ends_under_a_negative_slope():
     # object, so every piece after the first continues the same run
     slope, intercept = F(-1), F(1)
     cuts = [F(0), F(1, 8), F(1, 5), F(1, 3), F(1, 2), F(5, 8), F(3, 4), F(1)]
-    m = PiecewiseAffineMap(tuple(AffinePiece(lo, hi, slope, intercept) for lo, hi in zip(cuts, cuts[1:])))
-    assert all(p.slope is slope and p.intercept is intercept for p in m.pieces)
+    m = map_of((lo, hi, slope, intercept) for lo, hi in zip(cuts, cuts[1:]))
+    assert all(s is slope for s in m.slopes) and set(m.cnums) == {m.cden}
     # some images fall inside one cell, some span several, and 1/2 and 2/3
     # are image ends of pieces
-    fn = PiecewiseConstantFn((F(0), F(1, 4), F(1, 2), F(3, 5), F(2, 3), F(9, 10), F(1)), (1.0, -1.0, 0.5, 2.0, 0.0, 1.0))
-    assert fn_cells(fn.compose_with_map(m)) == fn_cells(ref_compose_with_map(fn, m))
+    fn = fn_of((F(0), F(1, 4), F(1, 2), F(3, 5), F(2, 3), F(9, 10), F(1)), (1.0, -1.0, 0.5, 2.0, 0.0, 1.0))
+    assert cells_of(fn.compose_with_map(m)) == cells_of(ref_compose_with_map(fn, m))
     assert fn.compose_with_map(m).equal_ae(fn.compose_with_map(reflection_map()))
 
 
@@ -803,10 +797,10 @@ def test_compose_with_map_cell_cache_on_an_interval_exchange():
     # consecutive pieces share the slope object ONE but not the intercept;
     # their images jump back to an earlier cell and forward across several
     m = build_map(MapSpec.interval_exchange([F(1, 8), F(1, 4), F(1, 8), F(1, 2)], [3, 0, 2, 1]))
-    assert all(p.slope is m.pieces[0].slope for p in m.pieces)
-    fn = PiecewiseConstantFn((F(0), F(1, 8), F(3, 16), F(3, 8), F(1, 2), F(3, 4), F(1)), (1.0, -1.0, 0.5, 2.0, 0.0, 1.0))
+    assert all(s is m.slopes[0] for s in m.slopes)
+    fn = PiecewiseConstantFn(16, [0, 2, 3, 6, 8, 12, 16], (1.0, -1.0, 0.5, 2.0, 0.0, 1.0))
     for g in (fn, quantile_pcf(StepCDF((-1.0, 0.0, 1.0), (0.25, 0.375, 1.0)))):
-        assert fn_cells(g.compose_with_map(m)) == fn_cells(ref_compose_with_map(g, m))
+        assert cells_of(g.compose_with_map(m)) == cells_of(ref_compose_with_map(g, m))
 
 
 def test_phase_space_kernels_match_references_at_n16():
@@ -819,9 +813,9 @@ def test_phase_space_kernels_match_references_at_n16():
     equiv = to_unit_interval(build_measure(state))
     obs = position_observable(PiecewiseFn.square(), state)
     barrier, fn = realize_barrier(obs, equiv)
-    assert map_pieces(barrier) == map_pieces(ref_factor_against_cdf(fn, obs.cdf))
+    assert pieces_of(barrier) == pieces_of(ref_factor_against_cdf(fn, obs.cdf))
     levels = level_function(obs.cdf, barrier)
-    assert fn_cells(levels) == fn_cells(ref_compose_with_map(quantile_pcf(obs.cdf), barrier))
+    assert cells_of(levels) == cells_of(ref_compose_with_map(quantile_pcf(obs.cdf), barrier))
     assert list(levels.masses_by_value().items()) == list(ref_masses_by_value(levels).items())
     for g in (fn, levels):
         assert label_mean(g) == ref_label_mean(g) and label_mean(g, 2) == ref_label_mean(g, 2)
@@ -855,25 +849,77 @@ def test_deep_compositions_match_references(data, specs, cdf):
     for spec in specs:
         step = build_map(spec)
         m, ref = compose(step, m), ref_compose(step, ref)
-        assert map_pieces(m) == map_pieces(ref)
+        assert pieces_of(m) == pieces_of(ref)
         assert_rebuilds(m)
-    assert map_pieces(build_map(MapSpec.composition(*specs))) == map_pieces(m)
+    assert pieces_of(build_map(MapSpec.composition(*specs))) == pieces_of(m)
     fn = data.draw(mixed_denominator_functions())
     composed, levels = fn.compose_with_map(m), level_function(cdf, m)
-    assert fn_cells(composed) == fn_cells(ref_compose_with_map(fn, m))
-    assert fn_cells(levels) == fn_cells(ref_compose_with_map(quantile_pcf(cdf), m))
+    assert cells_of(composed) == cells_of(ref_compose_with_map(fn, m))
+    assert cells_of(levels) == cells_of(ref_compose_with_map(quantile_pcf(cdf), m))
     for g in (composed, levels):
         assert list(g.masses_by_value().items()) == list(ref_masses_by_value(g).items())
         assert label_mean(g) == ref_label_mean(g) and label_mean(g, 2) == ref_label_mean(g, 2)
         assert_rebuilds(g)
     alpha = factor_against_cdf(levels, cdf)
-    assert map_pieces(alpha) == map_pieces(ref_factor_against_cdf(levels, cdf))
+    assert pieces_of(alpha) == pieces_of(ref_factor_against_cdf(levels, cdf))
     assert_rebuilds(alpha)
+
+
+def ref_pullback(m, den, ends):
+    """The pullback with one ``Fraction`` per cut off the grid of 1 / m.den,
+    and the ends brought over the lcm of those cuts' denominators."""
+    W, alphas, cs, lo, hi = _images(m, den)
+    inner = [e * (W // den) for e in ends[1:]]
+    nums, sources, cells = [0], [], []
+    for t in range(len(alphas)):
+        i = bisect.bisect_right(inner, lo[t])
+        j = bisect.bisect_left(inner, hi[t], i)
+        cuts = [F(e - cs[t], alphas[t]) for e in inner[i:j]]
+        spanned = list(range(i, j + 1))
+        if alphas[t] < 0:
+            cuts.reverse()
+            spanned.reverse()
+        nums += [*cuts, m.nums[t + 1]]
+        sources += [t] * len(spanned)
+        cells += spanned
+    scale = math.lcm(*(F(x).denominator for x in nums))
+    if scale == 1:
+        return m.den, [int(x) for x in nums], sources, cells
+    out = [int(x * scale) for x in nums]
+    g = math.gcd(m.den * scale, *out)
+    return m.den * scale // g, [x // g for x in out], sources, cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), spec=built_specs(), outer=built_specs(), flip=st.booleans())
+@example(
+    data=None,
+    spec=MapSpec.composition(MapSpec.expanding(97), MapSpec.interval_exchange([F(1, 6), F(1, 3), F(1, 2)], [2, 0, 1])),
+    outer=MapSpec.expanding(5),
+    flip=True,
+)
+def test_pullback_matches_the_fraction_cuts(data, spec, outer, flip):
+    """``_pullback`` through the ends of a built map and of a function, on
+    compositions with expanding maps and interval exchanges, either slope
+    sign, with m's ends over its own denominator and over three times it:
+    bitwise the ends, denominators and indices of the Fraction cuts,
+    unreduced when every cut is on the grid of 1 / m.den."""
+    m = build_map(spec)
+    if flip:
+        m = compose(reflection_map(), m)
+    partitions = [build_map(outer), quantile_pcf(StepCDF((-1.0, 0.0, 1.0), (0.3, 0.75, 1.0)))]
+    if data is not None:
+        partitions.append(data.draw(functions_on(m)))
+    tripled = PiecewiseAffineMap(3 * m.den, [3 * x for x in m.nums], m.slopes, m.cden, m.cnums)
+    for source in (m, tripled):
+        for p in partitions:
+            den, nums, sources, cells = _pullback(source, p.den, p.nums)
+            assert (den, list(nums), list(sources), list(cells)) == ref_pullback(source, p.den, p.nums)
 
 
 def steep_map(width):
     """]0, width] onto ]0, 1] with slope 1/width, then the identity."""
-    return PiecewiseAffineMap((AffinePiece(F(0), width, 1 / width, F(0)), AffinePiece(width, F(1), F(1), F(0))))
+    return map_of([(F(0), width, 1 / width, F(0)), (width, F(1), F(1), F(0))])
 
 
 @st.composite
@@ -893,37 +939,38 @@ def near_tie_cases(draw):
         width = F(draw(st.integers(1, 3)), draw(st.integers(1, 3)) * 2**exponent)
         m = ref_compose(m, steep_map(width))
     pieces = []
-    for p in m.pieces:
+    for p in pieces_of(m):
+        lo, hi, slope, intercept = p
         narrow = F(1, 2 ** draw(st.sampled_from([60, 80, 200])))
-        cut = p.lo + (p.hi - p.lo) / 2
-        if draw(st.booleans()) and cut + narrow < p.hi:
-            pieces += [AffinePiece(p.lo, cut, p.slope, p.intercept), AffinePiece(cut, cut + narrow, p.slope, p.intercept)]
-            pieces.append(AffinePiece(cut + narrow, p.hi, p.slope, p.intercept))
+        cut = lo + (hi - lo) / 2
+        if draw(st.booleans()) and cut + narrow < hi:
+            pieces += [(lo, cut, slope, intercept), (cut, cut + narrow, slope, intercept)]
+            pieces.append((cut + narrow, hi, slope, intercept))
         else:
             pieces.append(p)
-    m = PiecewiseAffineMap(tuple(pieces))
-    ends = sorted({e for p in m.pieces for e in p.image_bounds()})
+    m = map_of(pieces)
+    ends = sorted({e for p in pieces_of(m) for e in image_bounds(p)})
     offsets = st.builds(lambda k, t: F(k, 2**t), st.integers(-3, 3), st.integers(60, 1100))
     chosen = draw(st.lists(st.tuples(st.sampled_from(ends), offsets), max_size=6))
     points = {e + d for e, d in chosen if 0 < e + d < 1}
     bps = [F(0)] + sorted(points) + [F(1)]
     values = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=len(bps) - 1, max_size=len(bps) - 1))
-    return PiecewiseConstantFn(tuple(bps), tuple(values)), m
+    return fn_of(bps, values), m
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=near_tie_cases())
 def test_compose_with_map_falls_back_to_exact_on_near_ties(case):
     fn, m = case
-    assert fn_cells(fn.compose_with_map(m)) == fn_cells(ref_compose_with_map(fn, m))
+    assert cells_of(fn.compose_with_map(m)) == cells_of(ref_compose_with_map(fn, m))
 
 
 def test_compose_with_map_on_a_slope_too_large_for_a_float():
     m = steep_map(F(1, 2**1100))
     with pytest.raises(OverflowError):
-        float(m.pieces[0].slope)
-    fn = PiecewiseConstantFn((F(0), F(1, 3), F(1, 2) + F(1, 2**70), F(1)), (1.0, -1.0, 0.5))
-    assert fn_cells(fn.compose_with_map(m)) == fn_cells(ref_compose_with_map(fn, m))
+        float(m.slopes[0])
+    fn = fn_of((F(0), F(1, 3), F(1, 2) + F(1, 2**70), F(1)), (1.0, -1.0, 0.5))
+    assert cells_of(fn.compose_with_map(m)) == cells_of(ref_compose_with_map(fn, m))
 
 
 def test_compose_with_map_with_subnormal_labels():
@@ -932,12 +979,6 @@ def test_compose_with_map_with_subnormal_labels():
     # image and across the breakpoints 1.05st and 1.2st
     t, s = F(1, 2**1074), F(2**40 + 1)
     cuts = [F(0), F(11, 10) * t, F(14, 10) * t]
-    m = PiecewiseAffineMap(
-        (
-            AffinePiece(cuts[0], cuts[1], s, F(0)),
-            AffinePiece(cuts[1], cuts[2], s, F(0)),
-            AffinePiece(cuts[2], F(1), F(1), F(0)),
-        )
-    )
-    fn = PiecewiseConstantFn((F(0), F(105, 100) * s * t, F(12, 10) * s * t, F(1, 2), F(1)), (1.0, -1.0, 0.5, 2.0))
-    assert fn_cells(fn.compose_with_map(m)) == fn_cells(ref_compose_with_map(fn, m))
+    m = map_of([(cuts[0], cuts[1], s, F(0)), (cuts[1], cuts[2], s, F(0)), (cuts[2], F(1), F(1), F(0))])
+    fn = fn_of((F(0), F(105, 100) * s * t, F(12, 10) * s * t, F(1, 2), F(1)), (1.0, -1.0, 0.5, 2.0))
+    assert cells_of(fn.compose_with_map(m)) == cells_of(ref_compose_with_map(fn, m))

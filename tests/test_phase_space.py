@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from qcs.errors import BadSpec, NotNormalized, QcsError
 from qcs.measure_maps import (
-    ONE,
     MapSpec,
     build_map,
     compose,
@@ -34,6 +33,8 @@ from qcs.phase_space import (
 )
 from qcs.spectral import PiecewiseFn
 from qcs.states import label_mean
+
+from layout import cells_of
 
 F = Fraction
 
@@ -160,8 +161,8 @@ def test_to_unit_interval_cells():
     state = PhaseSpaceState.normalized(F(0), amps, dq=1.0)
     equiv = to_unit_interval(build_measure(state))
     # one position cell splits evenly across two momentum cells
-    assert equiv.bounds[0] == 0 and equiv.bounds[-1] == 1
-    assert abs(float(equiv.bounds[1]) - 0.5) < 1e-12
+    assert equiv.nums[0] == 0 and equiv.nums[-1] == equiv.den
+    assert abs(equiv.nums[1] / equiv.den - 0.5) < 1e-12
     # two cells with masses (1/4, 3/4) occupy the matching subintervals
     eq = CellEquivalence(np.array([0, 1]), 4, [0, 1, 4])
     fn = eq.pcf(np.array([[[5.0, -2.0]]]))
@@ -189,7 +190,7 @@ def test_single_cell_equivalence_is_identity():
         (F(0),), np.array([[[1.0]]]), np.array([0.0]), np.array([0.0])
     )
     equiv = to_unit_interval(measure)
-    assert equiv.bounds == (F(0), F(1))
+    assert equiv.nums == [0, equiv.den]
     fn = equiv.pcf(np.array([[[4.5]]]))
     assert fn(F(1, 2)) == 4.5
 
@@ -216,7 +217,7 @@ def test_expectation_identity_small_grid():
     obs = position_observable(g, state)
     barrier, _ = realize_barrier(obs, equiv)
     label_side = math.fsum(
-        v * float(hi - lo) for lo, hi, v in level_function(obs.cdf, barrier).cells()
+        v * float(hi - lo) for lo, hi, v in cells_of(level_function(obs.cdf, barrier))
     )
     dens = ((np.abs(state.amplitudes) ** 2) * state.dq).sum(axis=0)
     op_side = math.fsum(g(q) * float(wq) for q, wq in zip(state.q_grid, dens))
@@ -236,7 +237,7 @@ def test_squared_momentum_merges_symmetric_values():
     equiv = to_unit_interval(build_measure(state))
     barrier, _ = realize_barrier(obs, equiv)
     label_side = math.fsum(
-        v * float(hi - lo) for lo, hi, v in level_function(obs.cdf, barrier).cells()
+        v * float(hi - lo) for lo, hi, v in cells_of(level_function(obs.cdf, barrier))
     )
     pdens = ((np.abs(state.momentum_amplitudes) ** 2) * state.dp).sum(axis=0)
     op_side = math.fsum((p**2) * w for p, w in zip(state.p_grid, pdens))
@@ -285,11 +286,11 @@ def exact_pipeline_label_mean(measure, cell_values):
     exact_total = sum(exact)
     assert all(Fraction(m, total) == e / exact_total for m, e in zip(masses, exact))
     equiv = to_unit_interval(measure)
-    bounds = equiv.bounds
-    assert all(a < b for a, b in zip(bounds, bounds[1:])) and bounds[-1] == ONE
+    nums = equiv.nums
+    assert all(a < b for a, b in zip(nums, nums[1:])) and nums[-1] == equiv.den
     obs = cell_observable(cell_values, measure)
     barrier, fn = realize_barrier(obs, equiv)
-    assert all(p.slope == 1 for p in barrier.pieces)
+    assert all(s == 1 for s in barrier.slopes)
     levels = (Fraction(0),) + obs.cdf.exact_levels
     weights = {v: hi - lo for v, lo, hi in zip(obs.cdf.support, levels, levels[1:])}
     assert fn.masses_by_value() == weights
@@ -353,7 +354,8 @@ def test_exact_pipeline_on_a_single_occupied_cell(sectors, n, data):
     value = data.draw(st.floats(-1e6, 1e6))
     cell_values = np.full(masses.shape, -7.0)
     cell_values[cell] = value
-    assert to_unit_interval(measure).bounds == (F(0), F(1))
+    equiv = to_unit_interval(measure)
+    assert equiv.nums == [0, equiv.den]
     assert exact_pipeline_label_mean(measure, cell_values) == value
 
 
@@ -366,9 +368,9 @@ def test_measure_is_built_once_per_state():
 
 def test_phase_space_kernels_build_no_fraction_view():
     """realize_barrier, level_function, label_mean and masses_by_value run on
-    the integer numerators; the Fraction views of the equivalence, the
-    barriers and the functions stay unbuilt until asked for.  A view cached
-    on every piece once raised the peak memory of an N=128 round by half."""
+    the integer numerators; the Fraction views of the barriers and the
+    functions stay unbuilt until asked for.  A view cached on every piece
+    once raised the peak memory of an N=128 round by half."""
     rng = np.random.default_rng(16)
     raw = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
     state = PhaseSpaceState.normalized(F(1, 2), raw, dq=0.25)
@@ -385,16 +387,12 @@ def test_phase_space_kernels_build_no_fraction_view():
         for g in (fn, levels):
             label_mean(g)
             g.masses_by_value()
-        assert "pieces" not in vars(barrier) and "breakpoints" not in vars(barrier)
-        assert "breakpoints" not in vars(fn) and "breakpoints" not in vars(levels)
+        assert all("breakpoints" not in vars(g) for g in (barrier, fn, levels))
         built.append((barrier, levels))
-    assert "bounds" not in vars(equiv)
     # on demand, the views are the integers over their denominators
-    assert equiv.bounds == tuple(F(n, equiv.den) for n in equiv.nums)
     for barrier, levels in built:
         assert levels.breakpoints == tuple(F(n, levels.den) for n in levels.nums)
-        assert [p.hi for p in barrier.pieces] == [F(n, barrier.den) for n in barrier.nums[1:]]
-        assert [p.intercept for p in barrier.pieces] == [F(c, barrier.cden) for c in barrier.cnums]
+        assert barrier.breakpoints == tuple(F(n, barrier.den) for n in barrier.nums)
 
 
 def test_marginals_are_exact():

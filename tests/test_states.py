@@ -21,7 +21,6 @@ from qcs.measure_maps import (
     DENSITY_TOL,
     MapSpec,
     PiecewiseAffineMap,
-    AffinePiece,
     build_map,
     compose,
     intervals_measure,
@@ -55,10 +54,12 @@ from qcs.states import (
 )
 from qcs.random_objects import random_hermitian, random_pure_state
 
+from layout import cells_of, pieces_of
+
 F = Fraction
 IDENTITY = build_map(MapSpec.identity())
 MODEL = squaring_witness_model()
-HALVING = PiecewiseAffineMap((AffinePiece(F(0), F(1), F(1, 2), F(0)),))
+HALVING = PiecewiseAffineMap(1, [0, 1], (F(1, 2),), 1, [0])
 
 
 def test_value_examples():
@@ -386,7 +387,7 @@ def test_no_go_witness_values():
 @pytest.mark.parametrize(
     "barrier",
     [
-        PiecewiseAffineMap((AffinePiece(F(0), F(1), F(-1), F(1)),)),
+        PiecewiseAffineMap(1, [0, 1], (F(-1),), 1, [1]),
         build_map(MapSpec.expanding(3)),
         build_map(MapSpec.interval_exchange([F(1, 5), F(1, 3), F(7, 15)], [2, 0, 1])),
     ],
@@ -447,7 +448,7 @@ def test_repair_barrier_matches_merged_images_at_large_operator_scale(scale):
     assert beta.measure_preserving
     composed = level_function(spectral_cdf(a, psi), IDENTITY).map_values(square)
     image = level_function(spectral_cdf(borel_apply(square, a), psi), beta)
-    for lo, hi, v in composed.cells():
+    for lo, hi, v in cells_of(composed):
         assert abs(image((lo + hi) / 2) - v) <= 1e-12 * scale**2
 
 
@@ -475,7 +476,7 @@ def test_absolute_value_repair_is_measure_preserving_within_density_tol():
 def test_library_paths_build_no_fraction_view():
     """Maps of every MapSpec kind, their compositions and inverses, and the
     checks, states and samples on them work on integer ends: no map or
-    function gains its ``pieces`` or ``breakpoints`` view."""
+    function gains its ``breakpoints`` view."""
     rng = np.random.default_rng(7)
     a, psi = random_hermitian(rng, 3), random_pure_state(rng, 3)
     specs = [
@@ -495,7 +496,7 @@ def test_library_paths_build_no_fraction_view():
         sample_values(a, psi, m, 11, 50)
         fns.append(level_function(cdf, m))
     for obj in maps + fns:
-        assert "pieces" not in vars(obj) and "breakpoints" not in vars(obj)
+        assert "breakpoints" not in vars(obj)
 
 
 def test_recover_barrier_roundtrip():
@@ -576,9 +577,9 @@ def test_value_against_independent_bruteforce_oracle(rng):
             values.append(float(np.mean(w[i : j + 1])))
             i = j + 1
         level = None
-        for piece in barrier.pieces:
-            if piece.lo < z <= piece.hi:
-                level = piece.slope * z + piece.intercept
+        for lo, hi, slope, intercept in pieces_of(barrier):
+            if lo < z <= hi:
+                level = slope * z + intercept
                 break
         cum = 0.0
         for lam, weight in zip(values, weights):
