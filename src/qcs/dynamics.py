@@ -29,7 +29,7 @@ from .measure_maps import (
     invert,
     map_equal_ae,
 )
-from .spectral import HermitianOperator, PureState, cdfs_close, spectral_cdf, spectral_scale
+from .spectral import HermitianOperator, PureState, cdfs_close, hermitian_part, spectral_cdf, spectral_scale
 from .states import (
     BarrierComplex,
     CompleteState,
@@ -88,7 +88,7 @@ class UnitaryOperator:
         if self.dim != a.dim:
             raise DimensionMismatch(f"unitary dim {self.dim} vs operator dim {a.dim}")
         m = self.entries.conj().T @ a.entries @ self.entries
-        return HermitianOperator((m + m.conj().T) / 2)
+        return HermitianOperator(hermitian_part(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,10 +248,10 @@ def algebra_product(kind: str, f: ObservableFunction, g: ObservableFunction):
         raise DimensionMismatch("operators must share a dimension")
     if kind == "lie":
         m = -0.5j * (a @ b - b @ a)
-        return ObservableFunction(HermitianOperator((m + m.conj().T) / 2), f.barrier_complex)
+        return ObservableFunction(HermitianOperator(hermitian_part(m)), f.barrier_complex)
     if kind == "jordan":
         m = 0.5 * (a @ b + b @ a)
-        return ObservableFunction(HermitianOperator((m + m.conj().T) / 2), f.barrier_complex)
+        return ObservableFunction(HermitianOperator(hermitian_part(m)), f.barrier_complex)
     if kind == "star":
         return ComplexObservable(
             algebra_product("jordan", f, g), algebra_product("lie", f, g)

@@ -417,15 +417,18 @@ class PiecewiseConstantFn:
         starts, ends = self.run_bounds()
         return zip(starts, ends, map(self.values.__getitem__, starts))
 
-    def masses_by_value(self) -> dict[float, Fraction]:
-        """Exact pushforward of Lebesgue measure: total cell length per value,
-        in order of first appearance.  Each run adds its integer length to
-        its value's sum, and each sum becomes one ``Fraction``."""
+    def lengths_by_value(self) -> dict[float, int]:
+        """Total cell length per value over ``den``, in order of first
+        appearance: each run adds its integer length to its value's sum."""
         sums: dict[float, int] = {}
         nums = self.nums
         for start, end, v in self.runs():
             sums[v] = sums.get(v, 0) + nums[end] - nums[start]
-        return {v: Fraction(n, self.den) for v, n in sums.items()}
+        return sums
+
+    def masses_by_value(self) -> dict[float, Fraction]:
+        """Exact pushforward of Lebesgue measure: ``lengths_by_value`` as fractions."""
+        return {v: Fraction(n, self.den) for v, n in self.lengths_by_value().items()}
 
     def disagreement(self, other: "PiecewiseConstantFn") -> Fraction:
         """Exact Lebesgue measure of the set where self and other differ.

@@ -230,6 +230,8 @@ def cell_observable(cell_values: np.ndarray, measure: PhaseSpaceMeasure) -> Cell
     atom v is the running sum of the sorted masses at v's last cell."""
     kept, masses, total = measure.cell_masses
     flat = np.asarray(cell_values, dtype=float).ravel()[kept]
+    if not np.isfinite(flat).all():
+        raise DomainGap("cell values must be finite")
     order = np.argsort(flat, kind="stable")
     ranked = flat[order]
     change = ranked[1:] != ranked[:-1]

@@ -8,12 +8,12 @@ import numpy as np
 
 from .dynamics import UnitaryOperator
 from .measure_maps import MapSpec
-from .spectral import HermitianOperator, PureState, StepCDF
+from .spectral import HermitianOperator, PureState, StepCDF, hermitian_part
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianOperator:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator((m + m.conj().T) / 2)
+    return HermitianOperator(hermitian_part(m))
 
 
 def random_pure_state(rng: np.random.Generator, dim: int) -> PureState:

@@ -48,6 +48,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dagger) / 2, halved before the sum so that it cannot overflow."""
+    return m / 2 + m.conj().T / 2
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A finite-dimensional observable, stored as its full complex matrix.
@@ -440,7 +445,7 @@ def borel_apply(fn: PiecewiseFn, a: HermitianOperator) -> HermitianOperator:
             merged.append((val, [v]))
     system = EigenSystem(tuple((val, np.hstack(blocks)) for val, blocks in merged))
     m = system.matrix()
-    return _with_eigensystem((m + m.conj().T) / 2, system)
+    return _with_eigensystem(hermitian_part(m), system)
 
 
 def moment(a: HermitianOperator, psi: PureState, k: int) -> float:

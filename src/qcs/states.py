@@ -14,11 +14,8 @@ barrier to depend on the observable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from operator import mul, sub, truediv
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -136,15 +133,14 @@ class ObservableFunction:
 
 
 def label_mean(fn: PiecewiseConstantFn, power: int = 1) -> float:
-    """Integral of fn**power over ]0,1[ with exact cell masses.
-
-    Each cell length is rounded once from integers: integer true division is
-    correctly rounded, so each term (v ** power) * ((b - a) / den) is
-    bitwise ``v ** power * float(hi - lo)``.
-    """
-    nums, den = fn.nums, fn.den
-    lengths = map(truediv, map(sub, nums[1:], nums), repeat(den))
-    return math.fsum(map(mul, map(pow, fn.values, repeat(power)), lengths))
+    """Integral of fn**power over ]0,1[, correctly rounded: each value is p / q
+    with q a power of two, so the integral is an integer over den * max(q)**power,
+    and one integer true division rounds it."""
+    lengths = fn.lengths_by_value()
+    ratios = [v.as_integer_ratio() for v in lengths]
+    scale = max([q for _, q in ratios]) ** power
+    total = sum([p**power * n * (scale // q**power) for (p, q), n in zip(ratios, lengths.values())])
+    return total / (fn.den * scale)
 
 
 def value(a: HermitianOperator, c: CompleteState) -> float:
@@ -297,8 +293,10 @@ def expectation_via_labels(
     psi: PureState,
     barrier: PiecewiseAffineMap,
 ) -> float:
-    """Exact label-side integral of fn composed with the assigned values."""
-    return math.fsum(fn(r) * float(p) for r, p in value_distribution(a, psi, barrier))
+    """Label-side integral of fn composed with the assigned values, rounded once."""
+    if not barrier.measure_preserving:
+        raise NotABarrier("label-side expectations require a measure-preserving barrier")
+    return label_mean(level_function(spectral_cdf(a, psi), barrier).map_values(fn))
 
 
 def monotone_compose_check(

@@ -39,10 +39,3 @@ def ks_threshold(n: int, level: float = 0.99) -> float:
     if level not in KOLMOGOROV_QUANTILE:
         raise KeyError(f"tabulated levels: {sorted(KOLMOGOROV_QUANTILE)}")
     return KOLMOGOROV_QUANTILE[level] / math.sqrt(n)
-
-
-def empirical_cdf(samples, at: float) -> float:
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size == 0:
-        raise EmptySample("empirical CDF needs at least one sample")
-    return float(np.count_nonzero(x <= at)) / x.size

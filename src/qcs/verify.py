@@ -513,10 +513,7 @@ def check_moment_identity():
         barrier = _map_with_few_pieces(rng)
         for fn in fns:
             label = expectation_via_labels(fn, a, psi, barrier)
-            matrix = float(
-                np.vdot(psi.amplitudes, borel_apply(fn, a).entries @ psi.amplitudes).real
-            )
-            worst = max(worst, abs(label - matrix))
+            worst = max(worst, abs(label - borel_apply(fn, a).expectation(psi)))
     return worst < 1e-12, f"max |label - matrix| = {worst:.3e}"
 
 

@@ -166,6 +166,17 @@ def test_evolve_rabi_oracle():
         assert np.abs(psi_t.amplitudes - expected).max() < 1e-12
 
 
+def test_rabi_label_side_is_the_exact_mean_rounded_once():
+    """The last row of configs/rabi.json (t = 6.28, rotation barrier 1/5):
+    the exact label-side mean rounds to ...732, where a sum of per-cell
+    rounded lengths gave ...734, two ulps above."""
+    f = ObservableFunction(pauli_z(), BarrierComplex(MapSpec.rotation(F(1, 5))))
+    psi_t = evolve(pauli_x(), 6.28, UP)
+    fn = f.level_fn(psi_t)
+    exact = sum(F(v) * F(b - a, fn.den) for a, b, v in zip(fn.nums, fn.nums[1:], fn.values))
+    assert f.expectation(psi_t) == float(exact) == 0.9999797077049732
+
+
 def test_evolve_group_law(rng):
     h = random_hermitian(rng, 4)
     psi = random_pure_state(rng, 4)

@@ -26,7 +26,7 @@ from qcs.harness import (
 )
 from qcs.measure_maps import MapSpec, PiecewiseConstantFn
 from qcs.spectral import StepCDF
-from qcs.stats import empirical_cdf, ks_statistic, ks_threshold
+from qcs.stats import ks_statistic, ks_threshold
 from qcs import verify
 from qcs.cli import build_parser, main as cli_main
 
@@ -55,10 +55,6 @@ def test_ks_threshold_table():
     assert abs(ks_threshold(10_000, 0.99) - 0.0163) < 1e-12
     with pytest.raises(KeyError):
         ks_threshold(100, 0.5)
-
-
-def test_empirical_cdf():
-    assert empirical_cdf([1.0, 2.0, 3.0], 2.0) == 2 / 3
 
 
 def measure_config(**extra):
@@ -462,6 +458,24 @@ def test_cli_phase_space_with_nan_amplitude_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert cli_main(["run", "--config", str(path)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_cli_phase_space_with_non_finite_cell_values_exits_2(tmp_path, capsys):
+    """g(q) = 1e308 q overflows on the grid; an infinite cell value would
+    make the atom tolerance of the barrier factorization infinite."""
+    config = {
+        "kind": "phase_space",
+        "sigma": "0",
+        "N": 4,
+        "dq": 2.0,
+        "psi": [[1, 2, 3, 4]],
+        "normalize": True,
+        "observable": {"kind": "position", "g": {"kind": "affine", "a": 1e308, "b": 0}},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert "cell values must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["position", "momentum", "spin"])

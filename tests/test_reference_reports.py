@@ -24,8 +24,8 @@ DIGESTS = {
         "csv": "27625424698cc7e05ac60cc5ed0cf63b942aaef14e97197d2d38bb04f226edca",
     },
     "dynamics": {
-        "json": "7fa73c07e62518c62c543b995ac58610833fcb72422b4aa05769beffc2b3226b",
-        "csv": "ad23a6cb2ec210a5c81bab2e6930edaa4b8dd394655a903ec6e30045e66b44c9",
+        "json": "211e4a638fbc9665910c44a117b49f42c7a9a0a6e71e0a517783b942ec1d3e6e",
+        "csv": "7de2d8d8e1d75c5bd710760feca31f534fab3ccbef4b31d5cd57b3f04ea85b9b",
     },
     "example4": {
         "json": "277cf19c4065e228e8d40134910bfdb684861b2bdf1db62cb77e4b3b5feddb3a",
@@ -44,12 +44,12 @@ DIGESTS = {
         "csv": "983ef98aa688e7aafa08a44231cb085b27eb072925db2e265b66e1fbcee971e7",
     },
     "phase_space_spin": {
-        "json": "bcbcddb456dd280626758b62c0b5f1f89f65b2b4aba6d438662c75ff958a2f5c",
+        "json": "910bb4aea7088e9eb7f586836f9e3e2af05c3ac6949cee221029f7a6611abf98",
         "csv": "17258b9e3ddaf917e12dc9a166e5559c3ea56d5e4955a25acbc807bbf0694ea9",
     },
     "rabi": {
-        "json": "697c9fae4ae5664f71011729802d320bc1f9ea7ab9ff59aa4beadaadf7952165",
-        "csv": "efedfe10a4532d83bbefbeba38d8e19ab6769cafc7f565532b993a62f384ec82",
+        "json": "f437b38fe68b9c1e89f77262b3db8e90fee25bdf72f89d133f67b7c71b78d38e",
+        "csv": "4f03fe9856f8373a3a504969261d44fba687bc99de02f5ad158427c07e94b446",
     },
 }
 

@@ -216,6 +216,16 @@ def test_borel_identity_keeps_operator():
     assert np.abs(out.entries - a.entries).max() < 1e-12
 
 
+def test_borel_identity_near_the_float_limit_does_not_overflow():
+    """The symmetrization halves before it adds, so images near the float
+    limit stay finite."""
+    a = HermitianOperator(np.diag([1e308, 1.0, -1e308]).astype(complex))
+    with np.errstate(over="raise"):
+        out = borel_apply(PiecewiseFn.identity(), a)
+    assert np.array_equal(out.entries, a.entries)
+    assert out.eigensystem.eigenvalues == (-1e308, 1.0, 1e308)
+
+
 def test_borel_affine_matches_direct_eigensystem():
     sz = HermitianOperator(np.diag([1.0, -1.0]).astype(complex))
     out = borel_apply(PiecewiseFn.affine(2.0, 1.0), sz)
