@@ -28,8 +28,10 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import add, gt, index, le, mul, ne
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 from .errors import BadSpec, DistributionMismatch, NotInjective, OutOfDomain, ValueNotInSupport
-from .spectral import EIGENVALUE_MERGE_TOL, StepCDF, spectral_scale
+from .spectral import EIGENVALUE_MERGE_TOL, StepCDF, _readonly, spectral_scale
 
 RationalLike = Union[Fraction, int, float, str]
 
@@ -101,6 +103,14 @@ def _cell_of(nums: Sequence[int], den: int, z: Fraction) -> int:
     return bisect.bisect_left(nums, -((-z.numerator * den) // z.denominator), 1) - 1
 
 
+def _float_ends(obj) -> np.ndarray:
+    """A map's or a function's ends nums[i] / den, each correctly rounded
+    (integer true division rounds once), as a read-only array; each object
+    keeps it as ``float_ends``, built on first use."""
+    den = obj.den
+    return _readonly([x / den for x in obj.nums])
+
+
 def check_partition(den: int, nums: Sequence[int], cells: int) -> None:
     """The checks on a partition of ]0,1] into ``cells`` cells with ends
     nums[i] / den, in one integer pass."""
@@ -153,6 +163,8 @@ class PiecewiseAffineMap:
         denominator bits from them (``perfbench/spans.py``), and its
         measure workload compares labels with them."""
         return tuple(Fraction(n, self.den) for n in self.nums)
+
+    float_ends = cached_property(_float_ends)
 
     def __call__(self, z: RationalLike) -> Fraction:
         z = to_fraction(z)
@@ -395,6 +407,13 @@ class PiecewiseConstantFn:
         denominator bits from them (``perfbench/spans.py``)."""
         return tuple(Fraction(n, self.den) for n in self.nums)
 
+    float_ends = cached_property(_float_ends)
+
+    @cached_property
+    def float_values(self) -> np.ndarray:
+        """The values as a read-only array, built on first use."""
+        return _readonly(self.values)
+
     def __call__(self, z: RationalLike) -> float:
         z = to_fraction(z)
         if not (ZERO < z <= ONE):
@@ -468,7 +487,9 @@ def level_function(cdf: StepCDF, m: PiecewiseAffineMap) -> PiecewiseConstantFn:
     """The deterministic outcome z -> quantile(cdf, m(z)) as an exact function.
 
     The result is memoised per (step CDF object, map) on the map; the memo
-    holds the CDF only weakly.  Callers share it and must not change it.
+    holds the CDF only weakly.  Callers share it and must not change it.  A
+    map made by ``factor_against_cdf(fn, cdf)`` already holds its level
+    function for that ``cdf``, equal to the composition (see there).
     """
     memo = m._level_memo
     fn = memo.get(cdf)
@@ -663,6 +684,15 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     interval ]lo_k / L, (lo_k + w_k) / L] and slope s_k = w_k G / (t_k L).
     A run of it from x / G, after earlier runs of total length b_k / G, has
     the intercept lo_k / L + s_k (b_k - x) / G: one integer numerator per run.
+
+    The map stores the level function it guarantees in its ``_level_memo``
+    under ``cdf``, so ``level_function(cdf, a)`` does no pullback.  It is
+    fn's own ends with each value v renamed to the support point of its
+    atom, bit for bit ``quantile_pcf(cdf).compose_with_map(a)``: the runs
+    of atom k tile its level interval exactly (slope w_k G / (t_k L), also
+    for a mass accepted within ``MATCH_TOL``), so no image crosses a level
+    end, ``_pullback`` cuts nothing and keeps the ends, and each cell reads
+    ``support[k]``.
     """
     support = cdf.support
     atom_of = atoms_of(set(fn.values), support)
@@ -702,4 +732,7 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     sizes = [y - x for x, y in zip(starts, stops)]
     piece_slopes = tuple(chain.from_iterable(map(repeat, map(slopes.__getitem__, atoms), sizes)))
     cnums = list(chain.from_iterable(map(repeat, intercepts, sizes)))
-    return PiecewiseAffineMap._built(den, ends, piece_slopes, *_reduced(cden, cnums))
+    alpha = PiecewiseAffineMap._built(den, ends, piece_slopes, *_reduced(cden, cnums))
+    levels = tuple(chain.from_iterable(map(repeat, map(support.__getitem__, atoms), sizes)))
+    alpha._level_memo[cdf] = PiecewiseConstantFn._built(den, ends, levels)
+    return alpha

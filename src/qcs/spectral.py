@@ -433,9 +433,12 @@ def borel_apply(fn: PiecewiseFn, a: HermitianOperator) -> HermitianOperator:
     The returned operator carries the image eigensystem, so downstream CDFs
     use bitwise the same image values as direct evaluation of fn.  Its
     entries are ``V diag(fn(lambda)) V^dagger``, symmetrized to be exactly
-    Hermitian.
+    Hermitian.  An image that is not finite raises DomainGap: it has no atom
+    to be merged into.
     """
     images = sorted(((fn(lam), v) for lam, v in a.eigensystem.atoms), key=lambda t: t[0])
+    if not all(math.isfinite(val) for val, _ in images):
+        raise DomainGap("function images must be finite")
     half_gap = EIGENVALUE_MERGE_TOL * spectral_scale([val for val, _ in images]) / 2
     merged: list[tuple[float, list[np.ndarray]]] = []
     for val, v in images:

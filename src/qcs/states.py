@@ -199,8 +199,7 @@ def sample_values(
         raise OutOfDomain("need at least one sample")
     cdf = spectral_cdf(a, psi)
     z = uniform_labels(seed, start, n)
-    # integer true division is correctly rounded: float() of each breakpoint
-    bps = np.array([x / barrier.den for x in barrier.nums])
+    bps = barrier.float_ends
     bad = _nearest_distance(bps, z) < BREAKPOINT_EPS
     for i in np.nonzero(bad)[0]:
         for candidate in keyed_uniform(seed, start + int(i)):
@@ -210,9 +209,9 @@ def sample_values(
         else:
             raise LabelOnBreakpoint("could not draw a label away from breakpoints")
     fn = level_function(cdf, barrier)
-    ends = np.array([x / fn.den for x in fn.nums])
+    ends = fn.float_ends
     idx = np.searchsorted(ends, z)
-    out = np.array(fn.values)[idx - 1]
+    out = fn.float_values[idx - 1]
     # ends[idx - 1] < z <= ends[idx], each end the correctly rounded exact
     # end e.  Rounding is monotone and z is a float, so z != ends[idx]
     # proves e[idx - 1] < z < e[idx]: z lies inside cell idx - 1.  Only the

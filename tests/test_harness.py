@@ -842,3 +842,41 @@ def test_qcs_run_measure_builds_one_level_function(tmp_path, monkeypatch, capsys
     assert cli_main(["run", "--config", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["ks"]["n"] == 500
     assert len(calls) == 1
+
+
+def test_realized_barriers_give_their_level_functions_without_a_pullback(monkeypatch, capsys):
+    """realize_barrier stores each barrier's level function, in the library
+    and under qcs run on every phase_space config."""
+    from fractions import Fraction
+    from pathlib import Path
+
+    from qcs.measure_maps import level_function
+    from qcs.phase_space import (
+        PhaseSpaceState,
+        build_measure,
+        momentum_observable,
+        position_observable,
+        realize_barrier,
+        spin_observable,
+        to_unit_interval,
+    )
+    from qcs.spectral import PiecewiseFn
+
+    rng = np.random.default_rng(5)
+    raw = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+    state = PhaseSpaceState.normalized(Fraction(1, 2), raw, 0.25)
+    equiv = to_unit_interval(build_measure(state))
+    calls = _count_calls(monkeypatch, PiecewiseConstantFn, "compose_with_map")
+    for obs in (
+        position_observable(PiecewiseFn.square(), state),
+        momentum_observable(PiecewiseFn.identity(), state),
+        spin_observable(state),
+    ):
+        barrier, _ = realize_barrier(obs, equiv)
+        level_function(obs.cdf, barrier)
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("phase_space_*.json"))
+    assert len(configs) == 3
+    for path in configs:
+        assert cli_main(["run", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["passed"]
+    assert calls == []

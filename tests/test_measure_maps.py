@@ -240,7 +240,7 @@ def test_factor_roundtrip_through_rotation():
     fn = level_function(cdf, rot)
     alpha = factor_against_cdf(fn, cdf)
     assert verify_measure_preserving(alpha)
-    assert level_function(cdf, alpha).equal_ae(fn)
+    assert quantile_pcf(cdf).compose_with_map(alpha).equal_ae(fn)
     # the recovered map need not equal the rotation pointwise, only the
     # induced values must match
     image = pushforward_density(alpha)
@@ -316,7 +316,7 @@ def test_level_function_through_reflection():
     assert fn(F(1, 2)) == -1.0
     alpha = factor_against_cdf(fn, cdf)
     assert verify_measure_preserving(alpha)
-    assert level_function(cdf, alpha).equal_ae(fn)
+    assert quantile_pcf(cdf).compose_with_map(alpha).equal_ae(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +678,68 @@ def test_factor_against_exact_levels_on_mixed_denominators(data, m):
         alpha = factor_against_cdf(g, cdf)
         assert pieces_of(alpha) == pieces_of(ref_factor_against_cdf(g, cdf))
         assert all(s == 1 for s in alpha.slopes)
+
+
+@st.composite
+def signed_zero_cdfs(draw):
+    """``dyadic_cdfs`` whose zero support point is 0.0 or -0.0."""
+    cdf = draw(dyadic_cdfs())
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    return StepCDF(tuple(zero if v == 0 else v for v in cdf.support), cdf.levels)
+
+
+@st.composite
+def renamed_cells(draw, fn):
+    """fn with each cell's value moved within the ``atoms_of`` tolerance, and
+    each zero given either sign, so one atom is named by several floats."""
+    moves = st.sampled_from([0.0, 1e-13, -4e-13, 9e-13])
+    zeros = st.sampled_from([0.0, -0.0, 5e-324, -3e-13])
+    return PiecewiseConstantFn(fn.den, fn.nums, [v + draw(moves) if v else draw(zeros) for v in fn.values])
+
+
+def assert_stores_the_composition(fn, cdf):
+    """The level function that factor_against_cdf stores is the quantile
+    composed with its map, in den, nums and the bits of every value."""
+    alpha = factor_against_cdf(fn, cdf)
+    stored, composed = level_function(cdf, alpha), quantile_pcf(cdf).compose_with_map(alpha)
+    assert (stored.den, stored.nums) == (composed.den, composed.nums)
+    assert list(map(float.hex, stored.values)) == list(map(float.hex, composed.values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=signed_maps(), cdf=signed_zero_cdfs(), float_cdf=float_level_cdfs())
+def test_factor_stores_the_composition_as_its_level_function(data, m, cdf, float_cdf):
+    """On masses matched within MATCH_TOL, on values named within the
+    atoms_of tolerance and on mixed signed zeros."""
+    near = data.draw(near_matching_functions(float_cdf))
+    fn = quantile_pcf(cdf).compose_with_map(m)
+    for g, c in ((near, float_cdf), (fn, cdf)):
+        assert_stores_the_composition(g, c)
+        assert_stores_the_composition(data.draw(renamed_cells(g)), c)
+
+
+def test_factor_stores_the_composition_for_the_phase_space_observables_at_n16():
+    from qcs.phase_space import (
+        PhaseSpaceState,
+        build_measure,
+        momentum_observable,
+        position_observable,
+        spin_observable,
+        to_unit_interval,
+    )
+    from qcs.spectral import PiecewiseFn
+
+    rng = np.random.default_rng(16)
+    raw = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+    state = PhaseSpaceState.normalized(F(1, 2), raw, 0.25)
+    equiv = to_unit_interval(build_measure(state))
+    for obs in (
+        position_observable(PiecewiseFn.identity(), state),
+        position_observable(PiecewiseFn.square(), state),
+        momentum_observable(PiecewiseFn.identity(), state),
+        spin_observable(state),
+    ):
+        assert_stores_the_composition(equiv.pcf(obs.cell_values), obs.cdf)
 
 
 def test_runs_are_the_groups_of_equal_adjacent_values():

@@ -226,6 +226,23 @@ def test_borel_identity_near_the_float_limit_does_not_overflow():
     assert out.eigensystem.eigenvalues == (-1e308, 1.0, 1e308)
 
 
+@pytest.mark.parametrize(
+    "fn, eigenvalues",
+    [
+        (PiecewiseFn.square(), [1e200, 1.0]),
+        (PiecewiseFn.affine(4.0, 0.0), [1e308, -1.0]),
+        (PiecewiseFn.from_poly((0.0, 0.0, 1.0, -1.0)), [1e200, 0.5]),
+    ],
+    ids=["square-overflow", "affine-overflow", "cubic-to-minus-inf"],
+)
+def test_borel_image_that_is_not_finite_is_a_domain_gap(fn, eigenvalues):
+    """An image that overflows has no atom to merge into: it is not merged
+    into the atom below it."""
+    a = HermitianOperator(np.diag(eigenvalues).astype(complex))
+    with pytest.raises(DomainGap, match="finite"):
+        borel_apply(fn, a)
+
+
 def test_borel_affine_matches_direct_eigensystem():
     sz = HermitianOperator(np.diag([1.0, -1.0]).astype(complex))
     out = borel_apply(PiecewiseFn.affine(2.0, 1.0), sz)

@@ -148,24 +148,36 @@ def test_sample_values_stream_is_pinned(seed, start, n):
 
 
 def test_chunked_sampling_builds_one_level_function(monkeypatch):
-    """Four chunks on one (operator, state, barrier) share one level function."""
+    """Four chunks on one (operator, state, barrier) share one level function
+    and round the float ends of the barrier and of that function once."""
+    from qcs import measure_maps
     from qcs.measure_maps import PiecewiseConstantFn
 
     rng = np.random.default_rng(5)
     a, psi = random_hermitian(rng, 6), random_pure_state(rng, 6)
     barrier = build_map(MapSpec.composition(MapSpec.rotation(F(1, 3)), MapSpec.expanding(3)))
-    calls = []
-    original = PiecewiseConstantFn.compose_with_map
+    calls, arrays = [], []
+    original, readonly = PiecewiseConstantFn.compose_with_map, measure_maps._readonly
 
     def counted(fn, m):
         calls.append(m)
         return original(fn, m)
 
+    def counted_array(values):
+        arrays.append(values)
+        return readonly(values)
+
     monkeypatch.setattr(PiecewiseConstantFn, "compose_with_map", counted)
+    monkeypatch.setattr(measure_maps, "_readonly", counted_array)
     chunks = [sample_values(a, psi, barrier, 7, 256, start=256 * k) for k in range(4)]
     assert calls == [barrier]
+    assert len(arrays) == 3  # the barrier's ends, the level function's ends and values
     monkeypatch.undo()
     assert np.array_equal(np.concatenate(chunks), sample_values(a, psi, barrier, 7, 1024))
+    fn = level_function(spectral_cdf(a, psi), barrier)
+    for obj in (barrier, fn):
+        assert obj.float_ends.tolist() == [float(F(x, obj.den)) for x in obj.nums]
+        assert not obj.float_ends.flags.writeable
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, -(2**64)])
@@ -504,7 +516,7 @@ def test_recover_barrier_roundtrip():
     cdf = spectral_cdf(MODEL.operator, MODEL.state)
     fn = level_function(cdf, rot)
     beta = recover_barrier(MODEL.operator, MODEL.state, fn)
-    assert level_function(cdf, beta).equal_ae(fn)
+    assert quantile_pcf(cdf).compose_with_map(beta).equal_ae(fn)
     assert beta.measure_preserving
 
 
