@@ -384,6 +384,8 @@ def _run_cat(config: ExperimentConfig) -> dict:
     if not (0 < z < 1):
         raise SchemaError("z must lie strictly between 0 and 1")
     alpha = build_map(parse_map_spec(payload.get("barrier"), MapSpec.identity()))
+    if alpha.is_breakpoint(z):
+        raise SchemaError(f"label {z} is a breakpoint of the barrier")
     level = alpha(z)
     awake = level > 1 - p
     return {

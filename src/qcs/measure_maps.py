@@ -103,14 +103,6 @@ def _cell_of(nums: Sequence[int], den: int, z: Fraction) -> int:
     return bisect.bisect_left(nums, -((-z.numerator * den) // z.denominator), 1) - 1
 
 
-def _float_ends(obj) -> np.ndarray:
-    """A map's or a function's ends nums[i] / den, each correctly rounded
-    (integer true division rounds once), as a read-only array; each object
-    keeps it as ``float_ends``, built on first use."""
-    den = obj.den
-    return _readonly([x / den for x in obj.nums])
-
-
 def check_partition(den: int, nums: Sequence[int], cells: int) -> None:
     """The checks on a partition of ]0,1] into ``cells`` cells with ends
     nums[i] / den, in one integer pass."""
@@ -163,8 +155,6 @@ class PiecewiseAffineMap:
         denominator bits from them (``perfbench/spans.py``), and its
         measure workload compares labels with them."""
         return tuple(Fraction(n, self.den) for n in self.nums)
-
-    float_ends = cached_property(_float_ends)
 
     def __call__(self, z: RationalLike) -> Fraction:
         z = to_fraction(z)
@@ -407,7 +397,12 @@ class PiecewiseConstantFn:
         denominator bits from them (``perfbench/spans.py``)."""
         return tuple(Fraction(n, self.den) for n in self.nums)
 
-    float_ends = cached_property(_float_ends)
+    @cached_property
+    def float_ends(self) -> np.ndarray:
+        """The ends nums[i] / den, each correctly rounded (integer true
+        division rounds once), as a read-only array built on first use."""
+        den = self.den
+        return _readonly([x / den for x in self.nums])
 
     @cached_property
     def float_values(self) -> np.ndarray:

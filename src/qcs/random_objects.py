@@ -10,6 +10,9 @@ from .dynamics import UnitaryOperator
 from .measure_maps import MapSpec
 from .spectral import HermitianOperator, PureState, StepCDF, hermitian_part
 
+MAX_DEN = 64  # largest denominator of a random rational
+MAX_WEIGHT = 16  # random block weights lie in [1, MAX_WEIGHT)
+
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianOperator:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -28,15 +31,15 @@ def random_unitary(rng: np.random.Generator, dim: int) -> UnitaryOperator:
     return UnitaryOperator(q)
 
 
-def random_rational(rng: np.random.Generator, max_den: int = 64) -> Fraction:
-    den = int(rng.integers(2, max_den + 1))
+def random_rational(rng: np.random.Generator) -> Fraction:
+    den = int(rng.integers(2, MAX_DEN + 1))
     num = int(rng.integers(0, den))
     return Fraction(num, den)
 
 
-def random_lengths(rng: np.random.Generator, blocks: int, max_den: int = 16) -> list[Fraction]:
-    """Positive rationals summing to exactly 1."""
-    weights = [int(rng.integers(1, max_den)) for _ in range(blocks)]
+def random_lengths(rng: np.random.Generator, blocks: int) -> list[Fraction]:
+    """Positive rationals summing to exactly 1, from weights below MAX_WEIGHT."""
+    weights = [int(rng.integers(1, MAX_WEIGHT)) for _ in range(blocks)]
     total = sum(weights)
     return [Fraction(w, total) for w in weights]
 

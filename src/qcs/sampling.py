@@ -15,6 +15,7 @@ from numpy.random import Generator, Philox
 from .errors import OutOfDomain
 
 _KEYS = 1 << 64
+REDRAWS = 16  # replacement draws per rejected position
 
 
 def _key(seed: int) -> int:
@@ -36,10 +37,10 @@ def uniform_labels(seed: int, start: int, count: int) -> np.ndarray:
     return Generator(bg).random(skip + count)[skip:]
 
 
-def keyed_uniform(seed: int, index: int, count: int = 16) -> np.ndarray:
+def keyed_uniform(seed: int, index: int) -> np.ndarray:
     """Replacement draws for one rejected position, on a stream keyed by
     (seed, index+1) so it never collides with the main stream's key."""
     if not 0 <= index < _KEYS - 1:
         raise OutOfDomain(f"position must lie in [0, 2**64 - 1), got {index}")
     key = np.array([_key(seed), int(index) + 1], dtype=np.uint64)
-    return Generator(Philox(key=key)).random(count)
+    return Generator(Philox(key=key)).random(REDRAWS)

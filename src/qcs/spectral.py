@@ -401,8 +401,8 @@ def eigensystem(a: HermitianOperator) -> EigenSystem:
     return system
 
 
-def _with_eigensystem(entries: np.ndarray, system: EigenSystem, tag: str | None = None) -> HermitianOperator:
-    op = HermitianOperator(entries, tag=tag)
+def _with_eigensystem(entries: np.ndarray, system: EigenSystem) -> HermitianOperator:
+    op = HermitianOperator(entries)
     op.__dict__["eigensystem"] = system
     return op
 

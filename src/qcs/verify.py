@@ -91,6 +91,7 @@ from .phase_space import (
 )
 
 ONE = Fraction(1)
+FEW_PIECES = 6  # most pieces of a random barrier in the sweeps
 
 
 @dataclass
@@ -121,10 +122,10 @@ def _check(name: str):
     return wrap
 
 
-def _map_with_few_pieces(rng, max_pieces: int = 6, allow_expanding: bool = True):
+def _map_with_few_pieces(rng):
     while True:
-        m = build_map(random_map_spec(rng, allow_expanding=allow_expanding))
-        if len(m.slopes) <= max_pieces:
+        m = build_map(random_map_spec(rng))
+        if len(m.slopes) <= FEW_PIECES:
             return m
 
 

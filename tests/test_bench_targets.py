@@ -1,7 +1,9 @@
 """The traced benchmark run wraps the qcs functions listed in
 perfbench/spans.py; each of them must still exist where it is listed, and
-each work counter must read what its target returns."""
+each work counter must read what its target returns.  Every qcs name the
+benchmark's workloads and tests read must resolve."""
 
+import ast
 import importlib
 import importlib.util
 from fractions import Fraction
@@ -11,7 +13,8 @@ import numpy as np
 
 from qcs import measure_maps, phase_space, sampling, spectral, states
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -64,3 +67,29 @@ def test_every_work_counter_reads_a_real_output_of_its_target():
         rec = spans.Recorder()
         counter(rec, (), outputs[attr]())
         assert sum(rec.counts.values()) + sum(rec.maxima.values()) > 0, attr
+
+
+def qcs_names_read(path):
+    """(module, name) for each ``<qcs module>.<name>`` attribute read and
+    each ``from qcs.<module> import <name>`` in the source at path."""
+    tree = ast.parse(path.read_text())
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "qcs":
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qcs."):
+            names.update((node.module[4:], alias.name) for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            names.add((modules[node.value.id], node.attr))
+    return names
+
+
+def test_every_qcs_name_the_benchmark_reads_resolves():
+    read = qcs_names_read(PERFBENCH / "workloads.py") | qcs_names_read(PERFBENCH / "test_perfbench.py")
+    missing = sorted(
+        f"qcs.{module}.{name}"
+        for module, name in read
+        if not hasattr(importlib.import_module("qcs." + module), name)
+    )
+    assert ("states", "BREAKPOINT_EPS") in read and not missing

@@ -166,6 +166,19 @@ def test_cat_experiment_threshold():
     assert boundary.results["outcome"] == "asleep"
 
 
+def test_cat_refuses_a_label_on_a_barrier_breakpoint(capsys):
+    """The rotation by 1/2 has a breakpoint at 1/2, where the cat has no
+    value; a label next to it still has one."""
+    rotation = '{"kind": "rotation", "c": "1/2"}'
+    config = {"kind": "cat", "p": "1/2", "z": "1/2", "barrier": json.loads(rotation)}
+    with pytest.raises(SchemaError, match="breakpoint"):
+        run_experiment(ExperimentConfig.from_json(config))
+    assert cli_main(["cat", "--p", "1/2", "--z", "0.5", "--barrier", rotation]) == 2
+    assert "breakpoint" in capsys.readouterr().err
+    assert cli_main(["cat", "--p", "1/2", "--z", "0.75", "--barrier", rotation]) == 0
+    assert '"asleep"' in capsys.readouterr().out
+
+
 def test_dynamics_experiment_rows():
     config = ExperimentConfig.from_json(
         {

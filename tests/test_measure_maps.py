@@ -718,6 +718,20 @@ def test_factor_stores_the_composition_as_its_level_function(data, m, cdf, float
         assert_stores_the_composition(data.draw(renamed_cells(g)), c)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), outer=signed_maps(), inner=signed_maps(), cdf=dyadic_cdfs(), float_cdf=float_level_cdfs())
+def test_every_map_end_is_an_end_of_its_level_functions(data, outer, inner, cdf, float_cdf):
+    """The sampler's breakpoint rule rests on this: a label on a map's end
+    ties with an end of the level function.  On signed maps, compositions
+    and factor outputs (exact, and within MATCH_TOL), whose level function
+    under their own CDF is the stored one."""
+    exact = factor_against_cdf(level_function(cdf, inner), cdf)
+    near = factor_against_cdf(data.draw(near_matching_functions(float_cdf)), float_cdf)
+    for m in (inner, compose(outer, inner), exact, near):
+        for c in (cdf, float_cdf):
+            assert set(ends_of(m)) <= set(ends_of(level_function(c, m)))
+
+
 def test_factor_stores_the_composition_for_the_phase_space_observables_at_n16():
     from qcs.phase_space import (
         PhaseSpaceState,

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcs import states
 from qcs.errors import (
@@ -50,9 +52,8 @@ from qcs.states import (
     value,
     value_distribution,
     value_region,
-    _nearest_distance,
 )
-from qcs.random_objects import random_hermitian, random_pure_state
+from qcs.random_objects import random_hermitian, random_map_spec, random_pure_state
 
 from layout import cells_of, pieces_of
 
@@ -149,7 +150,7 @@ def test_sample_values_stream_is_pinned(seed, start, n):
 
 def test_chunked_sampling_builds_one_level_function(monkeypatch):
     """Four chunks on one (operator, state, barrier) share one level function
-    and round the float ends of the barrier and of that function once."""
+    and round its float ends once."""
     from qcs import measure_maps
     from qcs.measure_maps import PiecewiseConstantFn
 
@@ -171,13 +172,12 @@ def test_chunked_sampling_builds_one_level_function(monkeypatch):
     monkeypatch.setattr(measure_maps, "_readonly", counted_array)
     chunks = [sample_values(a, psi, barrier, 7, 256, start=256 * k) for k in range(4)]
     assert calls == [barrier]
-    assert len(arrays) == 3  # the barrier's ends, the level function's ends and values
+    assert len(arrays) == 2  # the level function's ends and values
     monkeypatch.undo()
     assert np.array_equal(np.concatenate(chunks), sample_values(a, psi, barrier, 7, 1024))
     fn = level_function(spectral_cdf(a, psi), barrier)
-    for obj in (barrier, fn):
-        assert obj.float_ends.tolist() == [float(F(x, obj.den)) for x in obj.nums]
-        assert not obj.float_ends.flags.writeable
+    assert fn.float_ends.tolist() == [float(F(x, fn.den)) for x in fn.nums]
+    assert not fn.float_ends.flags.writeable
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, -(2**64)])
@@ -218,19 +218,6 @@ def test_negative_redraw_position_is_out_of_domain():
         keyed_uniform(3, -1)
 
 
-def test_nearest_distance_equals_the_dense_minimum():
-    """The searchsorted neighbour distance is the dense minimum bitwise, so
-    redraw decisions do not change."""
-    rng = np.random.default_rng(17)
-    for size in (1, 2, 5, 40):
-        points = np.sort(rng.random(size))
-        x = np.concatenate(
-            [rng.random(500), points, np.nextafter(points, 0), np.nextafter(points, 1), [0.0, 1.0]]
-        )
-        dense = np.abs(x[:, None] - points[None, :]).min(axis=1)
-        assert np.array_equal(_nearest_distance(points, x), dense)
-
-
 def test_sample_values_agree_with_the_values_function():
     """Each sampled output is the deterministic value at its drawn label."""
     from qcs.sampling import uniform_labels
@@ -246,7 +233,7 @@ def test_sample_values_agree_with_the_values_function():
 def _sample_at(monkeypatch, labels, a, psi, barrier):
     """sample_values with the label stream replaced by ``labels``."""
     labels = np.array(labels, dtype=float)
-    monkeypatch.setattr(states, "uniform_labels", lambda seed, start, n: labels.copy())
+    monkeypatch.setattr(states, "uniform_labels", lambda seed, start, n: labels[start : start + n].copy())
     return labels, sample_values(a, psi, barrier, seed=0, n=len(labels))
 
 
@@ -282,6 +269,78 @@ def test_sample_values_decide_labels_on_level_ends_exactly(monkeypatch):
     labels, out = _sample_at(monkeypatch, [0.625, 0.875, 0.5], MODEL.operator, MODEL.state, IDENTITY)
     expected = [value(MODEL.operator, CompleteState(MODEL.state, IDENTITY, F(z))) for z in labels]
     assert out.tolist() == expected == [-1.0, 0.0, -1.0]
+
+
+# breakpoints 0, 7/24, 5/8 and 23/24: dyadic and not
+NEAR_BARRIER = build_map(MapSpec.composition(MapSpec.rotation(F(3, 8)), MapSpec.expanding(3)))
+
+
+def test_sample_values_keep_labels_next_to_barrier_breakpoints(monkeypatch):
+    """Labels within 1e-15 of a barrier breakpoint, and not on one, keep
+    their own exact value: one to four ulps and 9.9e-16 off each interior
+    breakpoint, and subnormal to 9.9e-16 above 0."""
+    rng = np.random.default_rng(8)
+    a, psi = random_hermitian(rng, 6), random_pure_state(rng, 6)
+    labels = [np.nextafter(0.625, 1.0), 5e-324, 2.0**-1074 * 3, 2.0**-60, 1e-16, 9.9e-16]
+    for b in NEAR_BARRIER.breakpoints[1:-1]:
+        for side in (0.0, 1.0):
+            z = float(b)
+            for _ in range(4):
+                z = np.nextafter(z, side)
+                labels.append(z)
+            labels.append(float(b) + (2 * side - 1) * 9.9e-16)
+    labels, out = _sample_at(monkeypatch, labels, a, psi, NEAR_BARRIER)
+    expected = [value(a, CompleteState(psi, NEAR_BARRIER, F(z))) for z in labels]
+    assert out.tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.tuples(st.integers(0, 99), st.floats(2.0**-60, 1e-15), st.booleans()), min_size=1, max_size=8),
+)
+def test_sample_values_equal_value_within_1e_15_of_random_breakpoints(seed, picks):
+    """Random barriers, and labels 2^-60 to 1e-15 off their breakpoints."""
+    rng = np.random.default_rng(seed)
+    barrier = build_map(random_map_spec(rng))
+    a, psi = random_hermitian(rng, 4), random_pure_state(rng, 4)
+    ends = barrier.breakpoints[:-1]
+    labels = []
+    for k, offset, above in picks:
+        z = float(ends[k % len(ends)]) + (offset if above else -offset)
+        if 0 < z < 1 and not barrier.is_breakpoint(F(z)):
+            labels.append(z)
+    assume(labels)
+    with pytest.MonkeyPatch.context() as patch:
+        labels, out = _sample_at(patch, labels, a, psi, barrier)
+    assert out.tolist() == [value(a, CompleteState(psi, barrier, F(z))) for z in labels]
+
+
+def test_sample_values_redraw_labels_exactly_on_barrier_breakpoints(monkeypatch):
+    """0.0 and 0.625 are barrier breakpoints: each takes the value at the
+    first label of its position's keyed stream; chunks agree bytewise."""
+    from qcs.sampling import keyed_uniform
+
+    rng = np.random.default_rng(8)
+    a, psi = random_hermitian(rng, 6), random_pure_state(rng, 6)
+    labels = [0.3, 0.0, 0.625, 0.7, 0.625, 0.0]
+    labels, whole = _sample_at(monkeypatch, labels, a, psi, NEAR_BARRIER)
+    for i, z in enumerate(labels):
+        label = F(z) if z not in (0.0, 0.625) else F(keyed_uniform(0, i)[0])
+        assert whole[i] == value(a, CompleteState(psi, NEAR_BARRIER, label))
+    chunks = [sample_values(a, psi, NEAR_BARRIER, 0, hi - lo, start=lo) for lo, hi in ((0, 2), (2, 3), (3, 6))]
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+
+def test_redraws_skip_candidates_on_breakpoints(monkeypatch):
+    labels = [0.0, 0.5]
+    draws = np.array([0.625, 0.0, 0.25, 0.75])
+    monkeypatch.setattr(states, "keyed_uniform", lambda seed, i: draws)
+    _, out = _sample_at(monkeypatch, labels, MODEL.operator, MODEL.state, NEAR_BARRIER)
+    assert out[0] == value(MODEL.operator, CompleteState(MODEL.state, NEAR_BARRIER, F(1, 4)))
+    monkeypatch.setattr(states, "keyed_uniform", lambda seed, i: draws[:2])
+    with pytest.raises(LabelOnBreakpoint):
+        _sample_at(monkeypatch, labels, MODEL.operator, MODEL.state, NEAR_BARRIER)
 
 
 def test_sample_values_identity_operator():
