@@ -24,9 +24,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat
-from operator import add, gt, index, le, mul, ne
-from typing import Iterable, Sequence, Union
+from itertools import accumulate, compress, count, repeat
+from operator import add, gt, index, le, mul, ne, sub
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -431,14 +432,21 @@ class PiecewiseConstantFn:
         starts, ends = self.run_bounds()
         return zip(starts, ends, map(self.values.__getitem__, starts))
 
-    def lengths_by_value(self) -> dict[float, int]:
-        """Total cell length per value over ``den``, in order of first
-        appearance: each run adds its integer length to its value's sum."""
+    @cached_property
+    def _lengths(self) -> Mapping[float, int]:
         sums: dict[float, int] = {}
         nums = self.nums
         for start, end, v in self.runs():
             sums[v] = sums.get(v, 0) + nums[end] - nums[start]
-        return sums
+        return MappingProxyType(sums)
+
+    def lengths_by_value(self) -> Mapping[float, int]:
+        """Total cell length per value over ``den``, in order of first
+        appearance, as a read-only mapping built on first use and then
+        shared: each run adds its integer length to its value's sum.  The
+        level function that ``factor_against_cdf`` stores carries the
+        factor's own per-atom sums, so it sums nothing."""
+        return self._lengths
 
     def masses_by_value(self) -> dict[float, Fraction]:
         """Exact pushforward of Lebesgue measure: ``lengths_by_value`` as fractions."""
@@ -663,6 +671,17 @@ def atoms_of(values: Iterable[float], support: Sequence[float]) -> dict[float, i
     return atom_of
 
 
+def _per_cell(per_run: list, sizes: Sequence[int] | None) -> list:
+    """Each run's item repeated over its cells, sizes[r] of them for run r:
+    one object array filled once per run, repeated and unpacked in C.
+    ``sizes`` is None when every run is one cell, and per_run is returned."""
+    if sizes is None:
+        return per_run
+    items = np.empty(len(per_run), dtype=object)
+    items[:] = per_run
+    return items.repeat(sizes).tolist()
+
+
 def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffineMap:
     """Factor fn through the quantile of cdf: find a measure-preserving map a
     with quantile(cdf, a(z)) = fn(z) off finitely many breakpoints.
@@ -687,7 +706,11 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     of atom k tile its level interval exactly (slope w_k G / (t_k L), also
     for a mass accepted within ``MATCH_TOL``), so no image crosses a level
     end, ``_pullback`` cuts nothing and keeps the ends, and each cell reads
-    ``support[k]``.
+    ``support[k]``.  It also carries the factor's per-atom sums t_k as its
+    ``lengths_by_value``, keyed by ``support[k]`` in order of first
+    appearance, so reading its masses or its label mean sums nothing again.
+    Intercepts are reduced per run, and slopes, intercepts and levels are
+    then repeated over each run's cells in C (``_per_cell``).
     """
     support = cdf.support
     atom_of = atoms_of(set(fn.values), support)
@@ -724,10 +747,13 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
         b = before[k]
         before[k] = b + y - x
         intercepts.append(bases[k] + per_unit[k] * (b - x))
-    sizes = [y - x for x, y in zip(starts, stops)]
-    piece_slopes = tuple(chain.from_iterable(map(repeat, map(slopes.__getitem__, atoms), sizes)))
-    cnums = list(chain.from_iterable(map(repeat, intercepts, sizes)))
-    alpha = PiecewiseAffineMap._built(den, ends, piece_slopes, *_reduced(cden, cnums))
-    levels = tuple(chain.from_iterable(map(repeat, map(support.__getitem__, atoms), sizes)))
-    alpha._level_memo[cdf] = PiecewiseConstantFn._built(den, ends, levels)
+    cden, intercepts = _reduced(cden, intercepts)
+    sizes = None if len(starts) == len(fn.values) else list(map(sub, stops, starts))
+    piece_slopes = tuple(_per_cell(list(map(slopes.__getitem__, atoms)), sizes))
+    alpha = PiecewiseAffineMap._built(den, ends, piece_slopes, cden, _per_cell(intercepts, sizes))
+    levels = tuple(_per_cell(list(map(support.__getitem__, atoms)), sizes))
+    level_fn = PiecewiseConstantFn._built(den, ends, levels)
+    # its value support[k] covers atom k's runs, so its lengths are the totals
+    level_fn._lengths = MappingProxyType({support[k]: totals[k] for k in dict.fromkeys(atoms)})
+    alpha._level_memo[cdf] = level_fn
     return alpha

@@ -29,6 +29,7 @@ from qcs.measure_maps import (
     invert,
     _images,
     _pullback,
+    atoms_of,
     level_function,
     map_equal_ae,
     preimage_intervals,
@@ -732,7 +733,10 @@ def test_every_map_end_is_an_end_of_its_level_functions(data, outer, inner, cdf,
             assert set(ends_of(m)) <= set(ends_of(level_function(c, m)))
 
 
-def test_factor_stores_the_composition_for_the_phase_space_observables_at_n16():
+def phase_space_cases_at_n16():
+    """(transported function, CDF) of the position, squared position,
+    momentum and spin observables of a random N=16 spin-1/2 state; every
+    momentum cell is its own run."""
     from qcs.phase_space import (
         PhaseSpaceState,
         build_measure,
@@ -747,13 +751,154 @@ def test_factor_stores_the_composition_for_the_phase_space_observables_at_n16():
     raw = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
     state = PhaseSpaceState.normalized(F(1, 2), raw, 0.25)
     equiv = to_unit_interval(build_measure(state))
-    for obs in (
+    observables = (
         position_observable(PiecewiseFn.identity(), state),
         position_observable(PiecewiseFn.square(), state),
         momentum_observable(PiecewiseFn.identity(), state),
         spin_observable(state),
-    ):
-        assert_stores_the_composition(equiv.pcf(obs.cell_values), obs.cdf)
+    )
+    return [(equiv.pcf(obs.cell_values), obs.cdf) for obs in observables]
+
+
+def test_factor_stores_the_composition_for_the_phase_space_observables_at_n16():
+    for fn, cdf in phase_space_cases_at_n16():
+        assert_stores_the_composition(fn, cdf)
+
+
+def ref_lengths_by_value(fn):
+    """Integer cell lengths summed per value one cell at a time, keyed by
+    the first float that names each value."""
+    out = {}
+    for a, b, v in zip(fn.nums, fn.nums[1:], fn.values):
+        out[v] = out.get(v, 0) + b - a
+    return out
+
+
+def hex_items(lengths):
+    return [(v.hex(), n) for v, n in lengths.items()]
+
+
+def assert_stored_lengths_are_the_cell_sums(fn, cdf):
+    stored = level_function(cdf, factor_against_cdf(fn, cdf))
+    assert hex_items(stored.lengths_by_value()) == hex_items(ref_lengths_by_value(stored))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=signed_maps(), cdf=signed_zero_cdfs(), float_cdf=float_level_cdfs())
+def test_stored_level_function_carries_the_lengths_by_value(data, m, cdf, float_cdf):
+    """The per-atom sums the factor hands its level function, in order and
+    with the bits of each key: on masses matched within MATCH_TOL, on values
+    named within the atoms_of tolerance and on mixed signed zeros."""
+    near = data.draw(near_matching_functions(float_cdf))
+    fn = quantile_pcf(cdf).compose_with_map(m)
+    for g, c in ((near, float_cdf), (fn, cdf)):
+        assert_stored_lengths_are_the_cell_sums(g, c)
+        assert_stored_lengths_are_the_cell_sums(data.draw(renamed_cells(g)), c)
+
+
+def test_stored_level_function_carries_the_lengths_by_value_at_n16():
+    for fn, cdf in phase_space_cases_at_n16():
+        assert_stored_lengths_are_the_cell_sums(fn, cdf)
+
+
+def ref_factor_per_run(fn, cdf):
+    """The factor's formulas one run at a time in ``Fraction`` arithmetic,
+    each run expanded to its cells by list repetition: the map's den, nums,
+    slopes, cden and cnums (reduced), and the level values."""
+    support, den, nums = cdf.support, fn.den, fn.nums
+    atom_of = atoms_of(set(fn.values), support)
+    runs, start = [], 0
+    for v, run in groupby(fn.values):
+        end = start + len(list(run))
+        runs.append((start, end, atom_of[v]))
+        start = end
+    totals = [0] * len(support)
+    for start, end, k in runs:
+        totals[k] += nums[end] - nums[start]
+    levels = (F(0), *cdf.exact_levels)
+    slopes = [(levels[k + 1] - levels[k]) / F(t, den) for k, t in enumerate(totals)]
+    cden = math.lcm(*(c.denominator for c in levels), den * math.lcm(*(s.denominator for s in slopes)))
+    before, piece_slopes, intercepts, values = [0] * len(support), [], [], []
+    for start, end, k in runs:
+        intercept = levels[k] + slopes[k] * F(before[k] - nums[start], den)
+        before[k] += nums[end] - nums[start]
+        assert (intercept * cden).denominator == 1
+        piece_slopes += [slopes[k]] * (end - start)
+        intercepts += [int(intercept * cden)] * (end - start)
+        values += [support[k]] * (end - start)
+    g = math.gcd(cden, *intercepts)
+    return den, nums, tuple(piece_slopes), cden // g, [c // g for c in intercepts], values
+
+
+def assert_factor_matches_the_per_run_formulas(fn, cdf):
+    alpha = factor_against_cdf(fn, cdf)
+    den, nums, slopes, cden, cnums, values = ref_factor_per_run(fn, cdf)
+    assert (alpha.den, alpha.nums, alpha.slopes, alpha.cden, alpha.cnums) == (den, nums, slopes, cden, cnums)
+    assert list(map(float.hex, level_function(cdf, alpha).values)) == list(map(float.hex, values))
+
+
+@st.composite
+def run_functions(draw):
+    """Runs of 1-4 cells of sizes 1-5 over their total, values drawn from
+    three support points, so one-cell runs, long runs and a single run all
+    occur; with the CDF of the exact masses or of those masses rounded to
+    floats (accepted within MATCH_TOL, slopes off 1)."""
+    run_values = draw(st.lists(st.sampled_from([-1.0, 0.0, 2.5]), min_size=1, max_size=12))
+    values = [v for v in run_values for _ in range(draw(st.integers(1, 4)))]
+    sizes = draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values)))
+    fn = PiecewiseConstantFn(sum(sizes), [0, *accumulate(sizes)], values)
+    masses = fn.masses_by_value()
+    support = sorted(masses)
+    exact = tuple(accumulate(masses[v] for v in support))
+    floats = tuple(float(e) for e in exact)
+    return fn, StepCDF(tuple(support), floats, None if draw(st.booleans()) else exact)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=run_functions(), data=st.data(), float_cdf=float_level_cdfs())
+def test_factor_matches_the_per_run_formulas(case, data, float_cdf):
+    """On functions of one-cell runs, long runs and one run, and on masses
+    matched within MATCH_TOL."""
+    assert_factor_matches_the_per_run_formulas(*case)
+    assert_factor_matches_the_per_run_formulas(data.draw(near_matching_functions(float_cdf)), float_cdf)
+
+
+def test_factor_matches_the_per_run_formulas_on_fixed_runs_and_at_n16():
+    """Every cell its own run, runs of three cells, one run, and the N=16
+    phase-space observables, whose momentum cells are each one run."""
+    halves = StepCDF((0.0, 2.5), (0.5, 1.0))
+    cases = [
+        (fn_of([F(k, 4) for k in range(5)], [0.0, 2.5, 0.0, 2.5]), halves),
+        (fn_of([F(k, 6) for k in range(7)], [0.0, 0.0, 0.0, 2.5, 2.5, 2.5]), halves),
+        (fn_of([F(0), F(1, 3), F(1)], [2.5, 2.5]), StepCDF((2.5,), (1.0,))),
+        *phase_space_cases_at_n16(),
+    ]
+    momentum, _ = cases[5]
+    assert len(list(momentum.runs())) == len(momentum.values)
+    for fn, cdf in cases:
+        assert_factor_matches_the_per_run_formulas(fn, cdf)
+
+
+def test_lengths_by_value_is_read_only_and_shared():
+    """The per-value lengths are built once and shared, so callers cannot
+    change them, and the label mean reads the same sums after the masses."""
+    fn = fn_of([F(0), F(1, 3), F(1, 2), F(1)], [2.0, -1.0, 2.0])
+    cdf = StepCDF((-1.0, 2.0), (1 / 6, 1.0))
+    functions = []
+    for g, c in [(fn, cdf), *phase_space_cases_at_n16()]:
+        functions += [g, level_function(c, factor_against_cdf(g, c))]
+    for h in functions:
+        lengths = h.lengths_by_value()
+        v = next(iter(lengths))
+        with pytest.raises(TypeError):
+            lengths[v] = 0
+        with pytest.raises(TypeError):
+            del lengths[v]
+        means = [label_mean(h).hex(), label_mean(h, 2).hex()]
+        h.masses_by_value()[v] = F(0)
+        assert h.lengths_by_value() is lengths
+        assert [label_mean(h).hex(), label_mean(h, 2).hex()] == means
+    assert dict(functions[1].lengths_by_value()) == {2.0: 5, -1.0: 1}
 
 
 def test_runs_are_the_groups_of_equal_adjacent_values():
