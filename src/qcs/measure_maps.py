@@ -25,13 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress, count, repeat
-from operator import add, gt, index, le, mul, ne, sub
+from operator import add, floordiv, gt, index, le, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import BadSpec, DistributionMismatch, NotInjective, OutOfDomain, ValueNotInSupport
+from .errors import BadSpec, DistributionMismatch, DomainGap, NotInjective, OutOfDomain, ValueNotInSupport
 from .spectral import EIGENVALUE_MERGE_TOL, StepCDF, _readonly, spectral_scale
 
 RationalLike = Union[Fraction, int, float, str]
@@ -96,7 +96,7 @@ def _rescale(nums: Sequence[int], den: int, to: int) -> Sequence[int]:
 def _reduced(den: int, nums: list[int]) -> tuple[int, list[int]]:
     """den and nums divided by their greatest common divisor."""
     g = math.gcd(den, *nums)
-    return (den, nums) if g == 1 else (den // g, [n // g for n in nums])
+    return (den, nums) if g == 1 else (den // g, list(map(floordiv, nums, repeat(g))))
 
 
 def _cell_of(nums: Sequence[int], den: int, z: Fraction) -> int:
@@ -384,11 +384,17 @@ class PiecewiseConstantFn:
         check_partition(den, self.nums, len(self.values))
 
     @classmethod
-    def _built(cls, den: int, nums: Sequence[int], values: tuple[float, ...]) -> "PiecewiseConstantFn":
+    def _built(cls, den: int, nums: Sequence[int], values: tuple[float, ...] | np.ndarray) -> "PiecewiseConstantFn":
         """A kernel output, not re-validated: strictly ascending numerators
-        from 0 to den and one float value per cell by construction."""
+        from 0 to den and one float value per cell by construction.  The
+        values come as a tuple, or as a read-only float array that becomes
+        ``float_values`` and from which the tuple is built on first use."""
         fn = object.__new__(cls)
-        fn.den, fn.nums, fn.values = den, nums, values
+        fn.den, fn.nums = den, nums
+        if isinstance(values, np.ndarray):
+            fn.float_values = values
+        else:
+            fn.values = values
         return fn
 
     @cached_property
@@ -406,6 +412,12 @@ class PiecewiseConstantFn:
         return _readonly([x / den for x in self.nums])
 
     @cached_property
+    def values(self) -> tuple[float, ...]:
+        """The values as floats, built on first use from ``float_values``
+        when the function was made from an array."""
+        return tuple(self.float_values.tolist())
+
+    @cached_property
     def float_values(self) -> np.ndarray:
         """The values as a read-only array, built on first use."""
         return _readonly(self.values)
@@ -417,20 +429,32 @@ class PiecewiseConstantFn:
         return self.values[_cell_of(self.nums, self.den, z)]
 
     def map_values(self, fn) -> "PiecewiseConstantFn":
-        return PiecewiseConstantFn._built(self.den, self.nums, tuple(float(fn(v)) for v in self.values))
+        """fn of each value, on the same cells.  An image that is not finite
+        raises DomainGap, as in ``borel_apply``: it has no atom to be named by."""
+        images = tuple(float(fn(v)) for v in self.values)
+        if not all(map(math.isfinite, images)):
+            raise DomainGap("function images must be finite")
+        return PiecewiseConstantFn._built(self.den, self.nums, images)
 
-    def run_bounds(self) -> tuple[list[int], list[int]]:
+    def run_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(starts, ends): the first cell of each maximal run of equal
-        adjacent values, and the cell after its last."""
-        values = self.values
-        starts = [0, *compress(count(1), map(ne, values, values[1:]))]
-        return starts, [*starts[1:], len(values)]
+        adjacent values, and the cell after its last, as integer arrays.
+        One numpy ``!=`` on ``float_values`` finds them; like ``!=`` on
+        Python floats it takes -0.0 and 0.0 as equal and a NaN as unequal
+        to everything.  A run's value is the value of its first cell."""
+        values = self.float_values
+        # cell i starts a run; i = len(values), past the last cell, ends one
+        starts_run = np.empty(len(values) + 1, dtype=bool)
+        starts_run[0] = starts_run[-1] = True
+        np.not_equal(values[1:], values[:-1], out=starts_run[1:-1])
+        bounds = starts_run.nonzero()[0]
+        return bounds[:-1], bounds[1:]
 
     def runs(self) -> Iterable[tuple[int, int, float]]:
         """(start, end, v) per maximal run of equal adjacent values: the
         cells start..end-1, that is ]b_start, b_end], all take the value v."""
         starts, ends = self.run_bounds()
-        return zip(starts, ends, map(self.values.__getitem__, starts))
+        return zip(starts.tolist(), ends.tolist(), self.float_values[starts].tolist())
 
     @cached_property
     def _lengths(self) -> Mapping[float, int]:
@@ -460,11 +484,12 @@ class PiecewiseConstantFn:
         """
         den = math.lcm(self.den, other.den)
         a, b = _rescale(self.nums, self.den, den), _rescale(other.nums, other.den, den)
+        u, v = self.values, other.values
         total = lo = 0
         i = j = 1
         while i < len(a):
             hi = min(a[i], b[j])
-            if self.values[i - 1] != other.values[j - 1]:
+            if u[i - 1] != v[j - 1]:
                 total += hi - lo
             i, j, lo = i + (a[i] == hi), j + (b[j] == hi), hi
         return Fraction(total, den)
@@ -671,15 +696,18 @@ def atoms_of(values: Iterable[float], support: Sequence[float]) -> dict[float, i
     return atom_of
 
 
-def _per_cell(per_run: list, sizes: Sequence[int] | None) -> list:
-    """Each run's item repeated over its cells, sizes[r] of them for run r:
-    one object array filled once per run, repeated and unpacked in C.
-    ``sizes`` is None when every run is one cell, and per_run is returned."""
-    if sizes is None:
-        return per_run
-    items = np.empty(len(per_run), dtype=object)
-    items[:] = per_run
-    return items.repeat(sizes).tolist()
+def _objects(items: Sequence) -> np.ndarray:
+    """items as a numpy object array that holds the same Python objects."""
+    out = np.empty(len(items), dtype=object)
+    out[:] = items
+    return out
+
+
+def _per_cell(per_run: np.ndarray, sizes: np.ndarray | None) -> list:
+    """Each run's object repeated over its cells, sizes[r] of them for run
+    r, as a list of the same shared objects, repeated and unpacked in C.
+    ``sizes`` is None when every run is one cell."""
+    return (per_run if sizes is None else per_run.repeat(sizes)).tolist()
 
 
 def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffineMap:
@@ -709,18 +737,37 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     ``support[k]``.  It also carries the factor's per-atom sums t_k as its
     ``lengths_by_value``, keyed by ``support[k]`` in order of first
     appearance, so reading its masses or its label mean sums nothing again.
-    Intercepts are reduced per run, and slopes, intercepts and levels are
-    then repeated over each run's cells in C (``_per_cell``).
+
+    No Python step is taken per cell.  Runs come from ``run_bounds``, and
+    ``atoms_of`` names the distinct values once, which one ``searchsorted``
+    hands on to the runs.  The runs are grouped by atom (a stable sort, so
+    each atom keeps its source order); one ``accumulate`` along them gives
+    every b_k - x and t_k, and the intercepts are ``map`` passes, one per
+    atom.  Slopes, intercepts and levels are then repeated over each run's
+    cells in C (``_per_cell``) as shared objects.
     """
     support = cdf.support
-    atom_of = atoms_of(set(fn.values), support)
     den, ends = fn.den, fn.nums
     starts, stops = fn.run_bounds()
-    atoms = list(map(atom_of.__getitem__, map(fn.values.__getitem__, starts)))
-    lo, hi = list(map(ends.__getitem__, starts)), list(map(ends.__getitem__, stops))
-    totals = [0] * len(support)
-    for k, x, y in zip(atoms, lo, hi):
-        totals[k] += y - x
+    run_values = fn.float_values[starts]
+    distinct = np.unique(run_values)
+    atom_of = atoms_of(distinct.tolist(), support)
+    atoms = np.array([atom_of[v] for v in distinct.tolist()])[np.searchsorted(distinct, run_values)]
+
+    # the runs grouped by atom: atom k holds runs[bounds[k]:bounds[k + 1]].
+    # Along them, gaps[r] = (length of the grouped runs ahead of run r) -
+    # lo[r] steps by hi[r] - lo[r + 1]; a last start at den, which every
+    # run is ahead of, closes the steps.  ahead[k] is the length ahead of
+    # atom k's runs, so atom k has t_k = ahead[k + 1] - ahead[k].
+    runs = np.argsort(atoms, kind="stable")
+    counts = np.bincount(atoms, minlength=len(support))
+    bounds = [0, *accumulate(counts.tolist())]
+    cell_ends = _objects(ends)
+    lo, hi = [*cell_ends[starts[runs]].tolist(), den], cell_ends[stops[runs]].tolist()
+    gaps = list(accumulate(map(sub, hi, lo[1:]), initial=-lo[0]))
+    ahead = [gaps[r] + lo[r] for r in bounds]
+    del lo, hi
+    totals = list(map(sub, ahead[1:], ahead[:-1]))
 
     exact = cdf.exact_levels
     lvl_den = math.lcm(*(c.denominator for c in exact))
@@ -736,24 +783,29 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
             )
         slopes.append(Fraction(weight * den, total * lvl_den))
     cden = math.lcm(lvl_den, den * math.lcm(*(s.denominator for s in slopes)))
-    bases = [v * (cden // lvl_den) for v in lvl]  # lo_k over cden
-    per_unit = [s.numerator * (cden // (s.denominator * den)) for s in slopes]  # s_k / G
 
-    # one intercept per run, in source order; a run's cells are contiguous
-    # in source and in image, so they share its slope and intercept
-    before = [0] * len(support)
-    intercepts = []
-    for x, y, k in zip(lo, hi, atoms):
-        b = before[k]
-        before[k] = b + y - x
-        intercepts.append(bases[k] + per_unit[k] * (b - x))
-    cden, intercepts = _reduced(cden, intercepts)
-    sizes = None if len(starts) == len(fn.values) else list(map(sub, stops, starts))
-    piece_slopes = tuple(_per_cell(list(map(slopes.__getitem__, atoms)), sizes))
+    # run r of atom k has b_k - x = gaps[r] - ahead[k], so its intercept is
+    # lo_k + s_k (gaps[r] - ahead[k]) over cden; a run's cells are
+    # contiguous in source and in image, so they share it
+    grouped = []
+    for k, (s, e) in enumerate(zip(bounds, bounds[1:])):
+        unit = slopes[k].numerator * (cden // (slopes[k].denominator * den))  # s_k / G over cden
+        shift = lvl[k] * (cden // lvl_den) - unit * ahead[k]
+        grouped += map(add, repeat(shift), map(mul, repeat(unit), gaps[s:e]))
+    del gaps
+    cden, grouped = _reduced(cden, grouped)
+    intercepts = np.empty(len(grouped), dtype=object)
+    intercepts[runs] = grouped
+    del grouped
+
+    sizes = None if len(starts) == len(ends) - 1 else stops - starts
+    piece_slopes = tuple(_per_cell(_objects(slopes)[atoms], sizes))
     alpha = PiecewiseAffineMap._built(den, ends, piece_slopes, cden, _per_cell(intercepts, sizes))
-    levels = tuple(_per_cell(list(map(support.__getitem__, atoms)), sizes))
+    levels = tuple(_per_cell(_objects(support)[atoms], sizes))
     level_fn = PiecewiseConstantFn._built(den, ends, levels)
     # its value support[k] covers atom k's runs, so its lengths are the totals
-    level_fn._lengths = MappingProxyType({support[k]: totals[k] for k in dict.fromkeys(atoms)})
+    present = np.flatnonzero(counts)
+    first_seen = present[np.argsort(runs[np.array(bounds)[present]])].tolist()
+    level_fn._lengths = MappingProxyType({support[k]: totals[k] for k in first_seen})
     alpha._level_memo[cdf] = level_fn
     return alpha

@@ -16,7 +16,10 @@ Cell masses are held once, as integers: every positive float mass is
 m_i / 2^E for one shared E, and cell i has the exact share m_i / M of the
 total M = sum m_i.  The equivalence's bounds and every cell observable's
 CDF levels are prefix sums of these integers over M, so the two agree
-exactly and nothing is dropped.
+exactly and nothing is dropped.  The equivalence takes the masses as
+Python integers; an observable sums them per atom in numpy, over int64
+limbs of the same integers (``PhaseSpaceMeasure.mass_limbs``), so no pass
+over the cells runs in Python.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from operator import lshift
+from itertools import accumulate, repeat
+from operator import add, lshift
 from typing import Sequence
 
 import numpy as np
@@ -183,21 +186,69 @@ class PhaseSpaceMeasure:
         return self.masses.sum(axis=(0, 1))
 
     @cached_property
+    def kept(self) -> np.ndarray:
+        """The flat indices of the cells of positive mass, in (sector,
+        position, momentum) order."""
+        return np.flatnonzero(self.masses.ravel() > 0.0)
+
+    @cached_property
+    def _mantissas(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ks, shifts): int64 arrays with kept cell i's float mass exactly
+        (ks[i] << shifts[i]) / 2^E.  A positive double is k * 2^e with an
+        integer k < 2^53; E is the largest -e, so shifts[i] = e_i + E >= 0."""
+        mantissas, exponents = np.frexp(self.masses.ravel()[self.kept])
+        ks = (mantissas * 2.0**53).astype(np.int64)  # exact
+        return ks, (exponents - exponents.min()).astype(np.int64)
+
+    @cached_property
     def cell_masses(self) -> tuple[np.ndarray, list[int], int]:
         """(kept, masses, M): the flat indices of the cells of positive mass
         in (sector, position, momentum) order, their masses as integers over
-        one shared power of two, and the integers' sum M.
+        one shared power of two, and the integers' sum M.  Cell i's float
+        mass is exactly masses[i] / 2^E, so its share of the total is
+        masses[i] / M with no rounding.  The equivalence's bounds are their
+        prefix sums; observables sum the same integers in int64 limbs
+        (``mass_limbs``) and never read this list."""
+        ks, shifts = self._mantissas
+        masses = list(map(lshift, ks.tolist(), shifts.tolist()))
+        return self.kept, masses, sum(masses)
 
-        A positive double is k * 2^e with an integer k < 2^53; with E the
-        largest -e, cell i's float mass is exactly masses[i] / 2^E, so its
-        share of the total is masses[i] / M with no rounding."""
-        flat = self.masses.ravel()
-        kept = np.flatnonzero(flat > 0.0)
-        mantissas, exponents = np.frexp(flat[kept])
-        ks = (mantissas * 2.0**53).astype(np.int64).tolist()  # exact
-        shifts = (exponents - exponents.min()).tolist()
-        masses = list(map(lshift, ks, shifts))
-        return kept, masses, sum(masses)
+    @cached_property
+    def mass_limbs(self) -> tuple[np.ndarray, int]:
+        """(limbs, B): the integer masses of ``cell_masses`` cut into int64
+        limbs of B bits, cell i's mass being the sum over j of
+        limbs[j, i] << (j * B).  B comes from ``limb_width``, so a sum of
+        limbs over any set of cells stays exact in int64.  Built once, in
+        numpy, from the mantissas and shifts of the float masses."""
+        ks, shifts = self._mantissas
+        width, count = limb_width(len(ks), 53 + int(shifts.max()))
+        limbs = np.empty((count, len(ks)), dtype=np.int64)
+        for j in range(count):
+            # bits j*B .. j*B + B - 1 of ks << shifts
+            at = shifts - j * width
+            right, left = np.clip(-at, 0, 63), np.clip(at, 0, width)
+            limbs[j] = ((ks >> right) & ((1 << (width - left)) - 1)) << left
+        return limbs, width
+
+    def group_masses(self, order: np.ndarray, firsts: np.ndarray) -> list[int]:
+        """The integer mass of each group of kept cells: group g is the
+        cells order[firsts[g]:firsts[g + 1]], the last running to the end.
+        One ``np.add.reduceat`` per limb sums the groups in int64; only the
+        limbs of each group's sum are joined in Python."""
+        limbs, width = self.mass_limbs
+        sums = np.add.reduceat(limbs[:, order], firsts, axis=1)
+        masses = sums[-1].tolist()
+        for row in sums[-2::-1]:
+            masses = list(map(add, map(lshift, masses, repeat(width)), row.tolist()))
+        return masses
+
+
+def limb_width(cells: int, bits: int) -> tuple[int, int]:
+    """(B, L): L limbs of B bits hold an integer of ``bits`` bits, and the
+    sum of up to ``cells`` such limbs is below 2^63."""
+    width = 63 - cells.bit_length()
+    assert cells << width < 1 << 63
+    return width, -(-bits // width)
 
 
 def build_measure(state: PhaseSpaceState) -> PhaseSpaceMeasure:
@@ -226,20 +277,21 @@ def cell_observable(cell_values: np.ndarray, measure: PhaseSpaceMeasure) -> Cell
     """A cell function with its pushforward CDF: atom v has the exact weight
     (sum of the integer masses of v's cells) / M, the same integers that
     place the cells in ``to_unit_interval``.  A stable sort by value puts
-    each atom's cells together, first occurrence first, and the level after
-    atom v is the running sum of the sorted masses at v's last cell."""
-    kept, masses, total = measure.cell_masses
-    flat = np.asarray(cell_values, dtype=float).ravel()[kept]
+    each atom's cells together, first occurrence first; their masses are
+    summed per atom in numpy (``group_masses``), and the level after atom v
+    is the running sum of the atoms' masses up to v."""
+    flat = np.asarray(cell_values, dtype=float).ravel()[measure.kept]
     if not np.isfinite(flat).all():
         raise DomainGap("cell values must be finite")
     order = np.argsort(flat, kind="stable")
     ranked = flat[order]
-    change = ranked[1:] != ranked[:-1]
-    running = list(accumulate(map(masses.__getitem__, order.tolist())))
-    prefix = [running[i] for i in np.flatnonzero(np.append(change, True)).tolist()]
-    support = ranked[np.flatnonzero(np.insert(change, 0, True))].tolist()
+    firsts = np.flatnonzero(np.insert(ranked[1:] != ranked[:-1], 0, True))
+    prefix = list(accumulate(measure.group_masses(order, firsts)))
+    total = prefix[-1]
     cdf = StepCDF(
-        tuple(support), tuple(p / total for p in prefix), tuple(Fraction(p, total) for p in prefix)
+        tuple(ranked[firsts].tolist()),
+        tuple(p / total for p in prefix),
+        tuple(Fraction(p, total) for p in prefix),
     )
     return CellObservable(cell_values, cdf)
 
@@ -311,9 +363,12 @@ class CellEquivalence:
         return len(self.kept)
 
     def pcf(self, cell_values: np.ndarray) -> PiecewiseConstantFn:
-        """Transport a cell function to a piecewise-constant function on ]0,1]."""
+        """Transport a cell function to a piecewise-constant function on
+        ]0,1]: the float array of the kept cells' values is handed on as
+        the function's ``float_values``."""
         flat = np.asarray(cell_values, dtype=float).ravel()[self.kept]
-        return PiecewiseConstantFn._built(self.den, self.nums, tuple(flat.tolist()))
+        flat.setflags(write=False)
+        return PiecewiseConstantFn._built(self.den, self.nums, flat)
 
 
 def to_unit_interval(measure: PhaseSpaceMeasure) -> CellEquivalence:

@@ -1,0 +1,103 @@
+"""The per-cell passes that the factorization and the cell observable made
+before they moved to numpy, kept as oracles: each body is the earlier
+library code, with one Python step per cell, calling the earlier run
+bounds, reduction and repetition helpers below instead of the library's."""
+
+import math
+from fractions import Fraction
+from itertools import accumulate, compress, count
+from operator import ne, sub
+from types import MappingProxyType
+
+import numpy as np
+
+from qcs.errors import DistributionMismatch, DomainGap
+from qcs.measure_maps import MATCH_TOL, PiecewiseAffineMap, PiecewiseConstantFn, atoms_of
+from qcs.phase_space import CellObservable
+from qcs.spectral import StepCDF
+
+
+def ref_run_bounds(fn):
+    """(starts, ends) of the maximal runs of equal adjacent values, compared
+    one cell at a time with ``operator.ne``."""
+    values = fn.values
+    starts = [0, *compress(count(1), map(ne, values, values[1:]))]
+    return starts, [*starts[1:], len(values)]
+
+
+def _reduced(den, nums):
+    g = math.gcd(den, *nums)
+    return (den, nums) if g == 1 else (den // g, [n // g for n in nums])
+
+
+def _per_cell(per_run, sizes):
+    if sizes is None:
+        return per_run
+    items = np.empty(len(per_run), dtype=object)
+    items[:] = per_run
+    return items.repeat(sizes).tolist()
+
+
+def ref_factor_against_cdf(fn, cdf):
+    support = cdf.support
+    atom_of = atoms_of(set(fn.values), support)
+    den, ends = fn.den, fn.nums
+    starts, stops = ref_run_bounds(fn)
+    atoms = list(map(atom_of.__getitem__, map(fn.values.__getitem__, starts)))
+    lo, hi = list(map(ends.__getitem__, starts)), list(map(ends.__getitem__, stops))
+    totals = [0] * len(support)
+    for k, x, y in zip(atoms, lo, hi):
+        totals[k] += y - x
+
+    exact = cdf.exact_levels
+    lvl_den = math.lcm(*(c.denominator for c in exact))
+    lvl = [0] + [c.numerator * (lvl_den // c.denominator) for c in exact]
+    slopes = []
+    for k, total in enumerate(totals):
+        weight = lvl[k + 1] - lvl[k]
+        if total * lvl_den != weight * den and (
+            total == 0 or abs(Fraction(total, den) - Fraction(weight, lvl_den)) > MATCH_TOL
+        ):
+            raise DistributionMismatch(
+                f"atom {support[k]!r}: source mass {total / den:.17g} vs weight {weight / lvl_den:.17g}"
+            )
+        slopes.append(Fraction(weight * den, total * lvl_den))
+    cden = math.lcm(lvl_den, den * math.lcm(*(s.denominator for s in slopes)))
+    bases = [v * (cden // lvl_den) for v in lvl]  # lo_k over cden
+    per_unit = [s.numerator * (cden // (s.denominator * den)) for s in slopes]  # s_k / G
+
+    # one intercept per run, in source order; a run's cells are contiguous
+    # in source and in image, so they share its slope and intercept
+    before = [0] * len(support)
+    intercepts = []
+    for x, y, k in zip(lo, hi, atoms):
+        b = before[k]
+        before[k] = b + y - x
+        intercepts.append(bases[k] + per_unit[k] * (b - x))
+    cden, intercepts = _reduced(cden, intercepts)
+    sizes = None if len(starts) == len(fn.values) else list(map(sub, stops, starts))
+    piece_slopes = tuple(_per_cell(list(map(slopes.__getitem__, atoms)), sizes))
+    alpha = PiecewiseAffineMap._built(den, ends, piece_slopes, cden, _per_cell(intercepts, sizes))
+    levels = tuple(_per_cell(list(map(support.__getitem__, atoms)), sizes))
+    level_fn = PiecewiseConstantFn._built(den, ends, levels)
+    # its value support[k] covers atom k's runs, so its lengths are the totals
+    level_fn._lengths = MappingProxyType({support[k]: totals[k] for k in dict.fromkeys(atoms)})
+    alpha._level_memo[cdf] = level_fn
+    return alpha
+
+
+def ref_cell_observable(cell_values, measure):
+    kept, masses, total = measure.cell_masses
+    flat = np.asarray(cell_values, dtype=float).ravel()[kept]
+    if not np.isfinite(flat).all():
+        raise DomainGap("cell values must be finite")
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    change = ranked[1:] != ranked[:-1]
+    running = list(accumulate(map(masses.__getitem__, order.tolist())))
+    prefix = [running[i] for i in np.flatnonzero(np.append(change, True)).tolist()]
+    support = ranked[np.flatnonzero(np.insert(change, 0, True))].tolist()
+    cdf = StepCDF(
+        tuple(support), tuple(p / total for p in prefix), tuple(Fraction(p, total) for p in prefix)
+    )
+    return CellObservable(cell_values, cdf)

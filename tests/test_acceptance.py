@@ -15,7 +15,7 @@ CRITERIA = [
     ("06 two-level dynamics and generator equivalence", verify.check_rabi_dynamics, 5.0),
     ("07 intertwining on 10 lifted cases", verify.check_intertwining, 10.0),
     ("08 uncertainty inequality on 1000 triples", verify.check_heisenberg, 5.0),
-    ("09 phase-space expectation identity", verify.check_phase_space_expectation, 0.10),
+    ("09 phase-space expectation identity", verify.check_phase_space_expectation, 0.08),
     ("10 spectrum closure on 50 operators", verify.check_spectrum_closure, 5.0),
 ]
 

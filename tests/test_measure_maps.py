@@ -41,6 +41,7 @@ from qcs.spectral import StepCDF
 from qcs.states import label_mean
 
 from layout import cells_of, ends_of, fn_of, image_bounds, map_of, piece_at, pieces_of
+from per_cell_reference import ref_factor_against_cdf as per_cell_factor, ref_run_bounds
 
 F = Fraction
 IDENTITY = build_map(MapSpec.identity())
@@ -877,6 +878,72 @@ def test_factor_matches_the_per_run_formulas_on_fixed_runs_and_at_n16():
     assert len(list(momentum.runs())) == len(momentum.values)
     for fn, cdf in cases:
         assert_factor_matches_the_per_run_formulas(fn, cdf)
+
+
+def assert_factor_matches_the_per_cell_oracle(fn, cdf):
+    """Every field equals the earlier per-cell factorization's: the map's
+    den, nums, slopes, cden and cnums, and the stored level function's den,
+    nums, value bits and ``lengths_by_value`` items in order."""
+    got, want = factor_against_cdf(fn, cdf), per_cell_factor(fn, cdf)
+    fields = ("den", "nums", "slopes", "cden", "cnums")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    stored, oracle = level_function(cdf, got), level_function(cdf, want)
+    assert (stored.den, stored.nums) == (oracle.den, oracle.nums)
+    assert list(map(float.hex, stored.values)) == list(map(float.hex, oracle.values))
+    assert hex_items(stored.lengths_by_value()) == hex_items(oracle.lengths_by_value())
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=signed_maps(), cdf=signed_zero_cdfs(), float_cdf=float_level_cdfs(), case=run_functions())
+def test_factor_matches_the_per_cell_oracle(data, m, cdf, float_cdf, case):
+    """On masses matched within MATCH_TOL, on values named within the
+    atoms_of tolerance, on mixed signed zeros, and on one-cell runs, long
+    runs and one run."""
+    near = data.draw(near_matching_functions(float_cdf))
+    fn = quantile_pcf(cdf).compose_with_map(m)
+    for g, c in ((near, float_cdf), (fn, cdf), case):
+        assert_factor_matches_the_per_cell_oracle(g, c)
+        assert_factor_matches_the_per_cell_oracle(data.draw(renamed_cells(g)), c)
+
+
+def test_factor_matches_the_per_cell_oracle_at_n16_and_on_errors():
+    """The N=16 phase-space observables, whose functions hold their values
+    as an array, and inputs both versions refuse with the same error: an
+    atom no value names, a value no atom names, and a NaN."""
+    for fn, cdf in phase_space_cases_at_n16():
+        assert_factor_matches_the_per_cell_oracle(fn, cdf)
+    three = StepCDF((-1.0, 0.0, 2.5), (0.25, 0.5, 1.0))
+    for values, error in (
+        ([-1.0, 2.5, 2.5, -1.0], DistributionMismatch),
+        ([-1.0, 0.0, 2.5, 7.0], ValueNotInSupport),
+        ([-1.0, 0.0, math.nan, 2.5], ValueNotInSupport),
+    ):
+        fn = fn_of([F(k, 4) for k in range(5)], values)
+        for factor in (factor_against_cdf, per_cell_factor):
+            with pytest.raises(error):
+                factor(fn, three)
+
+
+SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 5e-324]
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.sampled_from(SPECIAL_VALUES), min_size=1, max_size=24))
+def test_run_bounds_match_the_per_cell_comparison(values):
+    """numpy's != splits runs where ``operator.ne`` does: -0.0 and 0.0 stay
+    in one run, each NaN is a run of its own, and a run's value is the
+    value of its first cell; for the checking constructor and for a cell
+    function carried over by ``CellEquivalence.pcf``."""
+    from qcs.phase_space import CellEquivalence
+
+    n = len(values)
+    built = PiecewiseConstantFn(n, range(n + 1), values)
+    carried = CellEquivalence(np.arange(n), n, list(range(n + 1))).pcf(np.array(values))
+    for fn in (built, carried):
+        starts, ends = fn.run_bounds()
+        want_starts, want_ends = ref_run_bounds(fn)
+        assert (starts.tolist(), ends.tolist()) == (want_starts, want_ends)
+        assert [v.hex() for _, _, v in fn.runs()] == [fn.values[s].hex() for s in want_starts]
 
 
 def test_lengths_by_value_is_read_only_and_shared():

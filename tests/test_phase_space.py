@@ -23,6 +23,7 @@ from qcs.phase_space import (
     PhaseSpaceState,
     build_measure,
     cell_observable,
+    limb_width,
     momentum_observable,
     operator_mean,
     position_observable,
@@ -35,6 +36,7 @@ from qcs.spectral import PiecewiseFn
 from qcs.states import label_mean
 
 from layout import cells_of
+from per_cell_reference import ref_cell_observable
 
 F = Fraction
 
@@ -277,6 +279,32 @@ def test_joint_gap_on_far_tail_gaussian_is_a_float():
     assert isinstance(gap, float) and 0 < gap < 1
 
 
+def assert_limbs_sum_as_the_cell_masses(measure, cell_values):
+    """The int64 limbs join to each cell's integer mass, and their per-group
+    sums to the Python-int sums of the cells' masses: over the atoms of the
+    cell function and over runs of a shuffled order."""
+    kept, masses, _ = measure.cell_masses
+    limbs, width = measure.mass_limbs
+    assert limbs.dtype == np.int64 and 0 <= limbs.min() and limbs.max() < 1 << width
+    joined = [sum(int(limbs[j, i]) << (j * width) for j in range(len(limbs))) for i in range(len(kept))]
+    assert joined == masses
+    flat = np.asarray(cell_values, dtype=float).ravel()[kept]
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    atoms = np.flatnonzero(np.insert(ranked[1:] != ranked[:-1], 0, True))
+    shuffled = np.random.default_rng(len(kept)).permutation(len(kept))
+    for cells, firsts in ((order, atoms), (shuffled, np.arange(0, len(kept), 3))):
+        groups = np.split(cells, firsts[1:])
+        assert measure.group_masses(cells, firsts) == [sum(masses[i] for i in g.tolist()) for g in groups]
+
+
+def assert_same_cdf(got, want):
+    """Equal support and level bits and equal exact levels."""
+    assert [v.hex() for v in got.support] == [v.hex() for v in want.support]
+    assert [v.hex() for v in got.levels] == [v.hex() for v in want.levels]
+    assert got.exact_levels == want.exact_levels
+
+
 def exact_pipeline_label_mean(measure, cell_values):
     """Carry one cell function through the exact pipeline, check what the
     integer cell masses guarantee, and return its label-side mean."""
@@ -288,7 +316,9 @@ def exact_pipeline_label_mean(measure, cell_values):
     equiv = to_unit_interval(measure)
     nums = equiv.nums
     assert all(a < b for a, b in zip(nums, nums[1:])) and nums[-1] == equiv.den
+    assert_limbs_sum_as_the_cell_masses(measure, cell_values)
     obs = cell_observable(cell_values, measure)
+    assert_same_cdf(obs.cdf, ref_cell_observable(cell_values, measure).cdf)
     barrier, fn = realize_barrier(obs, equiv)
     assert all(s == 1 for s in barrier.slopes)
     levels = (Fraction(0),) + obs.cdf.exact_levels
@@ -337,6 +367,31 @@ def test_exact_pipeline_on_far_tail_states(state):
     ):
         mean = exact_pipeline_label_mean(measure, obs.cell_values)
         assert abs(mean - operator_mean(state, coordinate)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=far_tail_states(), data=st.data())
+def test_cell_observable_matches_the_per_cell_oracle(state, data):
+    """The support, level bits and exact levels equal the earlier per-cell
+    running sum's, for cell functions with many atoms, signed zeros and
+    values repeated in cells far apart."""
+    measure = build_measure(state)
+    pool = st.sampled_from([0.0, -0.0, 1.5, -2.0, 1e-300, 7.0, -1e300])
+    values = data.draw(st.lists(pool, min_size=measure.masses.size, max_size=measure.masses.size))
+    cell_values = np.array(values).reshape(measure.masses.shape)
+    assert_limbs_sum_as_the_cell_masses(measure, cell_values)
+    assert_same_cdf(cell_observable(cell_values, measure).cdf, ref_cell_observable(cell_values, measure).cdf)
+
+
+@pytest.mark.parametrize("cells", [1, 3, 2**20 - 1, 2**20, 2**25, 2**30])
+@pytest.mark.parametrize("bits", [1, 53, 85, 1100])
+def test_limb_width_keeps_every_limb_sum_in_int64(cells, bits):
+    """The widest B for which the sum of ``cells`` limbs stays below 2^63,
+    and the fewest limbs of B bits that hold ``bits`` bits; the sizes are
+    given as integers, so no array of that size is made."""
+    width, count = limb_width(cells, bits)
+    assert cells << width < 1 << 63 <= cells << (width + 1)
+    assert (count - 1) * width < bits <= count * width
 
 
 @settings(max_examples=30, deadline=None)

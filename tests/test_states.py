@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qcs import states
 from qcs.errors import (
     DimensionMismatch,
+    DomainGap,
     LabelOnBreakpoint,
     NotABarrier,
     NotAResolution,
@@ -400,6 +401,15 @@ def test_expectation_via_labels_examples():
     assert expectation_via_labels(PiecewiseFn.identity(), *args) == -0.5
     assert expectation_via_labels(PiecewiseFn.constant(1.0), *args) == 1.0
     assert expectation_via_labels(PiecewiseFn.square(), *args) == 0.75
+
+
+def test_expectation_via_labels_of_an_image_that_is_not_finite_is_a_domain_gap():
+    """The square of 1e200 overflows; map_values refuses it as borel_apply
+    does, instead of a bare OverflowError from label_mean."""
+    a = HermitianOperator(np.diag([1e200, 2.0]).astype(complex))
+    psi = PureState(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2))
+    with pytest.raises(DomainGap, match="finite"):
+        expectation_via_labels(PiecewiseFn.square(), a, psi, IDENTITY)
 
 
 def test_monotone_compose_check():
