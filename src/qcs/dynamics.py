@@ -10,8 +10,8 @@ exponentials, so no integrator error enters the theorem checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -19,12 +19,10 @@ from .errors import (
     DimensionMismatch,
     NonHermitian,
     OutOfDomain,
-    UndefinedEquivalence,
 )
 from .measure_maps import (
     MapSpec,
     PiecewiseAffineMap,
-    build_map,
     compose,
     invert,
     map_equal_ae,
@@ -59,7 +57,7 @@ class UnitaryOperator:
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise NonHermitian("matrix has non-finite entries")
@@ -74,10 +72,6 @@ class UnitaryOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def hadamard(cls) -> "UnitaryOperator":
-        return cls(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
-
     def apply(self, psi: PureState, tag: str | None = None) -> PureState:
         if self.dim != psi.dim:
             raise DimensionMismatch(f"unitary dim {self.dim} vs state dim {psi.dim}")
@@ -91,45 +85,27 @@ class UnitaryOperator:
         return HermitianOperator(hermitian_part(m))
 
 
-@dataclass(frozen=True, eq=False)
-class EquivalenceComplex:
-    """A bijective measure-preserving map of ]0,1[ for every state, given by
-    a default spec plus overrides keyed by state tag."""
-
-    default: MapSpec | None
-    overrides: Mapping[str | None, MapSpec] = field(default_factory=dict)
+class EquivalenceComplex(BarrierComplex):
+    """A bijective measure-preserving map of ]0,1[ for every state, keyed by
+    state tag, with its inverse.  Every spec is built and inverted when the
+    complex is made, so a map that is not a bijection raises ``NotInjective``
+    there."""
 
     def __post_init__(self):
-        object.__setattr__(self, "overrides", dict(self.overrides))
-        object.__setattr__(self, "_built", {})
-        specs = list(self.overrides.values())
-        if self.default is not None:
-            specs.append(self.default)
-        for spec in specs:
-            self._pair(spec)
+        super().__post_init__()
+        object.__setattr__(self, "_inverses", {})
+        for spec in (*self.overrides.values(), self.default):
+            if spec is not None:
+                self._invert(spec)
 
-    @classmethod
-    def identity(cls) -> "EquivalenceComplex":
-        return cls(MapSpec.identity())
+    def _invert(self, spec: MapSpec) -> PiecewiseAffineMap:
+        memo = self.__dict__["_inverses"]
+        if spec not in memo:
+            memo[spec] = invert(self._build(spec))
+        return memo[spec]
 
-    def _pair(self, spec: MapSpec) -> tuple[PiecewiseAffineMap, PiecewiseAffineMap]:
-        cache = self.__dict__["_built"]
-        if spec not in cache:
-            fwd = build_map(spec)
-            cache[spec] = (fwd, invert(fwd))
-        return cache[spec]
-
-    def spec_for(self, psi: PureState) -> MapSpec:
-        spec = self.overrides.get(psi.tag, self.default)
-        if spec is None:
-            raise UndefinedEquivalence(f"no equivalence for state tag {psi.tag!r}")
-        return spec
-
-    def forward(self, psi: PureState) -> PiecewiseAffineMap:
-        return self._pair(self.spec_for(psi))[0]
-
-    def inverse(self, psi: PureState) -> PiecewiseAffineMap:
-        return self._pair(self.spec_for(psi))[1]
+    def inverse_for(self, key: Hashable) -> PiecewiseAffineMap:
+        return self._invert(self.spec_for(key))
 
 
 def lifted_components(
@@ -144,10 +120,10 @@ def lifted_components(
     moves by sigma_newpsi^-1 o sigma_psi, so barrier(z) is preserved exactly.
     """
     new_psi = u.apply(psi)
-    sig_fwd = sigma.forward(psi)
-    sig_inv = sigma.inverse(psi)
-    new_fwd = sigma.forward(new_psi)
-    new_inv = sigma.inverse(new_psi)
+    sig_fwd = sigma.map_for(psi.tag)
+    sig_inv = sigma.inverse_for(psi.tag)
+    new_fwd = sigma.map_for(new_psi.tag)
+    new_inv = sigma.inverse_for(new_psi.tag)
     transport = compose(new_inv, sig_fwd)
     new_barrier = compose(barrier, compose(sig_inv, new_fwd))
     return new_psi, new_barrier, transport

@@ -58,7 +58,7 @@ class NotNormalized(QcsError):
 
 
 class UndefinedEquivalence(QcsError):
-    """No measure equivalence is defined for the requested state."""
+    """A map table has no map for the requested key and no default."""
 
 
 class SchemaError(QcsError):

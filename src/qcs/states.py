@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import (
     NotAResolution,
     NotMonotone,
     OutOfDomain,
+    UndefinedEquivalence,
 )
 from .measure_maps import (
     MapSpec,
@@ -81,12 +82,14 @@ class CompleteState:
 
 @dataclass(frozen=True, eq=False)
 class BarrierComplex:
-    """A barrier for every (observable, state) pair: a default map plus
-    overrides keyed by (operator tag, state tag).  Each map is built on first
-    use and not checked: ``build_map`` makes it measure preserving."""
+    """A measure-preserving map of ]0,1[ for every key: a default map plus
+    overrides keyed by any hashable.  Barriers are keyed by (operator tag,
+    state tag) and the equivalences of ``dynamics.EquivalenceComplex`` by
+    state tag.  Each map is built on first use and not checked: ``build_map``
+    makes it measure preserving."""
 
-    default: MapSpec
-    overrides: Mapping[tuple[str | None, str | None], MapSpec] = field(default_factory=dict)
+    default: MapSpec | None
+    overrides: Mapping[Hashable, MapSpec] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "overrides", dict(self.overrides))
@@ -102,11 +105,14 @@ class BarrierComplex:
             cache[spec] = build_map(spec)
         return cache[spec]
 
-    def spec_for(self, a: HermitianOperator, psi: PureState) -> MapSpec:
-        return self.overrides.get((a.tag, psi.tag), self.default)
+    def spec_for(self, key: Hashable) -> MapSpec:
+        spec = self.overrides.get(key, self.default)
+        if spec is None:
+            raise UndefinedEquivalence(f"no map for key {key!r} and no default")
+        return spec
 
-    def barrier_for(self, a: HermitianOperator, psi: PureState) -> PiecewiseAffineMap:
-        return self._build(self.spec_for(a, psi))
+    def map_for(self, key: Hashable) -> PiecewiseAffineMap:
+        return self._build(self.spec_for(key))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +124,7 @@ class ObservableFunction:
     barrier_complex: BarrierComplex
 
     def barrier(self, psi: PureState) -> PiecewiseAffineMap:
-        return self.barrier_complex.barrier_for(self.operator, psi)
+        return self.barrier_complex.map_for((self.operator.tag, psi.tag))
 
     def cdf(self, psi: PureState) -> StepCDF:
         return spectral_cdf(self.operator, psi)

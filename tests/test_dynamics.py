@@ -48,11 +48,20 @@ def obs(op):
     return ObservableFunction(op, IDENT_COMPLEX)
 
 
+def hadamard() -> UnitaryOperator:
+    return UnitaryOperator(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
+
+
 def test_unitary_validation():
     with pytest.raises(NonHermitian):
         UnitaryOperator(np.array([[1, 1], [0, 1]], dtype=complex))
-    h = UnitaryOperator.hadamard()
+    h = hadamard()
     assert np.abs(h.entries @ h.entries - np.eye(2)).max() < 1e-12
+
+
+def test_unitary_rejects_an_empty_matrix():
+    with pytest.raises(DimensionMismatch):
+        UnitaryOperator(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -208,7 +217,7 @@ def test_lift_with_shared_equivalence_moves_only_the_state():
     sigma = EquivalenceComplex(MapSpec.rotation(F(2, 5)))
     rot = build_map(MapSpec.rotation(F(1, 7)))
     c = CompleteState(UP, rot, F(1, 3))
-    h = UnitaryOperator.hadamard()
+    h = hadamard()
     out = lift_unitary(h, sigma, c)
     assert out.z == c.z
     assert map_equal_ae(out.barrier, rot)
@@ -223,7 +232,7 @@ def test_lift_preserves_barrier_level():
     rot = build_map(MapSpec.rotation(F(3, 11)))
     psi = PureState(np.array([1.0, 0.0], dtype=complex), tag="tagged")
     c = CompleteState(psi, rot, F(1, 5))
-    u = UnitaryOperator.hadamard()
+    u = hadamard()
     out = lift_unitary(u, sigma, c)
     assert out.barrier(out.z) == rot(F(1, 5))
 
@@ -265,19 +274,21 @@ def test_lift_of_unitary_group_is_a_one_parameter_group(rng):
 def test_equivalence_complex_requires_a_rule():
     sigma = EquivalenceComplex(None, {"known": MapSpec.identity()})
     with pytest.raises(UndefinedEquivalence):
-        sigma.forward(PureState(np.array([1, 0], dtype=complex)))
-    assert sigma.forward(PureState(np.array([1, 0], dtype=complex), tag="known"))
+        sigma.map_for(None)
+    assert sigma.map_for("known")
     # every spec builds a measure-preserving map; the inverse rejects the
-    # ones that are not bijections
+    # ones that are not bijections, defaults and overrides alike
     with pytest.raises(NotInjective):
         EquivalenceComplex(MapSpec.expanding(2))
+    with pytest.raises(NotInjective):
+        EquivalenceComplex(MapSpec.identity(), {"t": MapSpec.expanding(3)})
 
 
 def test_intertwine_hadamard():
     sigma = EquivalenceComplex(MapSpec.rotation(F(1, 4)))
     barrier = build_map(MapSpec.rotation(F(1, 3)))
     assert intertwine_check(
-        pauli_z(), UnitaryOperator.hadamard(), sigma, PLUS, barrier
+        pauli_z(), hadamard(), sigma, PLUS, barrier
     )
 
 
@@ -289,7 +300,7 @@ def test_intertwine_hadamard_with_state_dependent_equivalences():
     psi = PureState(np.array([1.0, 0.0], dtype=complex), tag="start")
     barrier = build_map(MapSpec.rotation(F(2, 7)))
     assert intertwine_check(
-        pauli_z(), UnitaryOperator.hadamard(), sigma, psi, barrier
+        pauli_z(), hadamard(), sigma, psi, barrier
     )
 
 

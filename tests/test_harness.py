@@ -24,7 +24,7 @@ from qcs.harness import (
     render_report,
     run_experiment,
 )
-from qcs.measure_maps import MapSpec, PiecewiseConstantFn
+from qcs.measure_maps import MapSpec, PiecewiseConstantFn, build_map, map_equal_ae
 from qcs.spectral import StepCDF
 from qcs.stats import ks_statistic, ks_threshold
 from qcs import verify
@@ -196,6 +196,24 @@ def test_dynamics_experiment_rows():
     for row in rows:
         assert abs(row["operator_side"] - math.cos(2 * row["t"])) < 1e-10
         assert row["gap"] < 1e-10
+
+
+def test_dynamics_barrier_object_form_applies_the_untagged_override():
+    """Config operators and states carry no tags, so the override keyed by
+    (None, None) is the barrier every step uses."""
+    base = {
+        "kind": "dynamics",
+        "H": [[0, 1], [1, 0]],
+        "A": [[1, 0], [0, -1]],
+        "psi0": [1, 0],
+        "times": [0.0, 0.5, 1.0],
+    }
+    table = {"default": {"kind": "rotation", "c": "1/5"}, "overrides": [{"map": {"kind": "identity"}}]}
+    plain = run_experiment(ExperimentConfig.from_json({**base, "barrier": {"kind": "identity"}}))
+    overridden = run_experiment(ExperimentConfig.from_json({**base, "barrier": table}))
+    assert overridden.results["rows"] == plain.results["rows"]
+    barrier = harness.parse_barrier_complex(table).map_for((None, None))
+    assert map_equal_ae(barrier, build_map(MapSpec.identity()))
 
 
 def test_phase_space_experiment():

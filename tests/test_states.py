@@ -19,6 +19,7 @@ from qcs.errors import (
     NotAResolution,
     NotMonotone,
     OutOfDomain,
+    UndefinedEquivalence,
 )
 from qcs.measure_maps import (
     DENSITY_TOL,
@@ -627,8 +628,16 @@ def test_barrier_complex_lookup():
     tagged_a = HermitianOperator(np.eye(2, dtype=complex), tag="a-tag")
     tagged_s = PureState(np.array([1, 0], dtype=complex), tag="s-tag")
     plain_s = PureState(np.array([1, 0], dtype=complex))
-    assert map_equal_ae(bc.barrier_for(tagged_a, tagged_s), build_map(MapSpec.rotation(F(1, 4))))
-    assert map_equal_ae(bc.barrier_for(tagged_a, plain_s), IDENTITY)
+    f = ObservableFunction(tagged_a, bc)
+    assert map_equal_ae(f.barrier(tagged_s), build_map(MapSpec.rotation(F(1, 4))))
+    assert map_equal_ae(f.barrier(plain_s), IDENTITY)
+
+
+def test_barrier_complex_without_a_map_raises_a_typed_error():
+    a = HermitianOperator(np.eye(2, dtype=complex))
+    psi = PureState(np.array([1, 0], dtype=complex))
+    with pytest.raises(UndefinedEquivalence):
+        ObservableFunction(a, BarrierComplex(None)).barrier(psi)
 
 
 def test_observable_function_roundtrip():
