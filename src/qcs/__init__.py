@@ -10,7 +10,6 @@ from .spectral import (
     StepCDF,
     borel_apply,
     eigensystem,
-    moment,
     spectral_cdf,
 )
 from .measure_maps import (

@@ -232,6 +232,12 @@ def parse_piecewise_fn(obj) -> PiecewiseFn:
             raise SchemaError(f"{kind} function spec needs {key!r}")
         return obj[key]
 
+    def real(v, what, bound=False):
+        """v as a float: a finite JSON number, or an infinite one for a bound."""
+        if not (_is_finite_real(v) or (bound and isinstance(v, float) and math.isinf(v))):
+            raise SchemaError(f"{kind} function spec: {what} must be a number, got {v!r}")
+        return float(v)
+
     try:
         if kind == "identity":
             return PiecewiseFn.identity()
@@ -240,13 +246,16 @@ def parse_piecewise_fn(obj) -> PiecewiseFn:
         if kind == "abs":
             return PiecewiseFn.absolute()
         if kind == "constant":
-            return PiecewiseFn.constant(float(field("c")))
+            return PiecewiseFn.constant(real(field("c"), "'c'"))
         if kind == "affine":
-            return PiecewiseFn.affine(float(field("a")), float(field("b")))
+            return PiecewiseFn.affine(real(field("a"), "'a'"), real(field("b"), "'b'"))
         if kind == "poly":
-            lo = float(obj.get("lo", -math.inf))
-            hi = float(obj.get("hi", math.inf))
-            return PiecewiseFn.from_poly([float(c) for c in field("coeffs")], lo, hi)
+            coeffs = field("coeffs")
+            if not isinstance(coeffs, list):
+                raise SchemaError(f"poly function spec: 'coeffs' must be a list, got {coeffs!r}")
+            lo = real(obj.get("lo", -math.inf), "'lo'", bound=True)
+            hi = real(obj.get("hi", math.inf), "'hi'", bound=True)
+            return PiecewiseFn.from_poly([real(c, "a coefficient") for c in coeffs], lo, hi)
     except (TypeError, ValueError, OverflowError, DomainGap) as exc:
         raise SchemaError(f"bad {kind} function spec: {exc}") from exc
     raise SchemaError(f"unknown function kind {kind!r}")

@@ -508,7 +508,7 @@ class PiecewiseConstantFn:
 
 def quantile_pcf(cdf: StepCDF) -> PiecewiseConstantFn:
     """The quantile function of a step CDF as an exact piecewise-constant function."""
-    return PiecewiseConstantFn._built(*_over_common((ZERO, *cdf.exact_levels)), cdf.support)
+    return PiecewiseConstantFn._built(cdf.den, [0, *cdf.nums], cdf.support)
 
 
 def level_function(cdf: StepCDF, m: PiecewiseAffineMap) -> PiecewiseConstantFn:
@@ -769,9 +769,7 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     del lo, hi
     totals = list(map(sub, ahead[1:], ahead[:-1]))
 
-    exact = cdf.exact_levels
-    lvl_den = math.lcm(*(c.denominator for c in exact))
-    lvl = [0] + [c.numerator * (lvl_den // c.denominator) for c in exact]
+    lvl_den, lvl = cdf.den, (0, *cdf.nums)
     slopes = []
     for k, total in enumerate(totals):
         weight = lvl[k + 1] - lvl[k]

@@ -79,6 +79,8 @@ class PhaseSpaceState:
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        if not 0 < self.dp < math.inf:
+            raise BadSpec(f"momentum spacing 2*pi / (N * dq) = {self.dp!r} is not positive and finite")
         total = math.fsum(float(x) for x in (np.abs(amps) ** 2).ravel()) * self.dq
         if not abs(total - 1.0) <= MASS_TOL:  # also rejects a NaN mass
             raise NotNormalized(f"total mass {total!r} is not 1 within {MASS_TOL}")
@@ -278,21 +280,15 @@ def cell_observable(cell_values: np.ndarray, measure: PhaseSpaceMeasure) -> Cell
     (sum of the integer masses of v's cells) / M, the same integers that
     place the cells in ``to_unit_interval``.  A stable sort by value puts
     each atom's cells together, first occurrence first; their masses are
-    summed per atom in numpy (``group_masses``), and the level after atom v
-    is the running sum of the atoms' masses up to v."""
+    summed per atom in numpy (``group_masses``), and ``StepCDF.from_masses``
+    makes the levels their running sums over M."""
     flat = np.asarray(cell_values, dtype=float).ravel()[measure.kept]
     if not np.isfinite(flat).all():
         raise DomainGap("cell values must be finite")
     order = np.argsort(flat, kind="stable")
     ranked = flat[order]
     firsts = np.flatnonzero(np.insert(ranked[1:] != ranked[:-1], 0, True))
-    prefix = list(accumulate(measure.group_masses(order, firsts)))
-    total = prefix[-1]
-    cdf = StepCDF(
-        tuple(ranked[firsts].tolist()),
-        tuple(p / total for p in prefix),
-        tuple(Fraction(p, total) for p in prefix),
-    )
+    cdf = StepCDF.from_masses(ranked[firsts].tolist(), measure.group_masses(order, firsts))
     return CellObservable(cell_values, cdf)
 
 

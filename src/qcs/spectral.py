@@ -17,9 +17,11 @@ Conventions used throughout the package:
   are one spectral atom, and the spectral reconstruction is checked against
   ``PROJECTOR_TOL`` times the same scale, so these rules follow the
   operator's size (for entries and spectra within [-1, 1] they are absolute);
-* spectral CDFs (:meth:`StepCDF.from_weights`) drop atoms with weight below
-  ``WEIGHT_DROP_TOL`` so that their float levels stay strictly increasing;
-  a CDF built from exact weights keeps every atom in its exact levels.
+* a step CDF holds its levels as integers over one denominator; spectral
+  CDFs (:meth:`StepCDF.from_weights`) drop atoms with weight below
+  ``WEIGHT_DROP_TOL`` so that their float levels stay strictly increasing,
+  while a CDF built from exact masses (:meth:`StepCDF.from_masses`) keeps
+  every atom, however light.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -205,53 +209,50 @@ class PureState:
 class StepCDF:
     """Right-continuous step CDF with strictly increasing levels ending at 1.
 
-    ``support[k]`` carries the atom weight ``exact_levels[k] -
-    exact_levels[k-1]``; the level interval of atom k is
-    ]exact_levels[k-1], exact_levels[k]] with exact_levels[-1] := 0.
-
-    ``exact_levels`` are the levels as rationals, and every exact operation
-    (``level_interval``, ``atom_index`` of a ``Fraction``, ``weights``) reads
-    them.  When they are not given they are the exact values of the float
-    levels, which must then rise strictly.  When they are given (a CDF whose
-    atom weights are known exactly), they must rise strictly, and the float
-    levels must be their correctly rounded values: these are non-decreasing,
-    but two exact levels closer than a float's spacing collapse onto one.
+    The levels are integer numerators ``nums`` over one reduced denominator
+    ``den``, the layout of :class:`qcs.measure_maps.PiecewiseConstantFn`:
+    ``support[k]`` carries the atom weight ``(nums[k] - nums[k-1]) / den``,
+    and the level interval of atom k is ]nums[k-1] / den, nums[k] / den]
+    with nums[-1] := 0.  Every exact operation (``level_interval``,
+    ``atom_index`` of a ``Fraction``, ``weights``) reads the integers.  The
+    float ``levels`` are their correctly rounded values: non-decreasing, as
+    two levels closer than a float's spacing collapse onto one.
     """
 
     support: tuple[float, ...]
-    levels: tuple[float, ...]
-    exact_levels: tuple[Fraction, ...] | None = None
+    den: int
+    nums: tuple[int, ...]
 
     def __post_init__(self):
         support = tuple(float(r) for r in self.support)
-        levels = tuple(float(c) for c in self.levels)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "levels", levels)
-        if len(support) != len(levels) or not support:
+        den, nums = index(self.den), tuple(map(index, self.nums))
+        if len(support) != len(nums) or not support:
             raise OutOfDomain("support and levels must be nonempty and aligned")
-        if any(b <= a for a, b in zip(support, support[1:])):
-            raise OutOfDomain("support points must be strictly ascending")
-        if self.exact_levels is None:
-            if any(b <= a for a, b in zip(levels, levels[1:])):
-                raise OutOfDomain("levels must be strictly ascending")
-            # the range test also rejects a NaN level, which passes the one above
-            if not (all(0.0 < c <= 1.0 for c in levels) and levels[-1] == 1.0):
-                raise OutOfDomain("levels must lie in ]0,1] and end exactly at 1")
-            exact = tuple(Fraction(c) for c in levels)
-        else:
-            exact = tuple(self.exact_levels)
-            if len(exact) != len(levels) or any(float(e) != c for e, c in zip(exact, levels)):
-                raise OutOfDomain("float levels must be the exact levels rounded")
-            if any(b <= a for a, b in zip(exact, exact[1:])):
-                raise OutOfDomain("exact levels must be strictly ascending")
-            if not (0 < exact[0] and exact[-1] == 1):
-                raise OutOfDomain("exact levels must lie in ]0,1] and end exactly at 1")
-        object.__setattr__(self, "exact_levels", exact)
+        if not all(map(math.isfinite, support)) or any(b <= a for a, b in zip(support, support[1:])):
+            raise OutOfDomain("support points must be finite and strictly ascending")
+        if any(b <= a for a, b in zip((0, *nums), nums)) or nums[-1] != den:
+            raise OutOfDomain("levels must be strictly ascending in ]0,1] and end exactly at 1")
+        g = math.gcd(den, *nums)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "nums", tuple(n // g for n in nums))
+
+    @classmethod
+    def from_masses(cls, support: Sequence[float], masses: Iterable[int]) -> "StepCDF":
+        """Atom k of ``support`` weighs masses[k] / sum(masses), exactly:
+        the levels are the prefix sums of the integer masses, which rise
+        strictly only if every mass is positive."""
+        nums = tuple(accumulate(masses))
+        return cls(support, nums[-1] if nums else 0, nums)
 
     @classmethod
     def from_weights(cls, pairs: Iterable[tuple[float, float]]) -> "StepCDF":
-        """Build from (value, weight) pairs; drops near-zero weights, renormalizes."""
+        """Build from (value, weight) pairs; drops near-zero weights, renormalizes.
+        The float levels are dyadic, so they are integers over the largest of
+        their denominators, a power of two."""
         items = sorted((float(v), float(w)) for v, w in pairs)
+        if not all(math.isfinite(v) and math.isfinite(w) for v, w in items):
+            raise OutOfDomain("values and weights must be finite")
         support, weights = [], []
         for v, w in items:
             if support and v == support[-1]:
@@ -262,41 +263,48 @@ class StepCDF:
         kept = [(v, w) for v, w in zip(support, weights) if w >= WEIGHT_DROP_TOL]
         if not kept:
             raise OutOfDomain("all weights vanish")
-        total = math.fsum(w for _, w in kept)
-        cum, levels = 0.0, []
-        for _, w in kept:
-            cum += w
-            levels.append(cum / total)
-        levels[-1] = 1.0
-        return cls(tuple(v for v, _ in kept), tuple(levels))
+        try:
+            total = math.fsum(w for _, w in kept)
+            cum, levels = 0.0, []
+            for _, w in kept:
+                cum += w
+                levels.append(cum / total)
+            levels[-1] = 1.0
+            ratios = [c.as_integer_ratio() for c in levels]
+        except OverflowError:  # of the total, or of a running sum (an infinite level)
+            raise OutOfDomain("total weight overflows") from None
+        den = max(d for _, d in ratios)
+        return cls(tuple(v for v, _ in kept), den, tuple(n * (den // d) for n, d in ratios))
 
-    @property
+    @cached_property
+    def levels(self) -> tuple[float, ...]:
+        """The levels nums[k] / den, each correctly rounded (integer true
+        division rounds once)."""
+        return tuple(n / self.den for n in self.nums)
+
+    @cached_property
     def weights(self) -> tuple[float, ...]:
-        """Atom weights, each the exact level difference rounded once from
-        integers (integer true division is correctly rounded, so for
-        float-derived levels this is bitwise the float difference)."""
-        nums = [0] + [c.numerator for c in self.exact_levels]
-        dens = [1] + [c.denominator for c in self.exact_levels]
-        return tuple(
-            (n1 * d0 - n0 * d1) / (d1 * d0) for n0, d0, n1, d1 in zip(nums, dens, nums[1:], dens[1:])
-        )
+        """Atom weights, each the exact level difference rounded once (for
+        dyadic levels that is bitwise the float difference)."""
+        den, nums = self.den, self.nums
+        return tuple((b - a) / den for a, b in zip((0, *nums), nums))
 
     def atom_index(self, s) -> int:
-        """Index of the atom whose level interval contains s (the >= rule)."""
-        if isinstance(s, Fraction):
-            if not (0 < s < 1):
-                raise OutOfDomain(f"quantile level {s} outside ]0,1[")
-            return bisect.bisect_left(self.exact_levels, s)
-        s = float(s)
-        if not (0.0 < s < 1.0):
-            raise OutOfDomain(f"quantile level {s!r} outside ]0,1[")
-        k = bisect.bisect_left(self.levels, s)
-        # Rounding is monotone, so a float level above s has its exact level
-        # above s too; only a float level equal to s (exact levels collapsed
-        # onto it) can hide exact levels below s.
-        if self.levels[k] == s:
-            return bisect.bisect_left(self.exact_levels, Fraction(s))
-        return k
+        """Index of the atom whose level interval contains s (the >= rule):
+        the first k with s <= nums[k] / den."""
+        exact = isinstance(s, Fraction)
+        s = s if exact else float(s)
+        if not (0 < s < 1):
+            raise OutOfDomain(f"quantile level {s} outside ]0,1[")
+        if not exact:
+            k = bisect.bisect_left(self.levels, s)
+            # Rounding is monotone, so a float level above s has its exact
+            # level above s too; only a float level equal to s (exact levels
+            # collapsed onto it) can hide exact levels below s.
+            if self.levels[k] != s:
+                return k
+            s = Fraction(s)
+        return bisect.bisect_left(self.nums, -((-s.numerator * self.den) // s.denominator))
 
     def quantile(self, s) -> float:
         """min{r : F(r) >= s} for s in ]0,1[; accepts float or Fraction."""
@@ -308,8 +316,8 @@ class StepCDF:
         return self.levels[idx - 1] if idx > 0 else 0.0
 
     def level_interval(self, k: int) -> tuple[Fraction, Fraction]:
-        lo = self.exact_levels[k - 1] if k > 0 else Fraction(0)
-        return lo, self.exact_levels[k]
+        lo = self.nums[k - 1] if k > 0 else 0
+        return Fraction(lo, self.den), Fraction(self.nums[k], self.den)
 
 
 def cdfs_close(f: StepCDF, g: StepCDF, value_tol: float, level_tol: float) -> bool:
@@ -449,14 +457,3 @@ def borel_apply(fn: PiecewiseFn, a: HermitianOperator) -> HermitianOperator:
     system = EigenSystem(tuple((val, np.hstack(blocks)) for val, blocks in merged))
     m = system.matrix()
     return _with_eigensystem(hermitian_part(m), system)
-
-
-def moment(a: HermitianOperator, psi: PureState, k: int) -> float:
-    """k-th spectral moment, sum over atoms of eigenvalue^k times weight."""
-    if a.dim != psi.dim:
-        raise DimensionMismatch(f"operator dim {a.dim} vs state dim {psi.dim}")
-    if k < 0:
-        raise OutOfDomain("moment order must be nonnegative")
-    es = a.eigensystem
-    ws = es.weights(psi)
-    return math.fsum((lam**k) * w for lam, w in zip(es.eigenvalues, ws))

@@ -58,7 +58,6 @@ from .spectral import (
     PureState,
     StepCDF,
     borel_apply,
-    moment,
     spectral_cdf,
 )
 from .states import (
@@ -590,7 +589,7 @@ def check_identifiability():
         # superposition probe, else the implication above was vacuous.
         if np.abs(a.entries - b_same_diag.entries).max() > 1e-8:
             separated = any(
-                abs(moment(a, p, 1) - moment(b_same_diag, p, 1)) > 1e-10 for p in probes
+                abs(a.expectation(p) - b_same_diag.expectation(p)) > 1e-10 for p in probes
             )
             if not separated:
                 return False, "distinct operators share all probe means"

@@ -1,12 +1,13 @@
 """Conversions between (lo, hi, slope, intercept) pieces with ``Fraction``
-entries and the integer layout of maps and piecewise-constant functions,
-for the tests' piece-based references and hand-written inputs."""
+entries and the integer layout of maps, piecewise-constant functions and
+step CDFs, for the tests' piece-based references and hand-written inputs."""
 
 import bisect
 import math
 from fractions import Fraction
 
 from qcs.measure_maps import PiecewiseAffineMap, PiecewiseConstantFn
+from qcs.spectral import StepCDF
 
 
 def over_common(fracs):
@@ -24,8 +25,15 @@ def map_of(pieces):
     return PiecewiseAffineMap(*over_common(ends), [p[2] for p in pieces], *over_common(p[3] for p in pieces))
 
 
+def cdf_of(support, levels):
+    """The step CDF with these levels, floats or ``Fraction`` objects taken
+    at their exact values, through the checking constructor."""
+    return StepCDF(support, *over_common(levels))
+
+
 def ends_of(obj):
-    """The ends of a map's pieces or a function's cells, as ``Fraction`` objects."""
+    """The ends of a map's pieces or a function's cells, or a step CDF's
+    levels, as ``Fraction`` objects."""
     return [Fraction(n, obj.den) for n in obj.nums]
 
 

@@ -16,6 +16,8 @@ from qcs.measure_maps import MATCH_TOL, PiecewiseAffineMap, PiecewiseConstantFn,
 from qcs.phase_space import CellObservable
 from qcs.spectral import StepCDF
 
+from layout import over_common
+
 
 def ref_run_bounds(fn):
     """(starts, ends) of the maximal runs of equal adjacent values, compared
@@ -49,9 +51,7 @@ def ref_factor_against_cdf(fn, cdf):
     for k, x, y in zip(atoms, lo, hi):
         totals[k] += y - x
 
-    exact = cdf.exact_levels
-    lvl_den = math.lcm(*(c.denominator for c in exact))
-    lvl = [0] + [c.numerator * (lvl_den // c.denominator) for c in exact]
+    lvl_den, lvl = cdf.den, [0, *cdf.nums]
     slopes = []
     for k, total in enumerate(totals):
         weight = lvl[k + 1] - lvl[k]
@@ -97,7 +97,5 @@ def ref_cell_observable(cell_values, measure):
     running = list(accumulate(map(masses.__getitem__, order.tolist())))
     prefix = [running[i] for i in np.flatnonzero(np.append(change, True)).tolist()]
     support = ranked[np.flatnonzero(np.insert(change, 0, True))].tolist()
-    cdf = StepCDF(
-        tuple(support), tuple(p / total for p in prefix), tuple(Fraction(p, total) for p in prefix)
-    )
+    cdf = StepCDF(tuple(support), *over_common(Fraction(p, total) for p in prefix))
     return CellObservable(cell_values, cdf)

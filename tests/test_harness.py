@@ -25,12 +25,12 @@ from qcs.harness import (
     run_experiment,
 )
 from qcs.measure_maps import MapSpec, PiecewiseConstantFn, build_map, map_equal_ae
-from qcs.spectral import StepCDF
 from qcs.stats import ks_statistic, ks_threshold
 from qcs import verify
 from qcs.cli import build_parser, main as cli_main
+from layout import cdf_of
 
-WITNESS_CDF = StepCDF((-1.0, 0.0, 1.0), (0.625, 0.875, 1.0))
+WITNESS_CDF = cdf_of((-1.0, 0.0, 1.0), (0.625, 0.875, 1.0))
 
 
 def test_ks_statistic_perfect_fit():
@@ -41,7 +41,7 @@ def test_ks_statistic_perfect_fit():
 
 
 def test_ks_statistic_constant_samples():
-    cdf = StepCDF((0.0, 1.0), (0.3, 1.0))
+    cdf = cdf_of((0.0, 1.0), (0.3, 1.0))
     stat = ks_statistic(np.ones(100), cdf)
     assert stat >= 0.3
 
@@ -355,6 +355,52 @@ def test_function_spec_missing_key_is_a_schema_error(kind, key):
     del spec[key]
     with pytest.raises(SchemaError, match=repr(key)):
         parse_piecewise_fn(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "constant", "c": True},
+        {"kind": "constant", "c": "2"},
+        {"kind": "affine", "a": "2", "b": 1},
+        {"kind": "affine", "a": 2, "b": False},
+        {"kind": "poly", "coeffs": "12"},
+        {"kind": "poly", "coeffs": [1, True]},
+        {"kind": "poly", "coeffs": [0, 1], "lo": "-1"},
+        {"kind": "poly", "coeffs": [0, 1], "hi": True},
+    ],
+)
+def test_cli_function_spec_with_a_non_number_exits_2(tmp_path, capsys, spec):
+    """Strings and booleans are not numbers: "12" is no coefficient list
+    and true is no 1.0."""
+    config = {
+        "kind": "phase_space",
+        "sigma": "0",
+        "N": 2,
+        "dq": 1.0,
+        "psi": [[1, 0]],
+        "observable": {"kind": "position", "g": spec},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert "function spec" in capsys.readouterr().err
+
+
+def test_cli_phase_space_without_a_finite_momentum_spacing_exits_2(tmp_path, capsys):
+    """N * dq overflows, so dp = 2 pi / (N * dq) is 0."""
+    config = {
+        "kind": "phase_space",
+        "sigma": 0,
+        "N": 2,
+        "dq": 1e308,
+        "psi": [[1e-154, 0]],
+        "observable": {"kind": "momentum"},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert "momentum spacing" in capsys.readouterr().err
 
 
 def test_cli_rotation_without_offset_exits_2(tmp_path, capsys):

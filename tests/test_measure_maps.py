@@ -40,7 +40,7 @@ from qcs.measure_maps import (
 from qcs.spectral import StepCDF
 from qcs.states import label_mean
 
-from layout import cells_of, ends_of, fn_of, image_bounds, map_of, piece_at, pieces_of
+from layout import cdf_of, cells_of, ends_of, fn_of, image_bounds, map_of, piece_at, pieces_of
 from per_cell_reference import ref_factor_against_cdf as per_cell_factor, ref_run_bounds
 
 F = Fraction
@@ -231,13 +231,13 @@ def test_pcf_basics():
 
 
 def test_factor_of_quantile_is_identity():
-    cdf = StepCDF((-1.0, 0.0, 1.0), (0.625, 0.875, 1.0))
+    cdf = cdf_of((-1.0, 0.0, 1.0), (0.625, 0.875, 1.0))
     alpha = factor_against_cdf(quantile_pcf(cdf), cdf)
     assert map_equal_ae(alpha, IDENTITY)
 
 
 def test_factor_roundtrip_through_rotation():
-    cdf = StepCDF((-1.0, 0.0, 1.0), (0.625, 0.875, 1.0))
+    cdf = cdf_of((-1.0, 0.0, 1.0), (0.625, 0.875, 1.0))
     rot = build_map(MapSpec.rotation(F(1, 4)))
     fn = level_function(cdf, rot)
     alpha = factor_against_cdf(fn, cdf)
@@ -250,21 +250,21 @@ def test_factor_roundtrip_through_rotation():
 
 
 def test_factor_constant_against_two_atoms_mismatch():
-    cdf = StepCDF((0.0, 1.0), (0.5, 1.0))
+    cdf = cdf_of((0.0, 1.0), (0.5, 1.0))
     constant = PiecewiseConstantFn(1, [0, 1], (0.0,))
     with pytest.raises(DistributionMismatch):
         factor_against_cdf(constant, cdf)
 
 
 def test_factor_value_not_in_support():
-    cdf = StepCDF((0.0, 1.0), (0.5, 1.0))
+    cdf = cdf_of((0.0, 1.0), (0.5, 1.0))
     stranger = PiecewiseConstantFn(2, [0, 1, 2], (0.0, 7.0))
     with pytest.raises(ValueNotInSupport):
         factor_against_cdf(stranger, cdf)
 
 
 def test_factor_lands_inside_level_intervals():
-    cdf = StepCDF((-2.0, 3.0), (0.3, 1.0))
+    cdf = cdf_of((-2.0, 3.0), (0.3, 1.0))
     rot = build_map(MapSpec.rotation(F(1, 3)))
     fn = level_function(cdf, rot)
     alpha = factor_against_cdf(fn, cdf)
@@ -310,7 +310,7 @@ def test_reflection_as_barrier_gives_exact_distribution():
 
 
 def test_level_function_through_reflection():
-    cdf = StepCDF((-1.0, 0.0, 1.0), (0.625, 0.875, 1.0))
+    cdf = cdf_of((-1.0, 0.0, 1.0), (0.625, 0.875, 1.0))
     fn = level_function(cdf, reflection_map())
     # reflected labels: low labels now map to high levels
     assert fn(F(1, 16)) == 1.0
@@ -604,7 +604,7 @@ def dyadic_cdfs(draw):
     n = draw(st.integers(1, 4))
     cuts = sorted(draw(st.sets(st.integers(1, 63), min_size=n - 1, max_size=n - 1)))
     levels = [c / 64 for c in cuts] + [1.0]
-    return StepCDF(tuple(float(v) for v in range(-1, n - 1)), tuple(levels))
+    return cdf_of(tuple(float(v) for v in range(-1, n - 1)), levels)
 
 
 @settings(max_examples=80, deadline=None)
@@ -627,7 +627,7 @@ def float_level_cdfs(draw):
         st.floats(1e-300, 1.0, exclude_max=True),
     )
     levels = sorted(set(draw(st.lists(pool, max_size=4)))) + [1.0]
-    return StepCDF(tuple(float(v) for v in range(len(levels))), tuple(levels))
+    return cdf_of(tuple(float(v) for v in range(len(levels))), levels)
 
 
 @st.composite
@@ -637,7 +637,7 @@ def near_matching_functions(draw, cdf):
     triadic, decimal or mixed fraction of at most a quarter of its
     neighbouring gaps and of 1e-13.  A signed map then scatters each value
     over several runs."""
-    exact = (F(0),) + cdf.exact_levels
+    exact = (F(0), *ends_of(cdf))
     shifts = st.sampled_from([F(0), F(1, 3), F(-2, 3), F(7, 10), F(-1, 100), F(5, 3 * 2**7)])
     bps = [F(0)]
     for lo, level, hi in zip(exact, exact[1:], exact[2:]):
@@ -675,7 +675,7 @@ def test_factor_against_exact_levels_on_mixed_denominators(data, m):
     masses = fn.masses_by_value()
     support = sorted(masses)
     exact = tuple(accumulate(masses[v] for v in support))
-    cdf = StepCDF(tuple(support), tuple(float(e) for e in exact), exact)
+    cdf = cdf_of(support, exact)
     for g in (fn, fn.compose_with_map(m)):
         alpha = factor_against_cdf(g, cdf)
         assert pieces_of(alpha) == pieces_of(ref_factor_against_cdf(g, cdf))
@@ -687,7 +687,7 @@ def signed_zero_cdfs(draw):
     """``dyadic_cdfs`` whose zero support point is 0.0 or -0.0."""
     cdf = draw(dyadic_cdfs())
     zero = draw(st.sampled_from([0.0, -0.0]))
-    return StepCDF(tuple(zero if v == 0 else v for v in cdf.support), cdf.levels)
+    return StepCDF(tuple(zero if v == 0 else v for v in cdf.support), cdf.den, cdf.nums)
 
 
 @st.composite
@@ -816,7 +816,7 @@ def ref_factor_per_run(fn, cdf):
     totals = [0] * len(support)
     for start, end, k in runs:
         totals[k] += nums[end] - nums[start]
-    levels = (F(0), *cdf.exact_levels)
+    levels = (F(0), *ends_of(cdf))
     slopes = [(levels[k + 1] - levels[k]) / F(t, den) for k, t in enumerate(totals)]
     cden = math.lcm(*(c.denominator for c in levels), den * math.lcm(*(s.denominator for s in slopes)))
     before, piece_slopes, intercepts, values = [0] * len(support), [], [], []
@@ -852,7 +852,7 @@ def run_functions(draw):
     support = sorted(masses)
     exact = tuple(accumulate(masses[v] for v in support))
     floats = tuple(float(e) for e in exact)
-    return fn, StepCDF(tuple(support), floats, None if draw(st.booleans()) else exact)
+    return fn, cdf_of(support, floats if draw(st.booleans()) else exact)
 
 
 @settings(max_examples=80, deadline=None)
@@ -867,11 +867,11 @@ def test_factor_matches_the_per_run_formulas(case, data, float_cdf):
 def test_factor_matches_the_per_run_formulas_on_fixed_runs_and_at_n16():
     """Every cell its own run, runs of three cells, one run, and the N=16
     phase-space observables, whose momentum cells are each one run."""
-    halves = StepCDF((0.0, 2.5), (0.5, 1.0))
+    halves = cdf_of((0.0, 2.5), (0.5, 1.0))
     cases = [
         (fn_of([F(k, 4) for k in range(5)], [0.0, 2.5, 0.0, 2.5]), halves),
         (fn_of([F(k, 6) for k in range(7)], [0.0, 0.0, 0.0, 2.5, 2.5, 2.5]), halves),
-        (fn_of([F(0), F(1, 3), F(1)], [2.5, 2.5]), StepCDF((2.5,), (1.0,))),
+        (fn_of([F(0), F(1, 3), F(1)], [2.5, 2.5]), cdf_of((2.5,), (1.0,))),
         *phase_space_cases_at_n16(),
     ]
     momentum, _ = cases[5]
@@ -912,7 +912,7 @@ def test_factor_matches_the_per_cell_oracle_at_n16_and_on_errors():
     atom no value names, a value no atom names, and a NaN."""
     for fn, cdf in phase_space_cases_at_n16():
         assert_factor_matches_the_per_cell_oracle(fn, cdf)
-    three = StepCDF((-1.0, 0.0, 2.5), (0.25, 0.5, 1.0))
+    three = cdf_of((-1.0, 0.0, 2.5), (0.25, 0.5, 1.0))
     for values, error in (
         ([-1.0, 2.5, 2.5, -1.0], DistributionMismatch),
         ([-1.0, 0.0, 2.5, 7.0], ValueNotInSupport),
@@ -950,7 +950,7 @@ def test_lengths_by_value_is_read_only_and_shared():
     """The per-value lengths are built once and shared, so callers cannot
     change them, and the label mean reads the same sums after the masses."""
     fn = fn_of([F(0), F(1, 3), F(1, 2), F(1)], [2.0, -1.0, 2.0])
-    cdf = StepCDF((-1.0, 2.0), (1 / 6, 1.0))
+    cdf = cdf_of((-1.0, 2.0), (1 / 6, 1.0))
     functions = []
     for g, c in [(fn, cdf), *phase_space_cases_at_n16()]:
         functions += [g, level_function(c, factor_against_cdf(g, c))]
@@ -1087,7 +1087,7 @@ def test_compose_with_map_cell_cache_on_an_interval_exchange():
     m = build_map(MapSpec.interval_exchange([F(1, 8), F(1, 4), F(1, 8), F(1, 2)], [3, 0, 2, 1]))
     assert all(s is m.slopes[0] for s in m.slopes)
     fn = PiecewiseConstantFn(16, [0, 2, 3, 6, 8, 12, 16], (1.0, -1.0, 0.5, 2.0, 0.0, 1.0))
-    for g in (fn, quantile_pcf(StepCDF((-1.0, 0.0, 1.0), (0.25, 0.375, 1.0)))):
+    for g in (fn, quantile_pcf(cdf_of((-1.0, 0.0, 1.0), (0.25, 0.375, 1.0)))):
         assert cells_of(g.compose_with_map(m)) == cells_of(ref_compose_with_map(g, m))
 
 
@@ -1195,7 +1195,7 @@ def test_pullback_matches_the_fraction_cuts(data, spec, outer, flip):
     m = build_map(spec)
     if flip:
         m = compose(reflection_map(), m)
-    partitions = [build_map(outer), quantile_pcf(StepCDF((-1.0, 0.0, 1.0), (0.3, 0.75, 1.0)))]
+    partitions = [build_map(outer), quantile_pcf(cdf_of((-1.0, 0.0, 1.0), (0.3, 0.75, 1.0)))]
     if data is not None:
         partitions.append(data.draw(functions_on(m)))
     tripled = PiecewiseAffineMap(3 * m.den, [3 * x for x in m.nums], m.slopes, m.cden, m.cnums)

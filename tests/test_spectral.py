@@ -1,9 +1,11 @@
 """Spectral atoms, step CDFs, quantiles, and functional calculus."""
 
+import bisect
 import gc
+import math
 import weakref
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from qcs.errors import DimensionMismatch, DomainGap, NonHermitian, NotNormalized, OutOfDomain
 from qcs.harness import ExperimentConfig, run_experiment
+from qcs.measure_maps import quantile_pcf
 from qcs.spectral import (
     EIGENVALUE_MERGE_TOL,
     EigenSystem,
@@ -21,11 +24,12 @@ from qcs.spectral import (
     StepCDF,
     borel_apply,
     eigensystem,
-    moment,
     spectral_cdf,
 )
 from qcs.states import BarrierComplex, ObservableFunction, squaring_witness_model
 from qcs.random_objects import random_hermitian, random_pure_state
+
+from layout import cdf_of, ends_of
 
 SCALED_NORM = 1e6
 
@@ -151,7 +155,7 @@ def test_quantile_on_witness_levels():
 
 
 def test_quantile_rejects_out_of_domain():
-    cdf = StepCDF((0.0,), (1.0,))
+    cdf = StepCDF((0.0,), 1, (1,))
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(OutOfDomain):
             cdf.quantile(bad)
@@ -160,9 +164,9 @@ def test_quantile_rejects_out_of_domain():
 def test_exact_levels_may_collapse_in_floats():
     # atom 1 weighs 2^-80, far below the float spacing near 1/2 + 1/4
     exact = (Fraction(3, 4) - Fraction(1, 2**80), Fraction(3, 4), Fraction(1))
-    cdf = StepCDF((0.0, 1.0, 2.0), tuple(float(e) for e in exact), exact)
+    cdf = StepCDF((0.0, 1.0, 2.0), 2**80, (3 * 2**78 - 1, 3 * 2**78, 2**80))
     assert cdf.levels == (0.75, 0.75, 1.0)
-    assert cdf.exact_levels == exact
+    assert ends_of(cdf) == list(exact)
     assert cdf.weights == (0.75, 2.0**-80, 0.25)
     assert cdf.level_interval(1) == (exact[0], exact[1])
     assert cdf.quantile(Fraction(3, 4) - Fraction(1, 2**81)) == 1.0
@@ -172,31 +176,87 @@ def test_exact_levels_may_collapse_in_floats():
 
 
 @pytest.mark.parametrize(
-    "levels, exact, message",
+    "den, nums, message",
     [
-        ((0.5, 1.0), (Fraction(1, 3), Fraction(1)), "rounded"),
-        ((1.0,), (Fraction(1), Fraction(1)), "rounded"),
-        ((0.5, 0.5, 1.0), (Fraction(1, 2), Fraction(1, 2), Fraction(1)), "strictly ascending"),
-        ((0.0, 1.0), (Fraction(0), Fraction(1)), "end exactly at 1"),
-        ((1.0, 1.0), (Fraction(1), Fraction(1) + Fraction(1, 2**80)), "end exactly at 1"),
+        (2, (1, 1, 2), "strictly ascending"),
+        (4, (3, 2, 4), "strictly ascending"),
+        (1, (0, 1), "end exactly at 1"),
+        (3, (1, 2), "end exactly at 1"),
+        (2**80, (2**80, 2**80 + 1), "end exactly at 1"),
+        (1, (), "nonempty"),
     ],
+    ids=["repeated", "falling", "zero-first", "short-of-one", "past-one", "empty"],
 )
-def test_exact_levels_are_checked(levels, exact, message):
+def test_exact_levels_are_checked(den, nums, message):
     with pytest.raises(OutOfDomain, match=message):
-        StepCDF(tuple(float(k) for k in range(len(levels))), levels, exact)
+        StepCDF(tuple(float(k) for k in range(len(nums))), den, nums)
 
 
-@pytest.mark.parametrize("levels", [(0.5, 0.5, 1.0), (0.5, float("nan"), 1.0), (0.0, 1.0), (0.5, 0.9)])
-def test_float_levels_without_exact_levels_must_rise_strictly(levels):
+def test_levels_are_reduced_and_aligned_with_the_support():
+    cdf = StepCDF((0.0, 1.0), 6, (2, 6))
+    assert (cdf.den, cdf.nums, cdf.levels) == (3, (1, 3), (1 / 3, 1.0))
+    with pytest.raises(OutOfDomain, match="aligned"):
+        StepCDF((0.0,), 2, (1, 2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_step_cdfs_reject_non_finite_input(bad):
+    with pytest.raises(OutOfDomain, match="finite"):
+        StepCDF((bad, 1.0), 2, (1, 2))
+    with pytest.raises(OutOfDomain, match="finite"):
+        StepCDF.from_weights([(0.0, bad), (1.0, 1.0)])
+    with pytest.raises(OutOfDomain, match="finite"):
+        StepCDF.from_weights([(bad, 0.5), (1.0, 0.5)])
+    with pytest.raises(OutOfDomain, match="finite"):
+        StepCDF.from_masses((bad,), (1,))
+
+
+@pytest.mark.parametrize("masses", [(), (1, 0), (2, -1)])
+def test_from_masses_needs_positive_masses(masses):
     with pytest.raises(OutOfDomain):
-        StepCDF((0.0, 1.0, 2.0)[: len(levels)], levels)
+        StepCDF.from_masses(tuple(float(k) for k in range(len(masses))), masses)
+
+
+def test_from_weights_rejects_an_overflowing_total():
+    with pytest.raises(OutOfDomain, match="overflows"):
+        StepCDF.from_weights([(0.0, 1e308), (1.0, 1e308)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    masses=st.lists(st.integers(1, 2**90), min_size=1, max_size=6).flatmap(
+        lambda ms: st.permutations([*ms, 1])
+    ),
+    common=st.sampled_from([1, 3, 2**40]),
+    probes=st.lists(st.fractions(0, 1).filter(lambda f: 0 < f < 1), max_size=6),
+)
+def test_from_masses_is_the_exact_cdf_of_its_masses(masses, common, probes):
+    """Against the ``Fraction`` levels of the masses (a 1 among masses near
+    2^90 is an atom of 2^-90 that collapses in floats), for masses sharing
+    a common factor: the layout is reduced, floats are rounded once, and
+    Fraction and float levels name the atom that a bisection of the
+    ``Fraction`` levels does."""
+    support = tuple(float(k) for k in range(len(masses)))
+    cdf = StepCDF.from_masses(support, [m * common for m in masses])
+    total = sum(masses)
+    exact = [Fraction(p, total) for p in accumulate(masses)]
+    assert math.gcd(cdf.den, *cdf.nums) == 1 and ends_of(cdf) == exact
+    assert cdf.levels == tuple(float(c) for c in exact)
+    assert cdf.weights == tuple(float(Fraction(m, total)) for m in masses)
+    for s in [*probes, *exact[:-1], *(c - Fraction(1, 2**100) for c in exact)]:
+        if 0 < s < 1:
+            assert cdf.atom_index(s) == bisect.bisect_left(exact, s)
+        if 0 < float(s) < 1:
+            assert cdf.atom_index(float(s)) == bisect.bisect_left(exact, Fraction(float(s)))
+    assert quantile_pcf(cdf).masses_by_value() == {v: Fraction(m, total) for v, m in zip(support, masses)}
 
 
 @settings(max_examples=100, deadline=None)
 @given(weights=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=8))
 def test_spectral_cdf_weights_are_the_float_level_differences(weights):
     cdf = StepCDF.from_weights(enumerate(weights))
-    assert cdf.exact_levels == tuple(Fraction(c) for c in cdf.levels)
+    assert ends_of(cdf) == [Fraction(c) for c in cdf.levels]
+    assert cdf.den & (cdf.den - 1) == 0 and math.gcd(cdf.den, *cdf.nums) == 1
     prev = (0.0,) + cdf.levels[:-1]
     assert cdf.weights == tuple(c - p for c, p in zip(cdf.levels, prev))
 
@@ -260,22 +320,6 @@ def test_borel_domain_gap():
         borel_apply(clipped, a)
 
 
-def test_moments_of_witness_model():
-    model = squaring_witness_model()
-    assert moment(model.operator, model.state, 1) == -0.5
-    assert moment(model.operator, model.state, 0) == 1.0
-    assert moment(model.operator, model.state, 2) == 0.75
-
-
-def test_moment_matches_matrix_power(rng):
-    a = random_hermitian(rng, 5)
-    psi = random_pure_state(rng, 5)
-    for k in range(4):
-        matrix = np.linalg.matrix_power(a.entries, k)
-        direct = float(np.vdot(psi.amplitudes, matrix @ psi.amplitudes).real)
-        assert abs(moment(a, psi, k) - direct) < 1e-10
-
-
 def test_pure_state_invariants():
     with pytest.raises(NotNormalized):
         PureState(np.array([1.0, 1.0], dtype=complex))
@@ -296,7 +340,7 @@ def step_cdfs(draw):
         cum += w
         levels.append(cum / total)
     levels[-1] = 1.0
-    return StepCDF(tuple(float(r) for r in support), tuple(levels))
+    return cdf_of(tuple(float(r) for r in support), levels)
 
 
 @settings(max_examples=200, deadline=None)
@@ -338,7 +382,7 @@ def test_scaled_operator_borel_square():
     squared = borel_apply(PiecewiseFn.square(), a)
     assert np.array_equal(squared.entries, squared.entries.conj().T)
     want = float(np.vdot(v, m @ (m @ v)).real)
-    mean = moment(squared, psi, 1)
+    mean = squared.expectation(psi)
     assert abs(mean - want) <= 1e-10 * want
     label_mean = ObservableFunction(squared, BarrierComplex.identity()).expectation(psi)
     assert abs(label_mean - want) <= 1e-10 * want

@@ -57,7 +57,7 @@ from qcs.states import (
 )
 from qcs.random_objects import random_hermitian, random_map_spec, random_pure_state
 
-from layout import cells_of, pieces_of
+from layout import cells_of, ends_of, pieces_of
 
 F = Fraction
 IDENTITY = build_map(MapSpec.identity())
@@ -247,7 +247,7 @@ def test_sample_values_equal_value_at_labels_next_to_level_ends(monkeypatch):
     a, psi = random_hermitian(rng, 6), random_pure_state(rng, 6)
     k = 99991
     barrier = build_map(MapSpec.expanding(k))
-    levels = spectral_cdf(a, psi).exact_levels[:-1]
+    levels = ends_of(spectral_cdf(a, psi))[:-1]
     labels = []
     for i in range(k - 400, k - 1, 7):
         for c in levels:
@@ -544,7 +544,7 @@ def test_absolute_value_repair_is_measure_preserving_within_density_tol():
     fn, barrier = PiecewiseFn.absolute(), build_map(MapSpec.rotation(F(5, 9)))
     target = spectral_cdf(borel_apply(fn, a), psi)
     masses = level_function(spectral_cdf(a, psi), barrier).map_values(fn).masses_by_value()
-    exact = (0, *target.exact_levels)
+    exact = (0, *ends_of(target))
     assert any(masses[v] != hi - lo for v, lo, hi in zip(target.support, exact, exact[1:]))
     beta = repair_barrier(a, fn, barrier, psi)
     densities = [d for _, _, d in pushforward_density(beta).cells]
