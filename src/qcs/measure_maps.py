@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
@@ -38,8 +39,6 @@ RationalLike = Union[Fraction, int, float, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-DENSITY_TOL = Fraction(1, 10**12)
-MATCH_TOL = Fraction(1, 10**12)
 
 Interval = tuple[Fraction, Fraction]
 
@@ -242,10 +241,8 @@ def pushforward_density(m: PiecewiseAffineMap) -> PiecewiseConstantDensity:
 
 
 def verify_measure_preserving(m: PiecewiseAffineMap) -> bool:
-    """True iff pushing the uniform density through m gives density 1
-    everywhere, to within DENSITY_TOL."""
-    image = pushforward_density(m)
-    return all(abs(dens - ONE) <= DENSITY_TOL for _, _, dens in image.cells)
+    """True iff pushing the uniform density through m gives density exactly 1."""
+    return all(dens == ONE for _, _, dens in pushforward_density(m).cells)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +567,8 @@ class MapSpec:
                 raise BadSpec("perm must be a permutation of the blocks")
         elif self.kind == "expanding":
             k = _as_int(self.k)
-            if k is None or k < 2:
-                raise BadSpec("expanding factor must be an integer >= 2")
+            if k is None or not 2 <= k < sys.maxsize:  # build_map takes range(k + 1)
+                raise BadSpec(f"expanding factor must be an integer from 2 to {sys.maxsize - 1}")
             object.__setattr__(self, "k", k)
         elif self.kind == "composition":
             maps = tuple(self.maps or ())
@@ -714,25 +711,24 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     """Factor fn through the quantile of cdf: find a measure-preserving map a
     with quantile(cdf, a(z)) = fn(z) off finitely many breakpoints.
 
-    Each source cell where fn takes the k-th support value is sent, order
-    preserving, onto a chunk of the k-th level interval; the slope is the
-    ratio of the level-interval length to the total source length, so the
-    result is exactly measure preserving whenever the pushforward of fn
-    matches the CDF atom weights exactly.  Each value of fn names its
-    support point by ``atoms_of``.
+    Each source cell where fn takes the k-th support value is translated,
+    order preserving, onto a chunk of the k-th level interval.  The source
+    mass of every atom must equal its weight exactly (else
+    DistributionMismatch), so every slope is 1 and the result is a
+    piecewise translation, exactly measure preserving.  Each value of fn
+    names its support point by ``atoms_of``.
 
     The map's ends are fn's own numerators over its denominator G.  With
-    the exact levels over L, atom k has source length t_k / G, level
-    interval ]lo_k / L, (lo_k + w_k) / L] and slope s_k = w_k G / (t_k L).
-    A run of it from x / G, after earlier runs of total length b_k / G, has
-    the intercept lo_k / L + s_k (b_k - x) / G: one integer numerator per run.
+    the exact levels over L, atom k has source length t_k / G equal to its
+    level interval ]lo_k / L, (lo_k + w_k) / L].  A run of it from x / G,
+    after earlier runs of total length b_k / G, has the intercept
+    lo_k / L + (b_k - x) / G: one integer numerator per run over lcm(L, G).
 
     The map stores the level function it guarantees in its ``_level_memo``
     under ``cdf``, so ``level_function(cdf, a)`` does no pullback.  It is
     fn's own ends with each value v renamed to the support point of its
     atom, bit for bit ``quantile_pcf(cdf).compose_with_map(a)``: the runs
-    of atom k tile its level interval exactly (slope w_k G / (t_k L), also
-    for a mass accepted within ``MATCH_TOL``), so no image crosses a level
+    of atom k tile its level interval exactly, so no image crosses a level
     end, ``_pullback`` cuts nothing and keeps the ends, and each cell reads
     ``support[k]``.  It also carries the factor's per-atom sums t_k as its
     ``lengths_by_value``, keyed by ``support[k]`` in order of first
@@ -743,8 +739,8 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     hands on to the runs.  The runs are grouped by atom (a stable sort, so
     each atom keeps its source order); one ``accumulate`` along them gives
     every b_k - x and t_k, and the intercepts are ``map`` passes, one per
-    atom.  Slopes, intercepts and levels are then repeated over each run's
-    cells in C (``_per_cell``) as shared objects.
+    atom.  Intercepts and levels are then repeated over each run's cells in
+    C (``_per_cell``) as shared objects.
     """
     support = cdf.support
     den, ends = fn.den, fn.nums
@@ -770,24 +766,20 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     totals = list(map(sub, ahead[1:], ahead[:-1]))
 
     lvl_den, lvl = cdf.den, (0, *cdf.nums)
-    slopes = []
     for k, total in enumerate(totals):
         weight = lvl[k + 1] - lvl[k]
-        if total * lvl_den != weight * den and (
-            total == 0 or abs(Fraction(total, den) - Fraction(weight, lvl_den)) > MATCH_TOL
-        ):
+        if total * lvl_den != weight * den:
             raise DistributionMismatch(
                 f"atom {support[k]!r}: source mass {total / den:.17g} vs weight {weight / lvl_den:.17g}"
             )
-        slopes.append(Fraction(weight * den, total * lvl_den))
-    cden = math.lcm(lvl_den, den * math.lcm(*(s.denominator for s in slopes)))
+    cden = math.lcm(lvl_den, den)
+    unit = cden // den  # 1 / G over cden
 
     # run r of atom k has b_k - x = gaps[r] - ahead[k], so its intercept is
-    # lo_k + s_k (gaps[r] - ahead[k]) over cden; a run's cells are
-    # contiguous in source and in image, so they share it
+    # lo_k + gaps[r] - ahead[k] over cden; a run's cells are contiguous in
+    # source and in image, so they share it
     grouped = []
     for k, (s, e) in enumerate(zip(bounds, bounds[1:])):
-        unit = slopes[k].numerator * (cden // (slopes[k].denominator * den))  # s_k / G over cden
         shift = lvl[k] * (cden // lvl_den) - unit * ahead[k]
         grouped += map(add, repeat(shift), map(mul, repeat(unit), gaps[s:e]))
     del gaps
@@ -797,8 +789,7 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     del grouped
 
     sizes = None if len(starts) == len(ends) - 1 else stops - starts
-    piece_slopes = tuple(_per_cell(_objects(slopes)[atoms], sizes))
-    alpha = PiecewiseAffineMap._built(den, ends, piece_slopes, cden, _per_cell(intercepts, sizes))
+    alpha = PiecewiseAffineMap._built(den, ends, (ONE,) * (len(ends) - 1), cden, _per_cell(intercepts, sizes))
     levels = tuple(_per_cell(_objects(support)[atoms], sizes))
     level_fn = PiecewiseConstantFn._built(den, ends, levels)
     # its value support[k] covers atom k's runs, so its lengths are the totals

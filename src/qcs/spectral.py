@@ -20,8 +20,8 @@ Conventions used throughout the package:
 * a step CDF holds its levels as integers over one denominator; spectral
   CDFs (:meth:`StepCDF.from_weights`) drop atoms with weight below
   ``WEIGHT_DROP_TOL`` so that their float levels stay strictly increasing,
-  while a CDF built from exact masses (:meth:`StepCDF.from_masses`) keeps
-  every atom, however light.
+  while a CDF built from exact masses (:meth:`StepCDF.from_masses`), such
+  as that of a :func:`borel_apply` image, keeps every atom, however light.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from operator import index
+from itertools import accumulate, compress
+from operator import index, sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -409,19 +409,15 @@ def eigensystem(a: HermitianOperator) -> EigenSystem:
     return system
 
 
-def _with_eigensystem(entries: np.ndarray, system: EigenSystem) -> HermitianOperator:
-    op = HermitianOperator(entries)
-    op.__dict__["eigensystem"] = system
-    return op
-
-
 def spectral_cdf(a: HermitianOperator, psi: PureState) -> StepCDF:
     """Step CDF of the observable's distribution in the given state.
 
     Built by :meth:`StepCDF.from_weights` from the eigenvalues and their
     spectral weights, so atoms with weight below ``WEIGHT_DROP_TOL`` are
-    dropped and the last level is pinned to 1.  The result is memoised per
-    (operator, state object); the memo holds the state only weakly.
+    dropped and the last level is pinned to 1; a :func:`borel_apply` image
+    sums its parent's integer masses per atom (:meth:`StepCDF.from_masses`).
+    The result is memoised per (operator, state object); the memo holds the
+    state only weakly.
     """
     if a.dim != psi.dim:
         raise DimensionMismatch(f"operator dim {a.dim} vs state dim {psi.dim}")
@@ -429,7 +425,15 @@ def spectral_cdf(a: HermitianOperator, psi: PureState) -> StepCDF:
     cdf = memo.get(psi)
     if cdf is None:
         es = a.eigensystem
-        cdf = memo[psi] = StepCDF.from_weights(zip(es.eigenvalues, es.weights(psi)))
+        if "image_of" in a.__dict__:
+            parent, members = a.__dict__["image_of"]
+            base, lams = spectral_cdf(parent, psi), parent.eigensystem.eigenvalues
+            mass_of = dict(zip(base.support, map(sub, base.nums, (0, *base.nums))))
+            masses = [sum(mass_of.get(lams[k], 0) for k in ks) for ks in members]
+            cdf = StepCDF.from_masses(list(compress(es.eigenvalues, masses)), filter(None, masses))
+        else:
+            cdf = StepCDF.from_weights(zip(es.eigenvalues, es.weights(psi)))
+        memo[psi] = cdf
     return cdf
 
 
@@ -439,21 +443,25 @@ def borel_apply(fn: PiecewiseFn, a: HermitianOperator) -> HermitianOperator:
     smallest image and the stacked eigenvector blocks of its members).
 
     The returned operator carries the image eigensystem, so downstream CDFs
-    use bitwise the same image values as direct evaluation of fn.  Its
+    use bitwise the same image values as direct evaluation of fn, and as
+    ``image_of`` the pair (a, indices of the atoms of a that each image atom
+    merged), by which :func:`spectral_cdf` pushes a's CDF forward.  Its
     entries are ``V diag(fn(lambda)) V^dagger``, symmetrized to be exactly
     Hermitian.  An image that is not finite raises DomainGap: it has no atom
     to be merged into.
     """
-    images = sorted(((fn(lam), v) for lam, v in a.eigensystem.atoms), key=lambda t: t[0])
+    atoms = a.eigensystem.atoms
+    images = sorted((fn(lam), k) for k, (lam, _) in enumerate(atoms))
     if not all(math.isfinite(val) for val, _ in images):
         raise DomainGap("function images must be finite")
     half_gap = EIGENVALUE_MERGE_TOL * spectral_scale([val for val, _ in images]) / 2
-    merged: list[tuple[float, list[np.ndarray]]] = []
-    for val, v in images:
+    merged: list[tuple[float, list[int]]] = []
+    for val, k in images:
         if merged and val / 2 - merged[-1][0] / 2 <= half_gap:
-            merged[-1][1].append(v)
+            merged[-1][1].append(k)
         else:
-            merged.append((val, [v]))
-    system = EigenSystem(tuple((val, np.hstack(blocks)) for val, blocks in merged))
-    m = system.matrix()
-    return _with_eigensystem(hermitian_part(m), system)
+            merged.append((val, [k]))
+    system = EigenSystem(tuple((val, np.hstack([atoms[k][1] for k in ks])) for val, ks in merged))
+    op = HermitianOperator(hermitian_part(system.matrix()))
+    op.__dict__.update(eigensystem=system, image_of=(a, [tuple(ks) for _, ks in merged]))
+    return op

@@ -385,8 +385,8 @@ def repair_barrier(
     """A barrier for fn(A) whose assigned values equal fn of A's assigned values.
 
     Constructed by factoring fn composed with A's value function against the
-    CDF of fn(A); always succeeds because the composed function has exactly
-    that distribution."""
+    CDF of fn(A), A's CDF pushed forward exactly: every mass equals its
+    weight, so it always succeeds, and the barrier is a piecewise translation."""
     cdf = spectral_cdf(a, psi)
     composed = level_function(cdf, barrier).map_values(fn)
     target = spectral_cdf(borel_apply(fn, a), psi)

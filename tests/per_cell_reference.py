@@ -12,7 +12,7 @@ from types import MappingProxyType
 import numpy as np
 
 from qcs.errors import DistributionMismatch, DomainGap
-from qcs.measure_maps import MATCH_TOL, PiecewiseAffineMap, PiecewiseConstantFn, atoms_of
+from qcs.measure_maps import PiecewiseAffineMap, PiecewiseConstantFn, atoms_of
 from qcs.phase_space import CellObservable
 from qcs.spectral import StepCDF
 
@@ -55,9 +55,7 @@ def ref_factor_against_cdf(fn, cdf):
     slopes = []
     for k, total in enumerate(totals):
         weight = lvl[k + 1] - lvl[k]
-        if total * lvl_den != weight * den and (
-            total == 0 or abs(Fraction(total, den) - Fraction(weight, lvl_den)) > MATCH_TOL
-        ):
+        if total * lvl_den != weight * den:
             raise DistributionMismatch(
                 f"atom {support[k]!r}: source mass {total / den:.17g} vs weight {weight / lvl_den:.17g}"
             )

@@ -416,6 +416,16 @@ def test_cli_rotation_without_offset_exits_2(tmp_path, capsys):
     assert "needs 'c'" in capsys.readouterr().err
 
 
+def test_cli_expanding_factor_past_the_index_range_exits_2(tmp_path, capsys):
+    """range(k + 1) overflowed for k >= 2**63 - 1; 10**30 is refused before
+    any allocation."""
+    config = {"kind": "cat", "p": "1/2", "z": "1/3", "barrier": {"kind": "expanding", "k": 10**30}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert "expanding factor must be an integer from 2 to" in capsys.readouterr().err
+
+
 def test_python_dash_m_qcs_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "qcs", "cat", "--p", "1/2", "--z", "0.75"],

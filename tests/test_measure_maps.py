@@ -632,7 +632,7 @@ def float_level_cdfs(draw):
 
 @st.composite
 def near_matching_functions(draw, cdf):
-    """A function whose mass per value is within MATCH_TOL of the CDF's
+    """A function whose mass per value is within 1e-13 of the CDF's
     weights, mostly not equal to them: each interior level moves by a
     triadic, decimal or mixed fraction of at most a quarter of its
     neighbouring gaps and of 1e-13.  A signed map then scatters each value
@@ -651,18 +651,24 @@ def near_matching_functions(draw, cdf):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), cdf=float_level_cdfs())
 def test_factor_against_cdf_on_float_levels_and_mixed_breakpoints(data, cdf):
+    """Masses near the weights but not equal to them are refused, by the
+    factor and by the per-cell reference; masses equal to them factor alike."""
     fn = data.draw(near_matching_functions(cdf))
-    alpha = factor_against_cdf(fn, cdf)
-    assert pieces_of(alpha) == pieces_of(ref_factor_against_cdf(fn, cdf))
+    masses, exact = fn.masses_by_value(), (F(0), *ends_of(cdf))
+    if all(masses[v] == hi - lo for v, lo, hi in zip(cdf.support, exact, exact[1:])):
+        assert pieces_of(factor_against_cdf(fn, cdf)) == pieces_of(ref_factor_against_cdf(fn, cdf))
+    else:
+        for factor in (factor_against_cdf, per_cell_factor):
+            with pytest.raises(DistributionMismatch):
+                factor(fn, cdf)
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), m=signed_maps(), cdf=dyadic_cdfs(), float_cdf=float_level_cdfs())
-def test_pushforward_density_matches_the_fraction_sweep(data, m, cdf, float_cdf):
-    """On signed maps, on factor outputs (exact, and within MATCH_TOL, whose
-    densities miss 1), and on the halving and chord maps."""
-    near = factor_against_cdf(data.draw(near_matching_functions(float_cdf)), float_cdf)
-    for out in (m, factor_against_cdf(level_function(cdf, m), cdf), near, halving_map(), chord_map()):
+@given(m=signed_maps(), cdf=dyadic_cdfs())
+def test_pushforward_density_matches_the_fraction_sweep(m, cdf):
+    """On signed maps, on factor outputs, and on the halving and chord maps,
+    whose densities are not 1."""
+    for out in (m, factor_against_cdf(level_function(cdf, m), cdf), halving_map(), chord_map()):
         assert list(pushforward_density(out).cells) == ref_pushforward_density(out)
 
 
@@ -709,27 +715,23 @@ def assert_stores_the_composition(fn, cdf):
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), m=signed_maps(), cdf=signed_zero_cdfs(), float_cdf=float_level_cdfs())
-def test_factor_stores_the_composition_as_its_level_function(data, m, cdf, float_cdf):
-    """On masses matched within MATCH_TOL, on values named within the
-    atoms_of tolerance and on mixed signed zeros."""
-    near = data.draw(near_matching_functions(float_cdf))
+@given(data=st.data(), m=signed_maps(), cdf=signed_zero_cdfs())
+def test_factor_stores_the_composition_as_its_level_function(data, m, cdf):
+    """On values named within the atoms_of tolerance and on mixed signed zeros."""
     fn = quantile_pcf(cdf).compose_with_map(m)
-    for g, c in ((near, float_cdf), (fn, cdf)):
-        assert_stores_the_composition(g, c)
-        assert_stores_the_composition(data.draw(renamed_cells(g)), c)
+    assert_stores_the_composition(fn, cdf)
+    assert_stores_the_composition(data.draw(renamed_cells(fn)), cdf)
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), outer=signed_maps(), inner=signed_maps(), cdf=dyadic_cdfs(), float_cdf=float_level_cdfs())
-def test_every_map_end_is_an_end_of_its_level_functions(data, outer, inner, cdf, float_cdf):
+@given(outer=signed_maps(), inner=signed_maps(), cdf=dyadic_cdfs(), float_cdf=float_level_cdfs())
+def test_every_map_end_is_an_end_of_its_level_functions(outer, inner, cdf, float_cdf):
     """The sampler's breakpoint rule rests on this: a label on a map's end
     ties with an end of the level function.  On signed maps, compositions
-    and factor outputs (exact, and within MATCH_TOL), whose level function
-    under their own CDF is the stored one."""
+    and factor outputs, whose level function under their own CDF is the
+    stored one."""
     exact = factor_against_cdf(level_function(cdf, inner), cdf)
-    near = factor_against_cdf(data.draw(near_matching_functions(float_cdf)), float_cdf)
-    for m in (inner, compose(outer, inner), exact, near):
+    for m in (inner, compose(outer, inner), exact):
         for c in (cdf, float_cdf):
             assert set(ends_of(m)) <= set(ends_of(level_function(c, m)))
 
@@ -785,16 +787,14 @@ def assert_stored_lengths_are_the_cell_sums(fn, cdf):
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), m=signed_maps(), cdf=signed_zero_cdfs(), float_cdf=float_level_cdfs())
-def test_stored_level_function_carries_the_lengths_by_value(data, m, cdf, float_cdf):
+@given(data=st.data(), m=signed_maps(), cdf=signed_zero_cdfs())
+def test_stored_level_function_carries_the_lengths_by_value(data, m, cdf):
     """The per-atom sums the factor hands its level function, in order and
-    with the bits of each key: on masses matched within MATCH_TOL, on values
-    named within the atoms_of tolerance and on mixed signed zeros."""
-    near = data.draw(near_matching_functions(float_cdf))
+    with the bits of each key: on values named within the atoms_of
+    tolerance and on mixed signed zeros."""
     fn = quantile_pcf(cdf).compose_with_map(m)
-    for g, c in ((near, float_cdf), (fn, cdf)):
-        assert_stored_lengths_are_the_cell_sums(g, c)
-        assert_stored_lengths_are_the_cell_sums(data.draw(renamed_cells(g)), c)
+    assert_stored_lengths_are_the_cell_sums(fn, cdf)
+    assert_stored_lengths_are_the_cell_sums(data.draw(renamed_cells(fn)), cdf)
 
 
 def test_stored_level_function_carries_the_lengths_by_value_at_n16():
@@ -842,26 +842,21 @@ def assert_factor_matches_the_per_run_formulas(fn, cdf):
 def run_functions(draw):
     """Runs of 1-4 cells of sizes 1-5 over their total, values drawn from
     three support points, so one-cell runs, long runs and a single run all
-    occur; with the CDF of the exact masses or of those masses rounded to
-    floats (accepted within MATCH_TOL, slopes off 1)."""
+    occur; with the CDF of their masses."""
     run_values = draw(st.lists(st.sampled_from([-1.0, 0.0, 2.5]), min_size=1, max_size=12))
     values = [v for v in run_values for _ in range(draw(st.integers(1, 4)))]
     sizes = draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values)))
     fn = PiecewiseConstantFn(sum(sizes), [0, *accumulate(sizes)], values)
     masses = fn.masses_by_value()
     support = sorted(masses)
-    exact = tuple(accumulate(masses[v] for v in support))
-    floats = tuple(float(e) for e in exact)
-    return fn, cdf_of(support, floats if draw(st.booleans()) else exact)
+    return fn, cdf_of(support, tuple(accumulate(masses[v] for v in support)))
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=run_functions(), data=st.data(), float_cdf=float_level_cdfs())
-def test_factor_matches_the_per_run_formulas(case, data, float_cdf):
-    """On functions of one-cell runs, long runs and one run, and on masses
-    matched within MATCH_TOL."""
+@given(case=run_functions())
+def test_factor_matches_the_per_run_formulas(case):
+    """On functions of one-cell runs, long runs and one run."""
     assert_factor_matches_the_per_run_formulas(*case)
-    assert_factor_matches_the_per_run_formulas(data.draw(near_matching_functions(float_cdf)), float_cdf)
 
 
 def test_factor_matches_the_per_run_formulas_on_fixed_runs_and_at_n16():
@@ -894,14 +889,12 @@ def assert_factor_matches_the_per_cell_oracle(fn, cdf):
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), m=signed_maps(), cdf=signed_zero_cdfs(), float_cdf=float_level_cdfs(), case=run_functions())
-def test_factor_matches_the_per_cell_oracle(data, m, cdf, float_cdf, case):
-    """On masses matched within MATCH_TOL, on values named within the
-    atoms_of tolerance, on mixed signed zeros, and on one-cell runs, long
-    runs and one run."""
-    near = data.draw(near_matching_functions(float_cdf))
+@given(data=st.data(), m=signed_maps(), cdf=signed_zero_cdfs(), case=run_functions())
+def test_factor_matches_the_per_cell_oracle(data, m, cdf, case):
+    """On values named within the atoms_of tolerance, on mixed signed zeros,
+    and on one-cell runs, long runs and one run."""
     fn = quantile_pcf(cdf).compose_with_map(m)
-    for g, c in ((near, float_cdf), (fn, cdf), case):
+    for g, c in ((fn, cdf), case):
         assert_factor_matches_the_per_cell_oracle(g, c)
         assert_factor_matches_the_per_cell_oracle(data.draw(renamed_cells(g)), c)
 
@@ -950,7 +943,7 @@ def test_lengths_by_value_is_read_only_and_shared():
     """The per-value lengths are built once and shared, so callers cannot
     change them, and the label mean reads the same sums after the masses."""
     fn = fn_of([F(0), F(1, 3), F(1, 2), F(1)], [2.0, -1.0, 2.0])
-    cdf = cdf_of((-1.0, 2.0), (1 / 6, 1.0))
+    cdf = cdf_of((-1.0, 2.0), (F(1, 6), 1.0))
     functions = []
     for g, c in [(fn, cdf), *phase_space_cases_at_n16()]:
         functions += [g, level_function(c, factor_against_cdf(g, c))]

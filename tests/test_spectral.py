@@ -313,6 +313,17 @@ def test_borel_affine_matches_direct_eigensystem():
         assert np.abs(p - q).max() < 1e-12
 
 
+@pytest.mark.parametrize("fn", [PiecewiseFn.affine(2.0, 1.0), PiecewiseFn.from_poly((0.0, 0.0, 0.0, 1.0))], ids=["2x+1", "x^3"])
+def test_image_cdf_of_a_strictly_increasing_function_keeps_the_parent_levels(rng, fn):
+    """No two images merge, so the CDF of fn(A) is A's with each support
+    point r renamed fn(r): the same den and nums."""
+    for dim in range(2, 7):
+        a, psi = random_hermitian(rng, dim), random_pure_state(rng, dim)
+        parent, image = spectral_cdf(a, psi), spectral_cdf(borel_apply(fn, a), psi)
+        assert (image.den, image.nums) == (parent.den, parent.nums)
+        assert image.support == tuple(map(fn, parent.support))
+
+
 def test_borel_domain_gap():
     a = HermitianOperator(np.diag([0.0, 5.0]).astype(complex))
     clipped = PiecewiseFn.from_poly((0.0, 1.0), lo=-1.0, hi=1.0)
