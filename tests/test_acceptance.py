@@ -1,9 +1,11 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail
-line with its runtime.  Tolerances and runtime budgets are pinned here."""
+line with its runtime.  Tolerances and runtime budgets are pinned here, and
+each detail line in verify_details.py."""
 
 import pytest
 
 from qcs import verify
+from verify_details import DETAILS
 
 
 CRITERIA = [
@@ -26,4 +28,5 @@ def test_acceptance_criterion(label, check, budget):
     status = "PASS" if result.passed else "FAIL"
     print(f"{status}  {label}: {result.detail} ({result.seconds:.2f}s)")
     assert result.passed, f"{label}: {result.detail}"
+    assert result.detail == DETAILS[result.name]
     assert result.seconds < budget, f"{label} took {result.seconds:.2f}s, budget {budget}s"
