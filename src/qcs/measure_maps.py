@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import BadSpec, DistributionMismatch, DomainGap, NotInjective, OutOfDomain, ValueNotInSupport
-from .spectral import EIGENVALUE_MERGE_TOL, StepCDF, _readonly, spectral_scale
+from .spectral import StepCDF, _readonly
 
 RationalLike = Union[Fraction, int, float, str]
 
@@ -673,26 +673,6 @@ def build_map(spec: MapSpec) -> PiecewiseAffineMap:
 # ---------------------------------------------------------------------------
 # Constructive factorization against a step CDF
 
-def atoms_of(values: Iterable[float], support: Sequence[float]) -> dict[float, int]:
-    """The index of the support point that names each value: the one within
-    ``EIGENVALUE_MERGE_TOL`` times the spectral scale of both, the gap within
-    which ``borel_apply`` merges images into one atom.  Raises
-    ValueNotInSupport for a value that no support point names."""
-    values = list(values)
-    tol = EIGENVALUE_MERGE_TOL * spectral_scale([*support, *values])
-    atom_of: dict[float, int] = {}
-    for v in values:
-        idx = bisect.bisect_left(support, v)
-        best = None
-        for j in (idx - 1, idx):
-            if 0 <= j < len(support) and abs(v - support[j]) <= tol:
-                best = j
-        if best is None:
-            raise ValueNotInSupport(f"value {v!r} is not a support point of the CDF")
-        atom_of[v] = best
-    return atom_of
-
-
 def _objects(items: Sequence) -> np.ndarray:
     """items as a numpy object array that holds the same Python objects."""
     out = np.empty(len(items), dtype=object)
@@ -716,7 +696,9 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     mass of every atom must equal its weight exactly (else
     DistributionMismatch), so every slope is 1 and the result is a
     piecewise translation, exactly measure preserving.  Each value of fn
-    names its support point by ``atoms_of``.
+    must equal a support point (-0.0 equals 0.0), else ValueNotInSupport;
+    callers name the values of a ``borel_apply`` image by its record of the
+    merge (``spectral.image_values``), not by distance.
 
     The map's ends are fn's own numerators over its denominator G.  With
     the exact levels over L, atom k has source length t_k / G equal to its
@@ -735,20 +717,22 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     appearance, so reading its masses or its label mean sums nothing again.
 
     No Python step is taken per cell.  Runs come from ``run_bounds``, and
-    ``atoms_of`` names the distinct values once, which one ``searchsorted``
-    hands on to the runs.  The runs are grouped by atom (a stable sort, so
-    each atom keeps its source order); one ``accumulate`` along them gives
-    every b_k - x and t_k, and the intercepts are ``map`` passes, one per
-    atom.  Intercepts and levels are then repeated over each run's cells in
-    C (``_per_cell``) as shared objects.
+    one ``searchsorted`` on the support and one ``!=`` name each run's atom.
+    The runs are grouped by atom (a stable sort, so each atom keeps its
+    source order); one ``accumulate`` along them gives every b_k - x and
+    t_k, and the intercepts are ``map`` passes, one per atom.  Intercepts
+    and levels are then repeated over each run's cells in C (``_per_cell``)
+    as shared objects.
     """
     support = cdf.support
     den, ends = fn.den, fn.nums
     starts, stops = fn.run_bounds()
-    run_values = fn.float_values[starts]
-    distinct = np.unique(run_values)
-    atom_of = atoms_of(distinct.tolist(), support)
-    atoms = np.array([atom_of[v] for v in distinct.tolist()])[np.searchsorted(distinct, run_values)]
+    run_values, points = fn.float_values[starts], np.array(support)
+    atoms = np.searchsorted(points, run_values).clip(max=len(support) - 1)
+    strangers = points[atoms] != run_values
+    if strangers.any():
+        v = run_values[strangers.argmax()].item()
+        raise ValueNotInSupport(f"value {v!r} is not a support point of the CDF")
 
     # the runs grouped by atom: atom k holds runs[bounds[k]:bounds[k + 1]].
     # Along them, gaps[r] = (length of the grouped runs ahead of run r) -

@@ -19,9 +19,10 @@ Conventions used throughout the package:
   operator's size (for entries and spectra within [-1, 1] they are absolute);
 * a step CDF holds its levels as integers over one denominator; spectral
   CDFs (:meth:`StepCDF.from_weights`) drop atoms with weight below
-  ``WEIGHT_DROP_TOL`` so that their float levels stay strictly increasing,
-  while a CDF built from exact masses (:meth:`StepCDF.from_masses`), such
-  as that of a :func:`borel_apply` image, keeps every atom, however light.
+  ``WEIGHT_DROP_TOL``, the ``eigh`` rounding noise (weights of about 1e-35
+  to 1e-30) that an eigenstate shows on the other eigenspaces, while a CDF
+  built from exact masses (:meth:`StepCDF.from_masses`), such as that of a
+  :func:`borel_apply` image, keeps every atom, however light.
 """
 
 from __future__ import annotations
@@ -426,11 +427,12 @@ def spectral_cdf(a: HermitianOperator, psi: PureState) -> StepCDF:
     if cdf is None:
         es = a.eigensystem
         if "image_of" in a.__dict__:
-            parent, members = a.__dict__["image_of"]
-            base, lams = spectral_cdf(parent, psi), parent.eigensystem.eigenvalues
-            mass_of = dict(zip(base.support, map(sub, base.nums, (0, *base.nums))))
-            masses = [sum(mass_of.get(lams[k], 0) for k in ks) for ks in members]
-            cdf = StepCDF.from_masses(list(compress(es.eigenvalues, masses)), filter(None, masses))
+            parent, value_of = a.__dict__["image_of"]
+            base = spectral_cdf(parent, psi)
+            masses = dict.fromkeys(es.eigenvalues, 0)
+            for r, m in zip(base.support, map(sub, base.nums, (0, *base.nums))):
+                masses[value_of[r]] += m
+            cdf = StepCDF.from_masses(list(compress(masses, masses.values())), filter(None, masses.values()))
         else:
             cdf = StepCDF.from_weights(zip(es.eigenvalues, es.weights(psi)))
         memo[psi] = cdf
@@ -442,13 +444,14 @@ def borel_apply(fn: PiecewiseFn, a: HermitianOperator) -> HermitianOperator:
     ``EIGENVALUE_MERGE_TOL`` times the image scale (a merged atom keeps its
     smallest image and the stacked eigenvector blocks of its members).
 
-    The returned operator carries the image eigensystem, so downstream CDFs
-    use bitwise the same image values as direct evaluation of fn, and as
-    ``image_of`` the pair (a, indices of the atoms of a that each image atom
-    merged), by which :func:`spectral_cdf` pushes a's CDF forward.  Its
-    entries are ``V diag(fn(lambda)) V^dagger``, symmetrized to be exactly
-    Hermitian.  An image that is not finite raises DomainGap: it has no atom
-    to be merged into.
+    The returned operator carries the image eigensystem and, as
+    ``image_of``, the pair (a, the value of the image atom that merged each
+    eigenvalue of a).  That map is the one record of the merge: it names A's
+    values as values of fn(A) (:func:`image_values`), and :func:`spectral_cdf`
+    pushes a's CDF forward by it.  The entries are
+    ``V diag(fn(lambda)) V^dagger``, symmetrized to be exactly Hermitian.  An
+    image that is not finite raises DomainGap: it has no atom to be merged
+    into.
     """
     atoms = a.eigensystem.atoms
     images = sorted((fn(lam), k) for k, (lam, _) in enumerate(atoms))
@@ -463,5 +466,13 @@ def borel_apply(fn: PiecewiseFn, a: HermitianOperator) -> HermitianOperator:
             merged.append((val, [k]))
     system = EigenSystem(tuple((val, np.hstack([atoms[k][1] for k in ks])) for val, ks in merged))
     op = HermitianOperator(hermitian_part(system.matrix()))
-    op.__dict__.update(eigensystem=system, image_of=(a, [tuple(ks) for _, ks in merged]))
+    value_of = {atoms[k][0]: val for val, ks in merged for k in ks}
+    op.__dict__.update(eigensystem=system, image_of=(a, value_of))
     return op
+
+
+def image_values(image: HermitianOperator) -> dict[float, float]:
+    """For an operator made by :func:`borel_apply`, each eigenvalue of its
+    parent mapped to the value of the image atom that merged it: fn of the
+    eigenvalue, or the smallest image of its atom.  Shared; do not change it."""
+    return image.__dict__["image_of"][1]

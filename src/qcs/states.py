@@ -33,7 +33,6 @@ from .measure_maps import (
     MapSpec,
     PiecewiseAffineMap,
     PiecewiseConstantFn,
-    atoms_of,
     build_map,
     compose,
     factor_against_cdf,
@@ -51,6 +50,7 @@ from .spectral import (
     StepCDF,
     borel_apply,
     cdfs_close,
+    image_values,
     spectral_cdf,
 )
 
@@ -305,18 +305,16 @@ def monotone_compose_check(
 ) -> bool:
     """For fn strictly increasing on the support of A's distribution in psi,
     the assigned values of fn(A) coincide with fn of the assigned values of A,
-    with the same barrier (exact comparison).  Each fn(r_k) is named by its
-    atom of fn(A), as ``factor_against_cdf`` names values (``atoms_of``)."""
+    with the same barrier (exact comparison).  Each r_k is named by the
+    value of its atom of fn(A), as ``borel_apply`` recorded the merge
+    (``image_values``): fn(r_k), or the smallest image of a merged atom."""
     cdf = spectral_cdf(a, psi)
     images = [fn(r) for r in cdf.support]
     if any(lo >= hi for lo, hi in zip(images, images[1:])):
         raise NotMonotone("function is not strictly increasing on the spectrum")
-    # borel_apply merges images within its gap into one atom of fn(A)
-    target = spectral_cdf(borel_apply(fn, a), psi)
-    atom_of = atoms_of(images, target.support)
-    named = {r: target.support[atom_of[image]] for r, image in zip(cdf.support, images)}
-    lhs = level_function(cdf, barrier).map_values(named.__getitem__)
-    return lhs.equal_ae(level_function(target, barrier))
+    image = borel_apply(fn, a)
+    lhs = level_function(cdf, barrier).map_values(image_values(image).__getitem__)
+    return lhs.equal_ae(level_function(spectral_cdf(image, psi), barrier))
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +382,14 @@ def repair_barrier(
 ) -> PiecewiseAffineMap:
     """A barrier for fn(A) whose assigned values equal fn of A's assigned values.
 
-    Constructed by factoring fn composed with A's value function against the
-    CDF of fn(A), A's CDF pushed forward exactly: every mass equals its
-    weight, so it always succeeds, and the barrier is a piecewise translation."""
-    cdf = spectral_cdf(a, psi)
-    composed = level_function(cdf, barrier).map_values(fn)
-    target = spectral_cdf(borel_apply(fn, a), psi)
-    return factor_against_cdf(composed, target)
+    Constructed by factoring A's value function, each value renamed to its
+    atom of fn(A) as ``borel_apply`` recorded the merge (``image_values``),
+    against the CDF of fn(A), A's CDF pushed forward exactly: every value is
+    a support point and every mass equals its weight, so it always succeeds,
+    and the barrier is a piecewise translation."""
+    image = borel_apply(fn, a)
+    composed = level_function(spectral_cdf(a, psi), barrier).map_values(image_values(image).__getitem__)
+    return factor_against_cdf(composed, spectral_cdf(image, psi))
 
 
 def squaring_repair(barrier: PiecewiseAffineMap) -> tuple[Fraction, Fraction, bool]:

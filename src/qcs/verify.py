@@ -37,6 +37,7 @@ from .measure_maps import (
     build_map,
     compose,
     factor_against_cdf,
+    intervals_measure,
     invert,
     level_function,
     map_equal_ae,
@@ -66,10 +67,13 @@ from .states import (
     default_probe_states,
     eigenvector_probes,
     expectation_via_labels,
+    identifiability_check,
     label_mean,
+    monotone_compose_check,
     no_go_witness,
     recover_barrier,
     sample_values,
+    sigma_simple_regions,
     spectrum_image_check,
     squaring_repair,
     squaring_witness_model,
@@ -549,8 +553,6 @@ def check_no_go_invariance():
 
 @_check("monotone-covariance")
 def check_monotone_covariance():
-    from .states import monotone_compose_check
-
     rng = np.random.default_rng(1919)
     model = squaring_witness_model()
     barrier = _map_with_few_pieces(rng)
@@ -569,8 +571,6 @@ def check_monotone_covariance():
 
 @_check("identifiability")
 def check_identifiability():
-    from .states import identifiability_check
-
     rng = np.random.default_rng(2020)
     barrier = _map_with_few_pieces(rng)
     for _ in range(30):
@@ -598,9 +598,6 @@ def check_identifiability():
 
 @_check("sigma-simple-partition")
 def check_sigma_simple_partition():
-    from .states import sigma_simple_regions
-    from .measure_maps import intervals_measure
-
     rng = np.random.default_rng(2121)
     model = squaring_witness_model()
     barrier = _map_with_few_pieces(rng)

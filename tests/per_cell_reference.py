@@ -1,7 +1,8 @@
 """The per-cell passes that the factorization and the cell observable made
 before they moved to numpy, kept as oracles: each body is the earlier
 library code, with one Python step per cell, calling the earlier run
-bounds, reduction and repetition helpers below instead of the library's."""
+bounds, reduction and repetition helpers below instead of the library's,
+and naming each value by its own exact lookup (``_atom_of``)."""
 
 import math
 from fractions import Fraction
@@ -11,8 +12,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from qcs.errors import DistributionMismatch, DomainGap
-from qcs.measure_maps import PiecewiseAffineMap, PiecewiseConstantFn, atoms_of
+from qcs.errors import DistributionMismatch, DomainGap, ValueNotInSupport
+from qcs.measure_maps import PiecewiseAffineMap, PiecewiseConstantFn
 from qcs.phase_space import CellObservable
 from qcs.spectral import StepCDF
 
@@ -40,9 +41,19 @@ def _per_cell(per_run, sizes):
     return items.repeat(sizes).tolist()
 
 
+def _atom_of(values, support):
+    """Each value's support index by equality, one value at a time; -0.0 ==
+    0.0 and they hash alike, so a dict keyed by the support finds either."""
+    index = {v: k for k, v in enumerate(support)}
+    for v in values:
+        if v not in index:
+            raise ValueNotInSupport(f"value {v!r} is not a support point of the CDF")
+    return index
+
+
 def ref_factor_against_cdf(fn, cdf):
     support = cdf.support
-    atom_of = atoms_of(set(fn.values), support)
+    atom_of = _atom_of(fn.values, support)
     den, ends = fn.den, fn.nums
     starts, stops = ref_run_bounds(fn)
     atoms = list(map(atom_of.__getitem__, map(fn.values.__getitem__, starts)))

@@ -29,7 +29,6 @@ from qcs.measure_maps import (
     invert,
     _images,
     _pullback,
-    atoms_of,
     level_function,
     map_equal_ae,
     preimage_intervals,
@@ -261,6 +260,17 @@ def test_factor_value_not_in_support():
     stranger = PiecewiseConstantFn(2, [0, 1, 2], (0.0, 7.0))
     with pytest.raises(ValueNotInSupport):
         factor_against_cdf(stranger, cdf)
+
+
+def test_factor_names_values_by_equality_not_by_distance():
+    """One ulp above the support point 1.0 names no atom; -0.0 names 0.0."""
+    cdf = cdf_of((0.0, 1.0), (0.5, 1.0))
+    next_up = PiecewiseConstantFn(2, [0, 1, 2], (0.0, math.nextafter(1.0, 2)))
+    for factor in (factor_against_cdf, per_cell_factor):
+        with pytest.raises(ValueNotInSupport, match="1.0000000000000002 is not a support point"):
+            factor(next_up, cdf)
+    alpha = factor_against_cdf(PiecewiseConstantFn(2, [0, 1, 2], (-0.0, 1.0)), cdf)
+    assert level_function(cdf, alpha).values == (0.0, 1.0)
 
 
 def test_factor_lands_inside_level_intervals():
@@ -697,12 +707,28 @@ def signed_zero_cdfs(draw):
 
 
 @st.composite
+def signed_zero_cells(draw, fn):
+    """fn with each zero given either sign; -0.0 == 0.0, so both name the
+    CDF's zero."""
+    zeros = st.sampled_from([0.0, -0.0])
+    return PiecewiseConstantFn(fn.den, fn.nums, [v if v else draw(zeros) for v in fn.values])
+
+
+@st.composite
 def renamed_cells(draw, fn):
-    """fn with each cell's value moved within the ``atoms_of`` tolerance, and
-    each zero given either sign, so one atom is named by several floats."""
-    moves = st.sampled_from([0.0, 1e-13, -4e-13, 9e-13])
-    zeros = st.sampled_from([0.0, -0.0, 5e-324, -3e-13])
-    return PiecewiseConstantFn(fn.den, fn.nums, [v + draw(moves) if v else draw(zeros) for v in fn.values])
+    """fn with one cell's value moved off its support point, by 1e-13 or,
+    for a zero, to 5e-324: it names no atom."""
+    i = draw(st.integers(0, len(fn.values) - 1))
+    values = list(fn.values)
+    values[i] = values[i] + 1e-13 if values[i] else 5e-324
+    return PiecewiseConstantFn(fn.den, fn.nums, values)
+
+
+def assert_renamed_cells_name_no_atom(data, fn, cdf, factors=(factor_against_cdf,)):
+    renamed = data.draw(renamed_cells(fn))
+    for factor in factors:
+        with pytest.raises(ValueNotInSupport):
+            factor(renamed, cdf)
 
 
 def assert_stores_the_composition(fn, cdf):
@@ -717,10 +743,11 @@ def assert_stores_the_composition(fn, cdf):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), m=signed_maps(), cdf=signed_zero_cdfs())
 def test_factor_stores_the_composition_as_its_level_function(data, m, cdf):
-    """On values named within the atoms_of tolerance and on mixed signed zeros."""
+    """On mixed signed zeros; a value moved off its support point raises."""
     fn = quantile_pcf(cdf).compose_with_map(m)
     assert_stores_the_composition(fn, cdf)
-    assert_stores_the_composition(data.draw(renamed_cells(fn)), cdf)
+    assert_stores_the_composition(data.draw(signed_zero_cells(fn)), cdf)
+    assert_renamed_cells_name_no_atom(data, fn, cdf)
 
 
 @settings(max_examples=80, deadline=None)
@@ -790,11 +817,12 @@ def assert_stored_lengths_are_the_cell_sums(fn, cdf):
 @given(data=st.data(), m=signed_maps(), cdf=signed_zero_cdfs())
 def test_stored_level_function_carries_the_lengths_by_value(data, m, cdf):
     """The per-atom sums the factor hands its level function, in order and
-    with the bits of each key: on values named within the atoms_of
-    tolerance and on mixed signed zeros."""
+    with the bits of each key: on mixed signed zeros; a value moved off its
+    support point raises."""
     fn = quantile_pcf(cdf).compose_with_map(m)
     assert_stored_lengths_are_the_cell_sums(fn, cdf)
-    assert_stored_lengths_are_the_cell_sums(data.draw(renamed_cells(fn)), cdf)
+    assert_stored_lengths_are_the_cell_sums(data.draw(signed_zero_cells(fn)), cdf)
+    assert_renamed_cells_name_no_atom(data, fn, cdf)
 
 
 def test_stored_level_function_carries_the_lengths_by_value_at_n16():
@@ -807,7 +835,7 @@ def ref_factor_per_run(fn, cdf):
     each run expanded to its cells by list repetition: the map's den, nums,
     slopes, cden and cnums (reduced), and the level values."""
     support, den, nums = cdf.support, fn.den, fn.nums
-    atom_of = atoms_of(set(fn.values), support)
+    atom_of = {v: k for k, v in enumerate(support)}
     runs, start = [], 0
     for v, run in groupby(fn.values):
         end = start + len(list(run))
@@ -891,12 +919,13 @@ def assert_factor_matches_the_per_cell_oracle(fn, cdf):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), m=signed_maps(), cdf=signed_zero_cdfs(), case=run_functions())
 def test_factor_matches_the_per_cell_oracle(data, m, cdf, case):
-    """On values named within the atoms_of tolerance, on mixed signed zeros,
-    and on one-cell runs, long runs and one run."""
+    """On mixed signed zeros, and on one-cell runs, long runs and one run; a
+    value moved off its support point raises in both."""
     fn = quantile_pcf(cdf).compose_with_map(m)
     for g, c in ((fn, cdf), case):
         assert_factor_matches_the_per_cell_oracle(g, c)
-        assert_factor_matches_the_per_cell_oracle(data.draw(renamed_cells(g)), c)
+        assert_factor_matches_the_per_cell_oracle(data.draw(signed_zero_cells(g)), c)
+        assert_renamed_cells_name_no_atom(data, g, c, (factor_against_cdf, per_cell_factor))
 
 
 def test_factor_matches_the_per_cell_oracle_at_n16_and_on_errors():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcs.errors import BadSpec, NotNormalized, QcsError
+from qcs.errors import BadSpec, NotNormalized, QcsError, ValueNotInSupport
 from qcs.measure_maps import (
     MapSpec,
     build_map,
@@ -19,6 +19,7 @@ from qcs.measure_maps import (
 )
 from qcs.phase_space import (
     CellEquivalence,
+    CellObservable,
     PhaseSpaceMeasure,
     PhaseSpaceState,
     build_measure,
@@ -32,7 +33,7 @@ from qcs.phase_space import (
     spin_observable,
     to_unit_interval,
 )
-from qcs.spectral import PiecewiseFn
+from qcs.spectral import PiecewiseFn, StepCDF
 from qcs.states import label_mean
 
 from layout import cells_of, ends_of
@@ -203,6 +204,16 @@ def test_single_cell_equivalence_is_identity():
     assert equiv.nums == [0, equiv.den]
     fn = equiv.pcf(np.array([[[4.5]]]))
     assert fn(F(1, 2)) == 4.5
+
+
+def test_realize_barrier_names_cell_values_by_equality():
+    """On the single-cell equivalence, a cell value one ulp above the CDF's
+    only support point names no atom."""
+    measure = PhaseSpaceMeasure((F(0),), np.array([[[1.0]]]), np.array([0.0]), np.array([0.0]))
+    equiv, one = to_unit_interval(measure), StepCDF((1.0,), 1, (1,))
+    assert realize_barrier(CellObservable(np.array([[[1.0]]]), one), equiv)[1].values == (1.0,)
+    with pytest.raises(ValueNotInSupport):
+        realize_barrier(CellObservable(np.array([[[math.nextafter(1.0, 2)]]]), one), equiv)
 
 
 def test_equivalence_composes_with_barriers():

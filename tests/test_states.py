@@ -20,11 +20,12 @@ from qcs.errors import (
     NotMonotone,
     OutOfDomain,
     UndefinedEquivalence,
+    ValueNotInSupport,
 )
 from qcs.measure_maps import (
     MapSpec,
     PiecewiseAffineMap,
-    atoms_of,
+    PiecewiseConstantFn,
     build_map,
     compose,
     intervals_measure,
@@ -34,7 +35,7 @@ from qcs.measure_maps import (
     pushforward_density,
     quantile_pcf,
 )
-from qcs.spectral import HermitianOperator, PiecewiseFn, PureState, borel_apply, spectral_cdf
+from qcs.spectral import HermitianOperator, PiecewiseFn, PureState, borel_apply, image_values, spectral_cdf
 from qcs.states import (
     BarrierComplex,
     CompleteState,
@@ -55,7 +56,7 @@ from qcs.states import (
     value_distribution,
     value_region,
 )
-from qcs.random_objects import random_hermitian, random_map_spec, random_pure_state
+from qcs.random_objects import random_hermitian, random_map_spec, random_pure_state, random_unitary
 
 from layout import cells_of, ends_of, pieces_of
 
@@ -545,14 +546,13 @@ def weights_of(cdf):
 
 
 def assert_exact_repair(a, fn, barrier, psi):
-    """The masses that fn(A) takes through the barrier are the weights of
+    """The masses that fn(A) takes through the barrier, each value of A
+    renamed to its atom of fn(A) (``image_values``), are the weights of
     fn(A) exactly, and the repaired barrier is a piecewise translation."""
-    target = spectral_cdf(borel_apply(fn, a), psi)
-    masses = level_function(spectral_cdf(a, psi), barrier).map_values(fn).masses_by_value()
-    atom_of, summed = atoms_of(masses, target.support), [F(0)] * len(target.support)
-    for v, mass in masses.items():
-        summed[atom_of[v]] += mass
-    assert summed == weights_of(target)
+    image = borel_apply(fn, a)
+    target = spectral_cdf(image, psi)
+    renamed = level_function(spectral_cdf(a, psi), barrier).map_values(image_values(image).__getitem__)
+    assert renamed.masses_by_value() == dict(zip(target.support, weights_of(target)))
     beta = repair_barrier(a, fn, barrier, psi)
     assert all(s == 1 for s in beta.slopes)
     assert all(d == 1 for _, _, d in pushforward_density(beta).cells)
@@ -570,6 +570,47 @@ def repair_case(rng):
 def test_repairs_of_absolute_value_and_square_are_exact(seed, fn):
     a, psi, spec = repair_case(np.random.default_rng(seed))
     assert_exact_repair(a, fn, build_map(spec), psi)
+
+
+@st.composite
+def merge_edge_images(draw):
+    """(images, merged): d = 2-6 ascending values at a scale s from 1e-6 to
+    1e8, each gap 1-4 ulps, just inside borel_apply's merge gap
+    1e-12 * max(1, |value|), or s / 4; merged says whether any gap is one of
+    the first two, which borel_apply must then merge."""
+    s = 10.0 ** draw(st.integers(-6, 8))
+    images, merged = [s * draw(st.floats(-1, 1))], False
+    for _ in range(draw(st.integers(1, 5))):
+        kind, y = draw(st.sampled_from(["ulps", "inside", "wide"])), images[-1]
+        if kind == "ulps":
+            for _ in range(draw(st.integers(1, 4))):
+                y = math.nextafter(y, math.inf)
+        else:
+            y += s / 4 if kind == "wide" else (1 - 2**-10) * 1e-12 * max(1.0, abs(y))
+        images.append(y)
+        merged |= kind != "wide"
+    return images, merged
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=merge_edge_images(), seed=st.integers(0, 2**32 - 1))
+def test_repair_and_monotone_check_are_exact_at_the_edge_of_the_merge_gap(case, seed):
+    """A has eigenvalues 1..d in a random basis, and fn takes the drawn
+    images on them, in order or shuffled: each value of A is named by its
+    merged atom exactly, whatever the scale."""
+    images, merged = case
+    rng = np.random.default_rng(seed)
+    d = len(images)
+    v = random_unitary(rng, d).entries
+    a = HermitianOperator((v * np.arange(1.0, d + 1)) @ v.conj().T)
+    psi, barrier = random_pure_state(rng, d), build_map(random_map_spec(rng))
+    cuts = (-math.inf, *(k + 0.5 for k in range(1, d)), math.inf)
+    increasing = PiecewiseFn(cuts, [(y,) for y in images])
+    shuffled = PiecewiseFn(cuts, [(y,) for y in rng.permutation(images).tolist()])
+    assert (len(borel_apply(increasing, a).eigensystem.atoms) < d) == merged
+    for fn in (increasing, shuffled):
+        assert_exact_repair(a, fn, barrier, psi)
+    assert monotone_compose_check(increasing, a, psi, barrier)
 
 
 def test_repair_sweep_case_126_is_measure_preserving():
@@ -640,6 +681,14 @@ def test_recover_barrier_roundtrip():
     beta = recover_barrier(MODEL.operator, MODEL.state, fn)
     assert quantile_pcf(cdf).compose_with_map(beta).equal_ae(fn)
     assert beta.measure_preserving
+
+
+def test_recover_barrier_names_claimed_values_by_equality():
+    """A claimed value one ulp above the eigenvalue 1.0 is no value of A."""
+    fn = level_function(spectral_cdf(MODEL.operator, MODEL.state), IDENTITY)
+    moved = [math.nextafter(v, 2) if v == 1.0 else v for v in fn.values]
+    with pytest.raises(ValueNotInSupport):
+        recover_barrier(MODEL.operator, MODEL.state, PiecewiseConstantFn(fn.den, fn.nums, moved))
 
 
 def test_spectrum_image_check_examples():
