@@ -704,7 +704,9 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     the exact levels over L, atom k has source length t_k / G equal to its
     level interval ]lo_k / L, (lo_k + w_k) / L].  A run of it from x / G,
     after earlier runs of total length b_k / G, has the intercept
-    lo_k / L + (b_k - x) / G: one integer numerator per run over lcm(L, G).
+    lo_k / L + (b_k - x) / G.  Every mass equals its weight, so lo_k / L is
+    the length of the runs of the atoms before k: the intercept is
+    (length of the atom-grouped runs ahead of the run - x) / G, reduced.
 
     The map stores the level function it guarantees in its ``_level_memo``
     under ``cdf``, so ``level_function(cdf, a)`` does no pullback.  It is
@@ -719,10 +721,10 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     No Python step is taken per cell.  Runs come from ``run_bounds``, and
     one ``searchsorted`` on the support and one ``!=`` name each run's atom.
     The runs are grouped by atom (a stable sort, so each atom keeps its
-    source order); one ``accumulate`` along them gives every b_k - x and
-    t_k, and the intercepts are ``map`` passes, one per atom.  Intercepts
-    and levels are then repeated over each run's cells in C (``_per_cell``)
-    as shared objects.
+    source order), and their ends are read from fn's numerators; one
+    ``accumulate`` along them gives every intercept numerator and t_k.
+    Intercepts and levels are then repeated over each run's cells in C
+    (``_per_cell``) as shared objects.
     """
     support = cdf.support
     den, ends = fn.den, fn.nums
@@ -742,11 +744,11 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     runs = np.argsort(atoms, kind="stable")
     counts = np.bincount(atoms, minlength=len(support))
     bounds = [0, *accumulate(counts.tolist())]
-    cell_ends = _objects(ends)
-    lo, hi = [*cell_ends[starts[runs]].tolist(), den], cell_ends[stops[runs]].tolist()
+    lo = [*map(ends.__getitem__, starts[runs].tolist()), den]
+    hi = map(ends.__getitem__, stops[runs].tolist())
     gaps = list(accumulate(map(sub, hi, lo[1:]), initial=-lo[0]))
     ahead = [gaps[r] + lo[r] for r in bounds]
-    del lo, hi
+    del lo
     totals = list(map(sub, ahead[1:], ahead[:-1]))
 
     lvl_den, lvl = cdf.den, (0, *cdf.nums)
@@ -756,18 +758,10 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
             raise DistributionMismatch(
                 f"atom {support[k]!r}: source mass {total / den:.17g} vs weight {weight / lvl_den:.17g}"
             )
-    cden = math.lcm(lvl_den, den)
-    unit = cden // den  # 1 / G over cden
-
-    # run r of atom k has b_k - x = gaps[r] - ahead[k], so its intercept is
-    # lo_k + gaps[r] - ahead[k] over cden; a run's cells are contiguous in
-    # source and in image, so they share it
-    grouped = []
-    for k, (s, e) in enumerate(zip(bounds, bounds[1:])):
-        shift = lvl[k] * (cden // lvl_den) - unit * ahead[k]
-        grouped += map(add, repeat(shift), map(mul, repeat(unit), gaps[s:e]))
+    # the masses matched, so ahead[k] / G = lvl[k] / L and run r's intercept
+    # is gaps[r] / G, shared by its cells (contiguous in source and image)
+    cden, grouped = _reduced(den, gaps[:-1])
     del gaps
-    cden, grouped = _reduced(cden, grouped)
     intercepts = np.empty(len(grouped), dtype=object)
     intercepts[runs] = grouped
     del grouped

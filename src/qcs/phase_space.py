@@ -208,9 +208,9 @@ class PhaseSpaceMeasure:
         in (sector, position, momentum) order, their masses as integers over
         one shared power of two, and the integers' sum M.  Cell i's float
         mass is exactly masses[i] / 2^E, so its share of the total is
-        masses[i] / M with no rounding.  The equivalence's bounds are their
-        prefix sums; observables sum the same integers in int64 limbs
-        (``mass_limbs``) and never read this list."""
+        masses[i] / M with no rounding.  Only ``shared_barrier_joint_gap``
+        reads this list; ``to_unit_interval`` prefix-sums the same integers
+        from the mantissas, and observables sum them in ``mass_limbs``."""
         ks, shifts = self._mantissas
         masses = list(map(lshift, ks.tolist(), shifts.tolist()))
         return self.kept, masses, sum(masses)
@@ -369,10 +369,12 @@ class CellEquivalence:
 
 def to_unit_interval(measure: PhaseSpaceMeasure) -> CellEquivalence:
     """Cell i of positive mass occupies ]P_{i-1} / M, P_i / M], with P_i the
-    prefix sums of the integer cell masses: the integers pass through as
-    they are, and their ascent is checked in one pass."""
-    kept, masses, total = measure.cell_masses
-    return CellEquivalence(kept, total, [0, *accumulate(masses)])
+    prefix sums of the integer cell masses ks[i] << shifts[i], one
+    ``accumulate`` from the mantissas, and M the last; their ascent is
+    checked in one pass."""
+    ks, shifts = measure._mantissas
+    nums = [0, *accumulate(map(lshift, ks.tolist(), shifts.tolist()))]
+    return CellEquivalence(measure.kept, nums[-1], nums)
 
 
 def realize_barrier(

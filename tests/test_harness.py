@@ -51,6 +51,32 @@ def test_ks_statistic_empty():
         ks_statistic([], WITNESS_CDF)
 
 
+def ref_ks_statistic(samples, cdf):
+    """Two scalar ``searchsorted`` calls per support point, one atom at a time."""
+    x = np.sort(np.asarray(samples, dtype=float).ravel())
+    worst, prev_level = 0.0, 0.0
+    for r, level in zip(cdf.support, cdf.levels):
+        at = np.searchsorted(x, r, side="right") / x.size
+        below = np.searchsorted(x, r, side="left") / x.size
+        worst = max(worst, abs(at - level), abs(below - prev_level))
+        prev_level = level
+    return worst
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cuts=st.sets(st.integers(1, 63), max_size=5),
+    picks=st.lists(st.integers(-1, 11), min_size=1, max_size=40),
+)
+def test_ks_statistic_matches_the_per_atom_loop(cuts, picks):
+    """Samples with ties, on support points, between them and outside."""
+    levels = [c / 64 for c in sorted(cuts)] + [1.0]
+    support = tuple(float(2 * k) for k in range(len(levels)))
+    samples, cdf = [p * 1.0 for p in picks], cdf_of(support, levels)
+    got, want = ks_statistic(samples, cdf), ref_ks_statistic(samples, cdf)
+    assert type(got) is float and got.hex() == float(want).hex()
+
+
 def test_ks_threshold_table():
     assert abs(ks_threshold(10_000, 0.99) - 0.0163) < 1e-12
     with pytest.raises(KeyError):

@@ -946,6 +946,48 @@ def test_factor_matches_the_per_cell_oracle_at_n16_and_on_errors():
                 factor(fn, three)
 
 
+def assert_intercepts_are_image_minus_source_starts(fn, cdf):
+    """Each piece's intercept is its run's image start minus its source
+    start, the image starts being the prefix sums of the run lengths taken
+    in (atom, source) order; the intercepts' denominator divides fn's."""
+    alpha = factor_against_cdf(fn, cdf)
+    atom_of = {v: k for k, v in enumerate(cdf.support)}
+    runs, start = [], 0
+    for v, run in groupby(fn.values):
+        end = start + len(list(run))
+        runs.append((atom_of[v], start, end))
+        start = end
+    image_start, at = {}, 0
+    for _, start, end in sorted(runs):
+        image_start[start] = at
+        at += fn.nums[end] - fn.nums[start]
+    for _, start, end in runs:
+        want = F(image_start[start] - fn.nums[start], fn.den)
+        assert [F(c, alpha.cden) for c in alpha.cnums[start:end]] == [want] * (end - start)
+    assert fn.den % alpha.cden == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=run_functions(), m=signed_maps(), cdf=dyadic_cdfs(), float_cdf=float_level_cdfs())
+def test_intercepts_are_image_minus_source_starts(case, m, cdf, float_cdf):
+    """On one-cell runs, long runs and one run, and on quantiles of dyadic
+    and float-level CDFs composed with signed maps."""
+    assert_intercepts_are_image_minus_source_starts(*case)
+    for c in (cdf, float_cdf):
+        assert_intercepts_are_image_minus_source_starts(quantile_pcf(c).compose_with_map(m), c)
+
+
+def test_a_source_mass_one_over_g_off_its_weight_is_refused():
+    """Atom -1.0 holds 2/8 of the source; levels giving it 3/8, and its
+    neighbour 1/8 less, are refused, as the intercepts take every mass to
+    equal its weight."""
+    fn = fn_of([F(k, 8) for k in range(9)], [-1.0, 0.0, 2.5, -1.0, 0.0, 0.0, 2.5, 2.5])
+    support = (-1.0, 0.0, 2.5)
+    assert_intercepts_are_image_minus_source_starts(fn, cdf_of(support, (F(2, 8), F(5, 8), 1)))
+    with pytest.raises(DistributionMismatch, match="atom -1.0"):
+        factor_against_cdf(fn, cdf_of(support, (F(3, 8), F(5, 8), 1)))
+
+
 SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 5e-324]
 
 

@@ -3,6 +3,7 @@ equivalence."""
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -402,6 +403,21 @@ def test_cell_observable_matches_the_per_cell_oracle(state, data):
     assert_same_cdf(cell_observable(cell_values, measure).cdf, ref_cell_observable(cell_values, measure).cdf)
 
 
+def assert_equivalence_ends_are_the_prefix_sums(measure):
+    """The equivalence's ends against the per-cell integer masses of
+    ``cell_masses``, summed one cell at a time."""
+    kept, masses, total = measure.cell_masses
+    equiv = to_unit_interval(measure)
+    assert np.array_equal(equiv.kept, kept)
+    assert (equiv.den, equiv.nums) == (total, [0, *accumulate(masses)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=far_tail_states())
+def test_equivalence_ends_are_the_prefix_sums_of_the_cell_masses(state):
+    assert_equivalence_ends_are_the_prefix_sums(build_measure(state))
+
+
 @pytest.mark.parametrize("cells", [1, 3, 2**20 - 1, 2**20, 2**25, 2**30])
 @pytest.mark.parametrize("bits", [1, 53, 85, 1100])
 def test_limb_width_keeps_every_limb_sum_in_int64(cells, bits):
@@ -430,6 +446,7 @@ def test_exact_pipeline_on_a_single_occupied_cell(sectors, n, data):
     cell_values[cell] = value
     equiv = to_unit_interval(measure)
     assert equiv.nums == [0, equiv.den]
+    assert_equivalence_ends_are_the_prefix_sums(measure)
     assert exact_pipeline_label_mean(measure, cell_values) == value
 
 
