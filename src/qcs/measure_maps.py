@@ -744,11 +744,12 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     runs = np.argsort(atoms, kind="stable")
     counts = np.bincount(atoms, minlength=len(support))
     bounds = [0, *accumulate(counts.tolist())]
+    # lists of fn's own end objects, so no index list is alive in the step pass
     lo = [*map(ends.__getitem__, starts[runs].tolist()), den]
-    hi = map(ends.__getitem__, stops[runs].tolist())
+    hi = list(map(ends.__getitem__, stops[runs].tolist()))
     gaps = list(accumulate(map(sub, hi, lo[1:]), initial=-lo[0]))
     ahead = [gaps[r] + lo[r] for r in bounds]
-    del lo
+    del lo, hi
     totals = list(map(sub, ahead[1:], ahead[:-1]))
 
     lvl_den, lvl = cdf.den, (0, *cdf.nums)
