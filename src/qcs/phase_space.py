@@ -41,7 +41,7 @@ from .measure_maps import (
     check_partition,
     factor_against_cdf,
 )
-from .spectral import PiecewiseFn, StepCDF
+from .spectral import PiecewiseFn, StepCDF, float_mantissas
 
 MASS_TOL = 1e-12
 
@@ -195,30 +195,15 @@ class PhaseSpaceMeasure:
 
     @cached_property
     def _mantissas(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ks, shifts): int64 arrays with kept cell i's float mass exactly
-        (ks[i] << shifts[i]) / 2^E.  A positive double is k * 2^e with an
-        integer k < 2^53; E is the largest -e, so shifts[i] = e_i + E >= 0."""
-        mantissas, exponents = np.frexp(self.masses.ravel()[self.kept])
-        ks = (mantissas * 2.0**53).astype(np.int64)  # exact
-        return ks, (exponents - exponents.min()).astype(np.int64)
-
-    @cached_property
-    def cell_masses(self) -> tuple[np.ndarray, list[int], int]:
-        """(kept, masses, M): the flat indices of the cells of positive mass
-        in (sector, position, momentum) order, their masses as integers over
-        one shared power of two, and the integers' sum M.  Cell i's float
-        mass is exactly masses[i] / 2^E, so its share of the total is
-        masses[i] / M with no rounding.  Only ``shared_barrier_joint_gap``
-        reads this list; ``to_unit_interval`` prefix-sums the same integers
-        from the mantissas, and observables sum them in ``mass_limbs``."""
-        ks, shifts = self._mantissas
-        masses = list(map(lshift, ks.tolist(), shifts.tolist()))
-        return self.kept, masses, sum(masses)
+        """(ks, shifts): kept cell i's float mass is exactly
+        (ks[i] << shifts[i]) / 2^E (``float_mantissas``), so its share of
+        the total is its integer mass over the integers' sum M."""
+        return float_mantissas(self.masses.ravel()[self.kept])
 
     @cached_property
     def mass_limbs(self) -> tuple[np.ndarray, int]:
-        """(limbs, B): the integer masses of ``cell_masses`` cut into int64
-        limbs of B bits, cell i's mass being the sum over j of
+        """(limbs, B): the integer masses ks << shifts of the kept cells
+        cut into int64 limbs of B bits, cell i's mass being the sum over j of
         limbs[j, i] << (j * B).  B comes from ``limb_width``, so a sum of
         limbs over any set of cells stays exact in int64.  Built once, in
         numpy, from the mantissas and shifts of the float masses."""
@@ -231,6 +216,16 @@ class PhaseSpaceMeasure:
             right, left = np.clip(-at, 0, 63), np.clip(at, 0, width)
             limbs[j] = ((ks >> right) & ((1 << (width - left)) - 1)) << left
         return limbs, width
+
+    def masses_by_key(self, keys: np.ndarray) -> tuple[list, list[int]]:
+        """The distinct values of ``keys`` (one per kept cell) in ascending
+        order, and the integer mass of the cells that carry each: a stable
+        sort puts each value's cells together, and ``group_masses`` sums
+        them."""
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        firsts = np.flatnonzero(np.insert(ranked[1:] != ranked[:-1], 0, True))
+        return ranked[firsts].tolist(), self.group_masses(order, firsts)
 
     def group_masses(self, order: np.ndarray, firsts: np.ndarray) -> list[int]:
         """The integer mass of each group of kept cells: group g is the
@@ -267,14 +262,6 @@ class CellObservable:
     cdf: StepCDF
 
 
-def _sum_by_key(keys, masses: list[int]) -> dict:
-    """Integer cell masses summed per key (a cell value, or a pair of them)."""
-    out: dict = {}
-    for key, m in zip(keys, masses):
-        out[key] = out.get(key, 0) + m
-    return out
-
-
 def cell_observable(cell_values: np.ndarray, measure: PhaseSpaceMeasure) -> CellObservable:
     """A cell function with its pushforward CDF: atom v has the exact weight
     (sum of the integer masses of v's cells) / M, the same integers that
@@ -285,11 +272,7 @@ def cell_observable(cell_values: np.ndarray, measure: PhaseSpaceMeasure) -> Cell
     flat = np.asarray(cell_values, dtype=float).ravel()[measure.kept]
     if not np.isfinite(flat).all():
         raise DomainGap("cell values must be finite")
-    order = np.argsort(flat, kind="stable")
-    ranked = flat[order]
-    firsts = np.flatnonzero(np.insert(ranked[1:] != ranked[:-1], 0, True))
-    cdf = StepCDF.from_masses(ranked[firsts].tolist(), measure.group_masses(order, firsts))
-    return CellObservable(cell_values, cdf)
+    return CellObservable(cell_values, StepCDF.from_masses(*measure.masses_by_key(flat)))
 
 
 def position_observable(g: PiecewiseFn, state: PhaseSpaceState) -> CellObservable:
@@ -399,23 +382,23 @@ def shared_barrier_joint_gap(state: PhaseSpaceState) -> float:
     the two joint mass tables; a strictly positive gap certifies that
     position and momentum need different barriers.
 
-    The joint table and both marginals sum the same integer cell masses, so
-    the difference is computed exactly over M and rounded once.
+    The joint table and both marginals sum the same integer cell masses
+    (``masses_by_key``; a joint key is the complex number q + ip), so the
+    difference is computed exactly over M and rounded once.
     """
     measure = build_measure(state)
-    kept, masses, total = measure.cell_masses
-    shape = measure.masses.shape
-    qs = np.broadcast_to(measure.q_grid[None, :, None], shape).ravel()[kept].tolist()
-    ps = np.broadcast_to(measure.p_grid[None, None, :], shape).ravel()[kept].tolist()
-    joint = _sum_by_key(zip(qs, ps), masses)
-    q_mass, p_mass = _sum_by_key(qs, masses), _sum_by_key(ps, masses)
-    q_support, p_support = sorted(q_mass), sorted(p_mass)
-    q_levels = [0, *accumulate(q_mass[v] for v in q_support)]
-    p_levels = [0, *accumulate(p_mass[v] for v in p_support)]
+    shape, kept = measure.masses.shape, measure.kept
+    qs = np.broadcast_to(measure.q_grid[None, :, None], shape).ravel()[kept]
+    ps = np.broadcast_to(measure.p_grid[None, None, :], shape).ravel()[kept]
+    q_support, q_masses = measure.masses_by_key(qs)
+    p_support, p_masses = measure.masses_by_key(ps)
+    pairs, pair_masses = measure.masses_by_key(qs + 1j * ps)
+    joint = {(z.real, z.imag): m for z, m in zip(pairs, pair_masses)}
+    q_levels, p_levels = [0, *accumulate(q_masses)], [0, *accumulate(p_masses)]
     gap = 0
     for i, qv in enumerate(q_support):
         qlo, qhi = q_levels[i], q_levels[i + 1]
         for j, pv in enumerate(p_support):
             comonotone = max(0, min(qhi, p_levels[j + 1]) - max(qlo, p_levels[j]))
             gap = max(gap, abs(joint.get((qv, pv), 0) - comonotone))
-    return gap / total
+    return gap / q_levels[-1]

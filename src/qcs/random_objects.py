@@ -12,6 +12,7 @@ from .spectral import HermitianOperator, PureState, StepCDF, hermitian_part
 
 MAX_DEN = 64  # largest denominator of a random rational
 MAX_WEIGHT = 16  # random block weights lie in [1, MAX_WEIGHT)
+MAX_MASS = 2**20  # random atom masses lie in [1, MAX_MASS)
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianOperator:
@@ -72,5 +73,5 @@ def random_step_cdf(rng: np.random.Generator, atoms: int) -> StepCDF:
     support = np.sort(rng.normal(size=atoms) * 3)
     while np.any(np.diff(support) < 1e-6):
         support = np.sort(rng.normal(size=atoms) * 3)
-    weights = rng.dirichlet(np.ones(atoms))
-    return StepCDF.from_weights(zip(support, weights))
+    masses = rng.integers(1, MAX_MASS, size=atoms).tolist()
+    return StepCDF.from_masses(support.tolist(), masses)

@@ -17,12 +17,14 @@ Conventions used throughout the package:
   are one spectral atom, and the spectral reconstruction is checked against
   ``PROJECTOR_TOL`` times the same scale, so these rules follow the
   operator's size (for entries and spectra within [-1, 1] they are absolute);
-* a step CDF holds its levels as integers over one denominator; spectral
-  CDFs (:meth:`StepCDF.from_weights`) drop atoms with weight below
-  ``WEIGHT_DROP_TOL``, the ``eigh`` rounding noise (weights of about 1e-35
-  to 1e-30) that an eigenstate shows on the other eigenspaces, while a CDF
-  built from exact masses (:meth:`StepCDF.from_masses`), such as that of a
-  :func:`borel_apply` image, keeps every atom, however light.
+* every step CDF is built by :meth:`StepCDF.from_masses` from integer
+  masses, its levels exact shares ``m_k / M``; a spectral CDF takes each
+  column mass ``|(V^dagger psi)_j|^2``, a float and so an integer over one
+  power of two, sums them per eigenvector block, and drops the atoms whose
+  share is below ``WEIGHT_DROP_TOL``, the ``eigh`` rounding noise (shares of
+  about 1e-37 to 1e-31) that an eigenstate shows on the other eigenspaces;
+  the CDF of a :func:`borel_apply` image sums its parent's masses and keeps
+  every atom, however light.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress
-from operator import index, sub
+from operator import index, lshift, sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,6 +53,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
     return a
+
+
+def float_mantissas(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ks, shifts): int64 arrays with each nonnegative float x[i] exactly
+    (ks[i] << shifts[i]) / 2^E.  A double is k * 2^e with an integer
+    k < 2^53; E is the largest -e, so shifts[i] = e_i + E >= 0."""
+    mantissas, exponents = np.frexp(x)
+    ks = (mantissas * 2.0**53).astype(np.int64)  # exact
+    return ks, (exponents - exponents.min()).astype(np.int64)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -107,7 +118,7 @@ class EigenSystem:
     Atom k is ``(lambda_k, V_k)`` with ``V_k`` a d x m_k matrix whose columns
     are an orthonormal basis of the eigenspace, so the blocks side by side
     form one unitary ``V`` (``basis``).  The projector ``P_k = V_k V_k^dagger``
-    is built only on request (:meth:`projector`); weights come from one
+    is built only on request (:meth:`projector`); masses come from one
     ``V^dagger psi``.
     """
 
@@ -151,13 +162,16 @@ class EigenSystem:
         """The operator V diag(lambda) V^dagger that the atoms describe."""
         return (self.basis * self.column_eigenvalues) @ self.basis.conj().T
 
-    def weights(self, psi: "PureState") -> list[float]:
-        """Spectral weights <P_k> of a unit state: |V^dagger psi|^2 summed per block."""
+    def masses(self, psi: "PureState") -> list[int]:
+        """Integer spectral masses: the column masses |V^dagger psi|^2, each
+        exactly an integer over one shared power of two, summed per block,
+        so block k carries the exact share m_k / sum(m) of their total."""
         if psi.dim != self.dim:
             raise DimensionMismatch(f"eigensystem dim {self.dim} vs state dim {psi.dim}")
-        amps = np.abs(self.basis.conj().T @ psi.amplitudes) ** 2
+        ks, shifts = float_mantissas(np.abs(self.basis.conj().T @ psi.amplitudes) ** 2)
+        cols = list(map(lshift, ks.tolist(), shifts.tolist()))
         starts = self._block_starts
-        return [math.fsum(amps[i:j]) for i, j in zip(starts, starts[1:])]
+        return [sum(cols[i:j]) for i, j in zip(starts, starts[1:])]
 
     def projector(self, k: int) -> np.ndarray:
         """The orthogonal projector V_k V_k^dagger onto the k-th eigenspace."""
@@ -246,37 +260,6 @@ class StepCDF:
         nums = tuple(accumulate(masses))
         return cls(support, nums[-1] if nums else 0, nums)
 
-    @classmethod
-    def from_weights(cls, pairs: Iterable[tuple[float, float]]) -> "StepCDF":
-        """Build from (value, weight) pairs; drops near-zero weights, renormalizes.
-        The float levels are dyadic, so they are integers over the largest of
-        their denominators, a power of two."""
-        items = sorted((float(v), float(w)) for v, w in pairs)
-        if not all(math.isfinite(v) and math.isfinite(w) for v, w in items):
-            raise OutOfDomain("values and weights must be finite")
-        support, weights = [], []
-        for v, w in items:
-            if support and v == support[-1]:
-                weights[-1] += w
-            else:
-                support.append(v)
-                weights.append(w)
-        kept = [(v, w) for v, w in zip(support, weights) if w >= WEIGHT_DROP_TOL]
-        if not kept:
-            raise OutOfDomain("all weights vanish")
-        try:
-            total = math.fsum(w for _, w in kept)
-            cum, levels = 0.0, []
-            for _, w in kept:
-                cum += w
-                levels.append(cum / total)
-            levels[-1] = 1.0
-            ratios = [c.as_integer_ratio() for c in levels]
-        except OverflowError:  # of the total, or of a running sum (an infinite level)
-            raise OutOfDomain("total weight overflows") from None
-        den = max(d for _, d in ratios)
-        return cls(tuple(v for v, _ in kept), den, tuple(n * (den // d) for n, d in ratios))
-
     @cached_property
     def levels(self) -> tuple[float, ...]:
         """The levels nums[k] / den, each correctly rounded (integer true
@@ -311,10 +294,10 @@ class StepCDF:
         """min{r : F(r) >= s} for s in ]0,1[; accepts float or Fraction."""
         return self.support[self.atom_index(s)]
 
-    def evaluate(self, r: float) -> float:
-        """F(r), right-continuous."""
+    def evaluate(self, r: float) -> Fraction:
+        """F(r), right-continuous, as the exact level nums[k] / den."""
         idx = bisect.bisect_right(self.support, float(r))
-        return self.levels[idx - 1] if idx > 0 else 0.0
+        return Fraction(self.nums[idx - 1], self.den) if idx > 0 else Fraction(0)
 
     def level_interval(self, k: int) -> tuple[Fraction, Fraction]:
         lo = self.nums[k - 1] if k > 0 else 0
@@ -413,10 +396,13 @@ def eigensystem(a: HermitianOperator) -> EigenSystem:
 def spectral_cdf(a: HermitianOperator, psi: PureState) -> StepCDF:
     """Step CDF of the observable's distribution in the given state.
 
-    Built by :meth:`StepCDF.from_weights` from the eigenvalues and their
-    spectral weights, so atoms with weight below ``WEIGHT_DROP_TOL`` are
-    dropped and the last level is pinned to 1; a :func:`borel_apply` image
-    sums its parent's integer masses per atom (:meth:`StepCDF.from_masses`).
+    Built by :meth:`StepCDF.from_masses` from the eigenvalues and their
+    integer masses (:meth:`EigenSystem.masses`), so level k is the exact
+    share of the atoms up to k.  An atom whose mass m_k is below
+    ``WEIGHT_DROP_TOL`` times the total M is dropped, by one integer
+    comparison; every kept share is at least 1e-14, so the float levels
+    still rise strictly.  A :func:`borel_apply` image sums its parent's
+    integer masses per atom and drops nothing.
     The result is memoised per (operator, state object); the memo holds the
     state only weakly.
     """
@@ -434,7 +420,11 @@ def spectral_cdf(a: HermitianOperator, psi: PureState) -> StepCDF:
                 masses[value_of[r]] += m
             cdf = StepCDF.from_masses(list(compress(masses, masses.values())), filter(None, masses.values()))
         else:
-            cdf = StepCDF.from_weights(zip(es.eigenvalues, es.weights(psi)))
+            masses = es.masses(psi)
+            num, den = WEIGHT_DROP_TOL.as_integer_ratio()
+            floor = num * sum(masses)
+            kept = [m * den >= floor for m in masses]
+            cdf = StepCDF.from_masses(list(compress(es.eigenvalues, kept)), compress(masses, kept))
         memo[psi] = cdf
     return cdf
 

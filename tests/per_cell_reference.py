@@ -2,12 +2,13 @@
 before they moved to numpy, kept as oracles: each body is the earlier
 library code, with one Python step per cell, calling the earlier run
 bounds, reduction and repetition helpers below instead of the library's,
-and naming each value by its own exact lookup (``_atom_of``)."""
+and naming each value by its own exact lookup (``_atom_of``).  Their cell
+masses are the per-cell Python integers of ``ref_masses_per_cell``."""
 
 import math
 from fractions import Fraction
 from itertools import accumulate, compress, count
-from operator import ne, sub
+from operator import lshift, ne, sub
 from types import MappingProxyType
 
 import numpy as np
@@ -18,6 +19,16 @@ from qcs.phase_space import CellObservable
 from qcs.spectral import StepCDF
 
 from layout import over_common
+
+
+def ref_masses_per_cell(measure):
+    """(kept, masses, M): the flat indices of the cells of positive mass in
+    (sector, position, momentum) order, their masses as Python integers over
+    one shared power of two, ks << shifts from the float mantissas, and the
+    integers' sum M, so cell i's share of the total is masses[i] / M."""
+    ks, shifts = measure._mantissas
+    masses = list(map(lshift, ks.tolist(), shifts.tolist()))
+    return measure.kept, masses, sum(masses)
 
 
 def ref_run_bounds(fn):
@@ -96,7 +107,7 @@ def ref_factor_against_cdf(fn, cdf):
 
 
 def ref_cell_observable(cell_values, measure):
-    kept, masses, total = measure.cell_masses
+    kept, masses, total = ref_masses_per_cell(measure)
     flat = np.asarray(cell_values, dtype=float).ravel()[kept]
     if not np.isfinite(flat).all():
         raise DomainGap("cell values must be finite")
@@ -108,3 +119,28 @@ def ref_cell_observable(cell_values, measure):
     support = ranked[np.flatnonzero(np.insert(change, 0, True))].tolist()
     cdf = StepCDF(tuple(support), *over_common(Fraction(p, total) for p in prefix))
     return CellObservable(cell_values, cdf)
+
+
+def ref_shared_barrier_joint_gap(state):
+    """The joint gap with the cell masses summed per key in a dict, one
+    cell at a time: the joint table keyed by (q, p) value pairs and each
+    marginal by value."""
+    measure = state.measure
+    kept, masses, total = ref_masses_per_cell(measure)
+    shape = measure.masses.shape
+    qs = np.broadcast_to(measure.q_grid[None, :, None], shape).ravel()[kept].tolist()
+    ps = np.broadcast_to(measure.p_grid[None, None, :], shape).ravel()[kept].tolist()
+    joint, q_mass, p_mass = {}, {}, {}
+    for q, p, m in zip(qs, ps, masses):
+        joint[q, p] = joint.get((q, p), 0) + m
+        q_mass[q] = q_mass.get(q, 0) + m
+        p_mass[p] = p_mass.get(p, 0) + m
+    q_support, p_support = sorted(q_mass), sorted(p_mass)
+    q_levels = [0, *accumulate(q_mass[v] for v in q_support)]
+    p_levels = [0, *accumulate(p_mass[v] for v in p_support)]
+    gap = 0
+    for i, qv in enumerate(q_support):
+        for j, pv in enumerate(p_support):
+            comonotone = max(0, min(q_levels[i + 1], p_levels[j + 1]) - max(q_levels[i], p_levels[j]))
+            gap = max(gap, abs(joint.get((qv, pv), 0) - comonotone))
+    return Fraction(gap, total)

@@ -38,7 +38,7 @@ from qcs.spectral import PiecewiseFn, StepCDF
 from qcs.states import label_mean
 
 from layout import cells_of, ends_of
-from per_cell_reference import ref_cell_observable
+from per_cell_reference import ref_masses_per_cell, ref_cell_observable, ref_shared_barrier_joint_gap
 
 F = Fraction
 
@@ -299,11 +299,11 @@ def test_joint_gap_on_far_tail_gaussian_is_a_float():
     assert isinstance(gap, float) and 0 < gap < 1
 
 
-def assert_limbs_sum_as_the_cell_masses(measure, cell_values):
+def assert_limbs_sum_as_the_masses_per_cell(measure, cell_values):
     """The int64 limbs join to each cell's integer mass, and their per-group
     sums to the Python-int sums of the cells' masses: over the atoms of the
     cell function and over runs of a shuffled order."""
-    kept, masses, _ = measure.cell_masses
+    kept, masses, _ = ref_masses_per_cell(measure)
     limbs, width = measure.mass_limbs
     assert limbs.dtype == np.int64 and 0 <= limbs.min() and limbs.max() < 1 << width
     joined = [sum(int(limbs[j, i]) << (j * width) for j in range(len(limbs))) for i in range(len(kept))]
@@ -328,7 +328,7 @@ def assert_same_cdf(got, want):
 def exact_pipeline_label_mean(measure, cell_values):
     """Carry one cell function through the exact pipeline, check what the
     integer cell masses guarantee, and return its label-side mean."""
-    kept, masses, total = measure.cell_masses
+    kept, masses, total = ref_masses_per_cell(measure)
     flat = measure.masses.ravel()
     exact = [Fraction(float(flat[i])) for i in kept]
     exact_total = sum(exact)
@@ -336,7 +336,7 @@ def exact_pipeline_label_mean(measure, cell_values):
     equiv = to_unit_interval(measure)
     nums = equiv.nums
     assert all(a < b for a, b in zip(nums, nums[1:])) and nums[-1] == equiv.den
-    assert_limbs_sum_as_the_cell_masses(measure, cell_values)
+    assert_limbs_sum_as_the_masses_per_cell(measure, cell_values)
     obs = cell_observable(cell_values, measure)
     assert_same_cdf(obs.cdf, ref_cell_observable(cell_values, measure).cdf)
     barrier, fn = realize_barrier(obs, equiv)
@@ -399,14 +399,22 @@ def test_cell_observable_matches_the_per_cell_oracle(state, data):
     pool = st.sampled_from([0.0, -0.0, 1.5, -2.0, 1e-300, 7.0, -1e300])
     values = data.draw(st.lists(pool, min_size=measure.masses.size, max_size=measure.masses.size))
     cell_values = np.array(values).reshape(measure.masses.shape)
-    assert_limbs_sum_as_the_cell_masses(measure, cell_values)
+    assert_limbs_sum_as_the_masses_per_cell(measure, cell_values)
     assert_same_cdf(cell_observable(cell_values, measure).cdf, ref_cell_observable(cell_values, measure).cdf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=far_tail_states())
+def test_joint_gap_matches_the_per_cell_oracle(state):
+    """The joint table and both marginals summed over int64 limbs give the
+    gap that per-cell dict sums give, exactly, rounded once."""
+    assert shared_barrier_joint_gap(state) == float(ref_shared_barrier_joint_gap(state))
 
 
 def assert_equivalence_ends_are_the_prefix_sums(measure):
     """The equivalence's ends against the per-cell integer masses of
-    ``cell_masses``, summed one cell at a time."""
-    kept, masses, total = measure.cell_masses
+    ``ref_masses_per_cell``, summed one cell at a time."""
+    kept, masses, total = ref_masses_per_cell(measure)
     equiv = to_unit_interval(measure)
     assert np.array_equal(equiv.kept, kept)
     assert (equiv.den, equiv.nums) == (total, [0, *accumulate(masses)])
@@ -414,7 +422,7 @@ def assert_equivalence_ends_are_the_prefix_sums(measure):
 
 @settings(max_examples=60, deadline=None)
 @given(state=far_tail_states())
-def test_equivalence_ends_are_the_prefix_sums_of_the_cell_masses(state):
+def test_equivalence_ends_are_the_prefix_sums_of_the_masses_per_cell(state):
     assert_equivalence_ends_are_the_prefix_sums(build_measure(state))
 
 
@@ -454,7 +462,7 @@ def test_measure_is_built_once_per_state():
     rng = np.random.default_rng(5)
     state = PhaseSpaceState.normalized(F(1, 2), rng.normal(size=(2, 8)) + 0j, dq=0.5)
     measure = build_measure(state)
-    assert build_measure(state) is measure and measure.cell_masses is build_measure(state).cell_masses
+    assert build_measure(state) is measure and measure.mass_limbs is build_measure(state).mass_limbs
 
 
 def test_phase_space_kernels_build_no_fraction_view():

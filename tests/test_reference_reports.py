@@ -24,16 +24,16 @@ DIGESTS = {
         "csv": "27625424698cc7e05ac60cc5ed0cf63b942aaef14e97197d2d38bb04f226edca",
     },
     "dynamics": {
-        "json": "211e4a638fbc9665910c44a117b49f42c7a9a0a6e71e0a517783b942ec1d3e6e",
-        "csv": "7de2d8d8e1d75c5bd710760feca31f534fab3ccbef4b31d5cd57b3f04ea85b9b",
+        "json": "3b1b4b4ee4102f2abf8aadef68a304e24ef6019a15e42a14de38a00affda75e4",
+        "csv": "888ac6db4fe8f4f48373874cb82227f90263e6ef8001531b796ecd697c3c345b",
     },
     "example4": {
         "json": "277cf19c4065e228e8d40134910bfdb684861b2bdf1db62cb77e4b3b5feddb3a",
         "csv": "42f2e57712ca7c595d8e28d8d6a2ad3c4ba756169d57f05d0f6cc648cd8c8403",
     },
     "measure": {
-        "json": "0ef50b1bc385f8d33212aab3cc9779140e426477d74b2607c20c954b503887da",
-        "csv": "353209be5d4d1611a4676189ef805084f2998098d0e6757fa876df151594d4be",
+        "json": "0a6d43154f356172339f3039f9dc79299485c3fbf8166336042c636109cd55d3",
+        "csv": "ab65c40985a3bed72fc4cec76e041a154a0f4a7906c748771a3d6bc6f284989f",
     },
     "phase_space_momentum": {
         "json": "efd4598066065b1465a24a1aaa7cdb64564304c9f9fd522a88928c0e8a518866",
@@ -48,8 +48,8 @@ DIGESTS = {
         "csv": "17258b9e3ddaf917e12dc9a166e5559c3ea56d5e4955a25acbc807bbf0694ea9",
     },
     "rabi": {
-        "json": "f437b38fe68b9c1e89f77262b3db8e90fee25bdf72f89d133f67b7c71b78d38e",
-        "csv": "4f03fe9856f8373a3a504969261d44fba687bc99de02f5ad158427c07e94b446",
+        "json": "d9c8f80d4108eddacc0f00f84cd7763af273b9c06a8fa189412ed3dfb4f0e591",
+        "csv": "07cc0a48babd87c3193bdc0c17e8aece07787f25897768236c1fcae676536e1e",
     },
 }
 

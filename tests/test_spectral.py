@@ -17,6 +17,7 @@ from qcs.harness import ExperimentConfig, run_experiment
 from qcs.measure_maps import quantile_pcf
 from qcs.spectral import (
     EIGENVALUE_MERGE_TOL,
+    WEIGHT_DROP_TOL,
     EigenSystem,
     HermitianOperator,
     PiecewiseFn,
@@ -29,7 +30,7 @@ from qcs.spectral import (
 from qcs.states import BarrierComplex, ObservableFunction, squaring_witness_model
 from qcs.random_objects import random_hermitian, random_pure_state
 
-from layout import cdf_of, ends_of
+from layout import ends_of
 
 SCALED_NORM = 1e6
 
@@ -204,10 +205,6 @@ def test_step_cdfs_reject_non_finite_input(bad):
     with pytest.raises(OutOfDomain, match="finite"):
         StepCDF((bad, 1.0), 2, (1, 2))
     with pytest.raises(OutOfDomain, match="finite"):
-        StepCDF.from_weights([(0.0, bad), (1.0, 1.0)])
-    with pytest.raises(OutOfDomain, match="finite"):
-        StepCDF.from_weights([(bad, 0.5), (1.0, 0.5)])
-    with pytest.raises(OutOfDomain, match="finite"):
         StepCDF.from_masses((bad,), (1,))
 
 
@@ -215,11 +212,6 @@ def test_step_cdfs_reject_non_finite_input(bad):
 def test_from_masses_needs_positive_masses(masses):
     with pytest.raises(OutOfDomain):
         StepCDF.from_masses(tuple(float(k) for k in range(len(masses))), masses)
-
-
-def test_from_weights_rejects_an_overflowing_total():
-    with pytest.raises(OutOfDomain, match="overflows"):
-        StepCDF.from_weights([(0.0, 1e308), (1.0, 1e308)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -251,14 +243,73 @@ def test_from_masses_is_the_exact_cdf_of_its_masses(masses, common, probes):
     assert quantile_pcf(cdf).masses_by_value() == {v: Fraction(m, total) for v, m in zip(support, masses)}
 
 
-@settings(max_examples=100, deadline=None)
-@given(weights=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=8))
-def test_spectral_cdf_weights_are_the_float_level_differences(weights):
-    cdf = StepCDF.from_weights(enumerate(weights))
-    assert ends_of(cdf) == [Fraction(c) for c in cdf.levels]
-    assert cdf.den & (cdf.den - 1) == 0 and math.gcd(cdf.den, *cdf.nums) == 1
-    prev = (0.0,) + cdf.levels[:-1]
-    assert cdf.weights == tuple(c - p for c, p in zip(cdf.levels, prev))
+def column_shares(a, psi):
+    """Each atom's exact share of the state, from the ``Fraction`` values of
+    the float column masses |V^dagger psi|^2 summed per eigenvector block."""
+    es = a.eigensystem
+    cols = [Fraction(c) for c in (np.abs(es.basis.conj().T @ psi.amplitudes) ** 2).tolist()]
+    shares, start = [], 0
+    for _, v in es.atoms:
+        shares.append(sum(cols[start : start + v.shape[1]]))
+        start += v.shape[1]
+    return [m / sum(cols) for m in shares]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_spectral_cdf_levels_are_exact_shares_of_the_column_masses(rng, dim):
+    """Every atom of a random state is kept, and level k is the exact share
+    of atoms 0..k: no float sum, renormalization or pinned last level."""
+    for _ in range(20):
+        a, psi = random_hermitian(rng, dim), random_pure_state(rng, dim)
+        cdf = spectral_cdf(a, psi)
+        shares = column_shares(a, psi)
+        assert cdf.support == a.eigensystem.eigenvalues
+        assert ends_of(cdf) == list(accumulate(shares))
+        assert cdf.levels == tuple(float(c) for c in accumulate(shares))
+
+
+def test_eigenstates_keep_one_atom(rng):
+    """An eigenstate of a random operator shows ``eigh`` noise, shares of
+    about 1e-37 to 1e-31, on the other eigenspaces; the weight floor drops
+    it, so each of 300 eigenstates keeps exactly its own atom."""
+    seen = noisy = 0
+    while seen < 300:
+        a = random_hermitian(rng, int(rng.integers(2, 7)))
+        es = a.eigensystem
+        for k, lam in enumerate(es.eigenvalues):
+            psi = PureState.normalized(es.eigenvector(k))
+            shares = column_shares(a, psi)
+            noisy += any(s > 0 for j, s in enumerate(shares) if j != k)
+            assert max(s for j, s in enumerate(shares) if j != k) < WEIGHT_DROP_TOL
+            cdf = spectral_cdf(a, psi)
+            assert (cdf.support, cdf.nums) == ((lam,), (1,))
+            seen += 1
+    assert noisy > 0
+
+
+def test_weight_floor_is_one_exact_comparison_of_the_masses():
+    """Atom 1 of diag(0, 1) in the state (1, x), normalized, has the exact
+    share m_1 / (m_0 + m_1) of its float column masses.  For the two
+    adjacent floats x whose shares straddle WEIGHT_DROP_TOL, the atom is
+    kept exactly when its share is at least the floor: a mass just above
+    and one just below it."""
+    a = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
+    floor = Fraction(WEIGHT_DROP_TOL)
+
+    def state_and_share(x):
+        psi = PureState.normalized([1.0, x])
+        return psi, column_shares(a, psi)[1]
+
+    x = math.sqrt(WEIGHT_DROP_TOL)
+    while state_and_share(x)[1] < floor:
+        x = math.nextafter(x, math.inf)
+    while state_and_share(math.nextafter(x, 0.0))[1] >= floor:
+        x = math.nextafter(x, 0.0)
+    above, share_above = state_and_share(x)
+    below, share_below = state_and_share(math.nextafter(x, 0.0))
+    assert share_below < floor <= share_above
+    assert spectral_cdf(a, above).support == (0.0, 1.0)
+    assert spectral_cdf(a, below).support == (0.0,)
 
 
 def test_borel_square_on_witness_gives_two_atoms():
@@ -342,16 +393,12 @@ def test_pure_state_invariants():
 
 @st.composite
 def step_cdfs(draw):
+    """CDFs from integer masses, whose total is mostly not a power of two:
+    the layout of every phase-space, image and spectral CDF."""
     n = draw(st.integers(min_value=1, max_value=6))
     support = sorted(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True)))
-    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
-    total = sum(weights)
-    levels, cum = [], 0
-    for w in weights:
-        cum += w
-        levels.append(cum / total)
-    levels[-1] = 1.0
-    return cdf_of(tuple(float(r) for r in support), levels)
+    masses = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    return StepCDF.from_masses(tuple(float(r) for r in support), masses)
 
 
 @settings(max_examples=200, deadline=None)

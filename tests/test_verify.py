@@ -1,9 +1,14 @@
 """The property sweeps of `qcs verify` that are not acceptance criteria, one
 test per check; the acceptance criteria run in test_acceptance.py."""
 
+import math
+
+import numpy as np
 import pytest
 
 from qcs import verify
+from qcs.random_objects import random_hermitian, random_pure_state
+from qcs.spectral import PiecewiseFn, borel_apply, hermitian_part, spectral_cdf
 from verify_details import DETAILS
 
 ACCEPTANCE_NAMES = {c.check_name for c in verify.ACCEPTANCE_CHECKS}
@@ -31,3 +36,20 @@ def test_property_sweep(check):
     result = check()
     assert result.passed, f"{result.name}: {result.detail}"
     assert result.detail == DETAILS[result.name]
+
+
+def test_functional_covariance_fails_an_image_with_two_blocks_swapped():
+    """The pushforward of A's CDF through 2x + 1 against the matrix whose
+    eigenvector blocks of two atoms are swapped: the swapped matrix has the
+    same spectrum but other weights, so its fresh diagonalization is far
+    past the bound, while the true image's is within it."""
+    rng = np.random.default_rng(1212)
+    a, psi = random_hermitian(rng, 4), random_pure_state(rng, 4)
+    image = borel_apply(PiecewiseFn.affine(2.0, 1.0), a)
+    pushed = spectral_cdf(image, psi)
+    es = image.eigensystem
+    basis = es.basis.copy()
+    basis[:, [0, 1]] = basis[:, [1, 0]]
+    swapped = hermitian_part((basis * es.column_eigenvalues) @ basis.conj().T)
+    assert verify.fresh_diagonalization_ratio(pushed, image.entries, psi) <= 1
+    assert verify.fresh_diagonalization_ratio(pushed, swapped, psi) == math.inf

@@ -12,7 +12,7 @@ DETAILS = {
     "spectral-reconstruction": "max deviation 5.551e-15 over 200 operators",
     "galois-pair": "Galois inequalities hold on 200 random CDFs",
     "quantile-pushforward": "level-interval lengths equal atom weights exactly",
-    "functional-covariance": "image distributions match pushforwards for 4 function shapes",
+    "functional-covariance": "200 images match a fresh diagonalization, worst ratio to the bound 0.20",
     "map-exactness": "compositions of up to 6 maps preserve mass exactly",
     "group-closure": "closure under composition and inversion on 60 random specs",
     "factorization-roundtrip": "100 roundtrips exact",
@@ -27,10 +27,10 @@ DETAILS = {
     "identifiability": "value statistics identify the operator on 30 pairs",
     "sigma-simple-partition": "measures (5/8, 1/4, 1/8); truncated tail carries the rest",
     "spectrum-closure": "attained values equal the spectrum on 50 operators",
-    "gradient-identity": "max relative gradient error = 3.915e-11",
+    "gradient-identity": "max relative gradient error = 2.420e-11",
     "algebra-identities": "max identity deviation 1.589e-14",
-    "quadratic-form-identities": "max identity deviation 4.905e-15",
-    "rabi-dynamics": "closed form to 4.4e-16, label gap 3.3e-16, FD gap 7.5e-09",
+    "quadratic-form-identities": "max identity deviation 4.441e-15",
+    "rabi-dynamics": "closed form to 4.4e-16, label gap 4.4e-16, FD gap 7.5e-09",
     "intertwining": "10 cases: exact map identity, step CDFs agree to 1e-10",
     "heisenberg": "equality witness (1,1); 1000 random triples hold",
     "lift-group-law": "lift is a homomorphism on 20 random pairs: transports and barriers equal a.e.",
