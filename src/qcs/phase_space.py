@@ -392,13 +392,12 @@ def shared_barrier_joint_gap(state: PhaseSpaceState) -> float:
     ps = np.broadcast_to(measure.p_grid[None, None, :], shape).ravel()[kept]
     q_support, q_masses = measure.masses_by_key(qs)
     p_support, p_masses = measure.masses_by_key(ps)
-    pairs, pair_masses = measure.masses_by_key(qs + 1j * ps)
-    joint = {(z.real, z.imag): m for z, m in zip(pairs, pair_masses)}
+    joint = dict(zip(*measure.masses_by_key(qs + 1j * ps)))
     q_levels, p_levels = [0, *accumulate(q_masses)], [0, *accumulate(p_masses)]
     gap = 0
     for i, qv in enumerate(q_support):
         qlo, qhi = q_levels[i], q_levels[i + 1]
         for j, pv in enumerate(p_support):
             comonotone = max(0, min(qhi, p_levels[j + 1]) - max(qlo, p_levels[j]))
-            gap = max(gap, abs(joint.get((qv, pv), 0) - comonotone))
+            gap = max(gap, abs(joint.get(complex(qv, pv), 0) - comonotone))
     return gap / q_levels[-1]
