@@ -27,7 +27,7 @@ from .measure_maps import (
     invert,
     map_equal_ae,
 )
-from .spectral import HermitianOperator, PureState, cdfs_close, hermitian_part, spectral_cdf, spectral_scale
+from .spectral import HermitianOperator, PureState, hermitian_part, rounding_ratio, spectral_cdf, spectral_scale
 from .states import (
     BarrierComplex,
     CompleteState,
@@ -36,7 +36,6 @@ from .states import (
 )
 
 UNITARY_TOL = 1e-10
-INTERTWINE_TOL = 1e-10
 
 
 def pauli_x() -> HermitianOperator:
@@ -168,12 +167,11 @@ def quadratic_form(f: ObservableFunction, phi: Sequence[complex]) -> float:
     return nrm2 * f.expectation(psi)
 
 
-def gradient_check(f: ObservableFunction, psi: PureState, h: float = 1e-5) -> float:
+def gradient_check(f: ObservableFunction, psi: PureState) -> float:
     """Central-difference gradient of the quadratic form in the 2*dim real
-    coordinates against twice the operator acting on the state; returns the
-    max-norm error relative to the target's max norm."""
-    if not (1e-7 <= h <= 1e-3):
-        raise OutOfDomain("step must lie in [1e-7, 1e-3]")
+    coordinates, step 1e-5, against twice the operator acting on the state;
+    returns the max-norm error relative to the target's max norm."""
+    h = 1e-5
     base = psi.amplitudes.astype(complex)
     dim = base.shape[0]
     grad = np.zeros(dim, dtype=complex)
@@ -288,21 +286,15 @@ def intertwine_check(
     The map identity ``new_barrier o transport = barrier`` a.e. puts both sides
     at the same quantile level barrier(z), and the spectral identity gives the
     step CDFs of U^-1 A U in psi and of A in the lifted state the same atoms,
-    with values within INTERTWINE_TOL times the spectral scale of A and levels
-    within INTERTWINE_TOL.  So the two values agree within that value bound at
-    every level farther than INTERTWINE_TOL from a level boundary, which
-    covers every label a sampled check that keeps labels 1e-9 away from the
-    levels would accept.
+    agreeing by the rounding rule over A's eigenvalues (``rounding_ratio`` at
+    most 1).  So the two values agree within its value bound at every level
+    farther than its level bound from a level boundary.
     """
     new_psi, new_barrier, transport = lifted_components(u, sigma, psi, barrier)
     if not map_equal_ae(compose(new_barrier, transport), barrier):
         return False
-    return cdfs_close(
-        spectral_cdf(u.conjugate(a), psi),
-        spectral_cdf(a, new_psi),
-        INTERTWINE_TOL * spectral_scale(a.eigensystem.eigenvalues),
-        INTERTWINE_TOL,
-    )
+    conjugated, lifted = spectral_cdf(u.conjugate(a), psi), spectral_cdf(a, new_psi)
+    return rounding_ratio(conjugated, lifted, a.eigensystem.eigenvalues) <= 1
 
 
 def schrodinger_equivalence_check(
@@ -310,15 +302,14 @@ def schrodinger_equivalence_check(
     h_fn: ObservableFunction,
     psi0: PureState,
     t0: float,
-    dt: float = 1e-4,
 ) -> tuple[float, float, float]:
     """(time derivative of the label mean, twice the lie-product mean, gap).
 
-    The left side is a central difference of the label-side expectation along
-    the evolution generated by ``h_fn.operator``; the right side is at t0.
+    The left side is a central difference, step 1e-4, of the label-side
+    expectation along the evolution generated by ``h_fn.operator``; the
+    right side is at t0.
     """
-    if not (1e-7 <= dt <= 1e-3):
-        raise OutOfDomain("dt must lie in [1e-7, 1e-3]")
+    dt = 1e-4
     h = h_fn.operator
     plus = f.expectation(evolve(h, t0 + dt, psi0))
     minus = f.expectation(evolve(h, t0 - dt, psi0))

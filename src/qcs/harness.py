@@ -315,7 +315,7 @@ def _run_measure(config: ExperimentConfig) -> dict:
     if n > 0:
         samples = sample_values(a, psi, barrier, config.seed, n)
         stat = ks_statistic(samples, cdf)
-        threshold = ks_threshold(n, 0.99)
+        threshold = ks_threshold(n)
         results["ks"] = {
             "n": n,
             "statistic": stat,

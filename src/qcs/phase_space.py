@@ -384,7 +384,9 @@ def shared_barrier_joint_gap(state: PhaseSpaceState) -> float:
 
     The joint table and both marginals sum the same integer cell masses
     (``masses_by_key``; a joint key is the complex number q + ip), so the
-    difference is computed exactly over M and rounded once.
+    difference is computed exactly over M and rounded once.  The monotone
+    coupling puts mass only on the staircase of value pairs whose level
+    intervals overlap, walked once; off it the difference is the joint mass.
     """
     measure = build_measure(state)
     shape, kept = measure.masses.shape, measure.kept
@@ -394,10 +396,10 @@ def shared_barrier_joint_gap(state: PhaseSpaceState) -> float:
     p_support, p_masses = measure.masses_by_key(ps)
     joint = dict(zip(*measure.masses_by_key(qs + 1j * ps)))
     q_levels, p_levels = [0, *accumulate(q_masses)], [0, *accumulate(p_masses)]
-    gap = 0
-    for i, qv in enumerate(q_support):
-        qlo, qhi = q_levels[i], q_levels[i + 1]
-        for j, pv in enumerate(p_support):
-            comonotone = max(0, min(qhi, p_levels[j + 1]) - max(qlo, p_levels[j]))
-            gap = max(gap, abs(joint.get(complex(qv, pv), 0) - comonotone))
-    return gap / q_levels[-1]
+    gap = i = j = 0
+    while i < len(q_support):  # both level lists end at the same total
+        qlo, qhi, plo, phi = q_levels[i], q_levels[i + 1], p_levels[j], p_levels[j + 1]
+        comonotone = min(qhi, phi) - max(qlo, plo)
+        gap = max(gap, abs(joint.pop(complex(q_support[i], p_support[j]), 0) - comonotone))
+        i, j = i + (qhi <= phi), j + (phi <= qhi)
+    return max([gap, *joint.values()]) / q_levels[-1]

@@ -24,7 +24,11 @@ Conventions used throughout the package:
   share is below ``WEIGHT_DROP_TOL``, the ``eigh`` rounding noise (shares of
   about 1e-37 to 1e-31) that an eigenstate shows on the other eigenspaces;
   the CDF of a :func:`borel_apply` image sums its parent's masses and keeps
-  every atom, however light.
+  every atom, however light;
+* two computed step CDFs of one spectral distribution (two diagonalizations,
+  or a pushforward against a fresh one) agree by one rule,
+  :func:`rounding_ratio`: the same atom count, values within ``c * eps * s``
+  and levels within ``c * eps * s / delta`` (:func:`rounding_bounds`).
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ HERMITIAN_TOL = 1e-12
 EIGENVALUE_MERGE_TOL = 1e-12
 WEIGHT_DROP_TOL = 1e-14
 PROJECTOR_TOL = 1e-10
+ROUNDING_C = 32  # the c of the c * eps * s / delta bound of rounding_bounds
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -214,10 +219,10 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def projectively_equal(self, other: "PureState", tol: float = 1e-10) -> bool:
+    def projectively_equal(self, other: "PureState") -> bool:
         if self.dim != other.dim:
             return False
-        return abs(abs(np.vdot(self.amplitudes, other.amplitudes)) - 1.0) <= tol
+        return abs(abs(np.vdot(self.amplitudes, other.amplitudes)) - 1.0) <= 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,13 +309,27 @@ class StepCDF:
         return Fraction(lo, self.den), Fraction(self.nums[k], self.den)
 
 
-def cdfs_close(f: StepCDF, g: StepCDF, value_tol: float, level_tol: float) -> bool:
-    """Same atom count, with values pairwise within ``value_tol`` and levels
-    pairwise within ``level_tol``."""
+def rounding_bounds(eigenvalues: Sequence[float]) -> tuple[float, float]:
+    """(value bound, level bound) on two diagonalizations of one spectral
+    distribution: ``c * eps * s`` and ``c * eps * s / delta``, with ``c`` =
+    ``ROUNDING_C``, ``s`` the spectral scale of the ascending ``eigenvalues``
+    and ``delta`` their smallest gap (1 for a single eigenvalue, whose level
+    is 1 on both sides), the shape of the Davis-Kahan sin theta bound on
+    eigenvectors."""
+    value_tol = ROUNDING_C * math.ulp(1.0) * spectral_scale(eigenvalues)
+    return value_tol, value_tol / min(np.diff(eigenvalues).tolist(), default=1.0)
+
+
+def rounding_ratio(f: StepCDF, g: StepCDF, eigenvalues: Sequence[float]) -> float:
+    """The worst ratio of the pairwise value and level differences of two
+    step CDFs to their :func:`rounding_bounds` over ``eigenvalues``; the two
+    agree when it is at most 1.  Infinite when the atom counts differ."""
     if len(f.support) != len(g.support):
-        return False
-    return all(abs(a - b) <= value_tol for a, b in zip(f.support, g.support)) and all(
-        abs(a - b) <= level_tol for a, b in zip(f.levels, g.levels)
+        return math.inf
+    value_tol, level_tol = rounding_bounds(eigenvalues)
+    return max(
+        max(map(abs, map(sub, f.support, g.support))) / value_tol,
+        max(map(abs, map(sub, f.levels, g.levels))) / level_tol,
     )
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import lshift
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -49,8 +51,10 @@ from .spectral import (
     PureState,
     StepCDF,
     borel_apply,
-    cdfs_close,
+    float_mantissas,
     image_values,
+    rounding_bounds,
+    rounding_ratio,
     spectral_cdf,
 )
 
@@ -239,11 +243,14 @@ def sigma_simple_regions(
 ) -> list[tuple[Interval, ...]]:
     """Label regions on which a simple operator sum(values[k] * P_k) takes each value.
 
-    Region k is the barrier preimage of ]s_{k-1}, s_k], with s_k the running
-    sum of the projector weights.  With ``include_tail`` the projectors may
-    resolve the identity only up to a residual projector; the leftover label
-    interval is returned as one extra region (the zero-value tail in the
-    motivating family of simple operators).
+    Region k is the barrier preimage of ]s_{k-1}, s_k], with s_k the exact
+    share of the projector weights up to k: each weight <psi, P_k psi> is a
+    float, so an integer over one power of two (``float_mantissas``), and
+    the shares of those integers end at exactly 1.  With ``include_tail``
+    the projectors may resolve the identity only up to a residual
+    projector; its weight is one more mass, and its label interval is
+    returned as one extra region (the zero-value tail in the motivating
+    family of simple operators).
     """
     if len(projectors) != len(values) or not projectors:
         raise NotAResolution("need matching nonempty projectors and values")
@@ -260,29 +267,19 @@ def sigma_simple_regions(
         for j in range(i + 1, len(mats)):
             if np.abs(mats[i] @ mats[j]).max() > PROJECTOR_TOL:
                 raise NotAResolution("projectors must be pairwise orthogonal")
-    total = sum(mats)
-    deficit = np.eye(dim) - total
+    deficit = np.eye(dim) - sum(mats)
     if np.abs(deficit).max() > PROJECTOR_TOL:
         if not include_tail:
             raise NotAResolution("projectors do not resolve the identity")
         if np.abs(deficit @ deficit - deficit).max() > PROJECTOR_TOL:
             raise NotAResolution("residual is not a projector")
+        mats.append(deficit)
 
-    weights = [max(0.0, float(np.vdot(psi.amplitudes, p @ psi.amplitudes).real)) for p in mats]
-    bounds = [Fraction(0)]
-    for w in weights:
-        bounds.append(bounds[-1] + Fraction(w))
-    if abs(bounds[-1] - 1) > Fraction(1, 10**12):
-        if not include_tail:
-            raise NotAResolution("weights do not sum to 1")
-    else:
-        bounds[-1] = Fraction(1)
-    regions = [
-        tuple(preimage_intervals(barrier, lo, hi)) for lo, hi in zip(bounds, bounds[1:])
-    ]
-    if include_tail and bounds[-1] < 1:
-        regions.append(tuple(preimage_intervals(barrier, bounds[-1], Fraction(1))))
-    return regions
+    weights = np.array([np.vdot(psi.amplitudes, p @ psi.amplitudes).real for p in mats])
+    ks, shifts = float_mantissas(np.maximum(weights, 0.0))
+    nums = [0, *accumulate(map(lshift, ks.tolist(), shifts.tolist()))]
+    bounds = [Fraction(n, nums[-1]) for n in nums]
+    return [tuple(preimage_intervals(barrier, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def expectation_via_labels(
@@ -437,14 +434,14 @@ def identifiability_check(
     """Whether 'equal value functions on all probes implies equal operators' held.
 
     With a shared barrier, a.e. equality of the value functions is equivalent
-    to equality of the spectral CDFs, so the hypothesis is tested there.
+    to equality of the spectral CDFs, so the hypothesis is tested there, by
+    the rounding rule over a1's eigenvalues; the operators are then equal
+    when their entries agree within its value bound.
     """
-    agree = all(
-        cdfs_close(spectral_cdf(a1, p), spectral_cdf(a2, p), 1e-10, 1e-10) for p in probes
-    )
-    if not agree:
+    lams = a1.eigensystem.eigenvalues
+    if any(rounding_ratio(spectral_cdf(a1, p), spectral_cdf(a2, p), lams) > 1 for p in probes):
         return True
-    return float(np.abs(a1.entries - a2.entries).max()) <= 1e-10
+    return float(np.abs(a1.entries - a2.entries).max()) <= rounding_bounds(lams)[0]
 
 
 def default_probe_states(dim: int) -> list[PureState]:

@@ -9,10 +9,6 @@ import numpy as np
 from .errors import EmptySample
 from .spectral import StepCDF
 
-# Asymptotic quantiles of the Kolmogorov distribution; the threshold at level
-# gamma is c(gamma)/sqrt(n).  These are standard table constants, not fitted.
-KOLMOGOROV_QUANTILE = {0.90: 1.22, 0.95: 1.36, 0.99: 1.63}
-
 
 def ks_statistic(samples, cdf: StepCDF) -> float:
     """sup_r |empirical CDF - F| for a step target, evaluated at the jumps.
@@ -31,7 +27,8 @@ def ks_statistic(samples, cdf: StepCDF) -> float:
     return float(np.abs(np.r_[at, below]).max())
 
 
-def ks_threshold(n: int, level: float = 0.99) -> float:
-    if level not in KOLMOGOROV_QUANTILE:
-        raise KeyError(f"tabulated levels: {sorted(KOLMOGOROV_QUANTILE)}")
-    return KOLMOGOROV_QUANTILE[level] / math.sqrt(n)
+def ks_threshold(n: int) -> float:
+    """The KS statistic's 99% band for n samples, 1.63 / sqrt(n): 1.63 is
+    the asymptotic 99% quantile of the Kolmogorov distribution, a standard
+    table constant, not fitted."""
+    return 1.63 / math.sqrt(n)

@@ -12,7 +12,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 
 import numpy as np
 
@@ -58,11 +57,9 @@ from .spectral import (
     HermitianOperator,
     PiecewiseFn,
     PureState,
-    StepCDF,
     borel_apply,
-    cdfs_close,
+    rounding_ratio,
     spectral_cdf,
-    spectral_scale,
 )
 from .states import (
     BarrierComplex,
@@ -98,7 +95,6 @@ from .phase_space import (
 
 ONE = Fraction(1)
 FEW_PIECES = 6  # most pieces of a random barrier in the sweeps
-FRESH_EIGH_C = 32  # the c of the c * eps * s / delta bound on a fresh diagonalization
 
 
 @dataclass
@@ -230,7 +226,7 @@ def check_sampling_fit():
     barrier = build_map(MapSpec.identity())
     cdf = spectral_cdf(model.operator, model.state)
     n = 100_000
-    threshold = ks_threshold(n, 0.99)
+    threshold = ks_threshold(n)
     hits = 0
     for seed in range(100):
         samples = sample_values(model.operator, model.state, barrier, seed, n)
@@ -250,7 +246,7 @@ def check_gradient_identity():
         a = random_hermitian(rng, dim)
         psi = random_pure_state(rng, dim)
         f = ObservableFunction(a, BarrierComplex.identity())
-        worst = max(worst, gradient_check(f, psi, h=1e-5))
+        worst = max(worst, gradient_check(f, psi))
     return worst < 1e-6, f"max relative gradient error = {worst:.3e}"
 
 
@@ -273,7 +269,7 @@ def check_rabi_dynamics():
         return False, f"evolution-expectation gap {gap:.3e}"
     f = ObservableFunction(sz, BarrierComplex.identity())
     h_fn = ObservableFunction(sx, BarrierComplex.identity())
-    lhs, rhs, sgap = schrodinger_equivalence_check(f, h_fn, psi0, t0=0.3, dt=1e-4)
+    lhs, rhs, sgap = schrodinger_equivalence_check(f, h_fn, psi0, t0=0.3)
     if abs(lhs - (-2 * math.sin(0.6))) >= 1e-5 or sgap >= 1e-5:
         return False, f"generator equivalence gap {sgap:.3e}"
     rng = np.random.default_rng(404)
@@ -285,7 +281,7 @@ def check_rabi_dynamics():
         fo = ObservableFunction(a, BarrierComplex.identity())
         ho = ObservableFunction(h, BarrierComplex.identity())
         t0 = float(rng.uniform(0.1, 1.5))
-        _, _, g = schrodinger_equivalence_check(fo, ho, psi, t0, dt=1e-4)
+        _, _, g = schrodinger_equivalence_check(fo, ho, psi, t0)
         if g >= 1e-5:
             return False, f"random generator equivalence gap {g:.3e}"
     return True, f"closed form to {worst:.1e}, label gap {gap:.1e}, FD gap {sgap:.1e}"
@@ -295,8 +291,9 @@ def check_rabi_dynamics():
 def check_intertwining():
     """10 random (operator, unitary, equivalence complex): the lifted barrier
     composed with the label transport equals the barrier exactly a.e., and the
-    step CDFs of U^-1 A U in psi and of A in U psi agree to 1e-10, so the
-    conjugated values equal the lifted ones for a.e. label."""
+    step CDFs of U^-1 A U in psi and of A in U psi agree by the rounding rule
+    of ``spectral.rounding_ratio``, so the conjugated values equal the lifted
+    ones for a.e. label."""
     rng = np.random.default_rng(505)
     for case in range(10):
         dim = int(rng.integers(2, 7))
@@ -307,7 +304,7 @@ def check_intertwining():
         sigma = EquivalenceComplex(random_map_spec(rng, allow_expanding=False))
         if not intertwine_check(a, u, sigma, psi, barrier):
             return False, f"case {case} disagreed"
-    return True, "10 cases: exact map identity, step CDFs agree to 1e-10"
+    return True, "10 cases: exact map identity, step CDFs agree within the rounding bound"
 
 
 @_check("heisenberg")
@@ -425,27 +422,6 @@ def check_quantile_pushforward():
     return True, "level-interval lengths equal atom weights exactly"
 
 
-def fresh_diagonalization_ratio(pushed: StepCDF, entries: np.ndarray, psi: PureState) -> float:
-    """How far the pushed-forward CDF of a functional-calculus image lies
-    from the CDF of a fresh diagonalization of its matrix ``entries``, as
-    the worst ratio to the bound of ``cdfs_close``: values within
-    ``c * eps * s`` and levels within ``c * eps * s / delta``, with ``c`` =
-    ``FRESH_EIGH_C``, ``s`` the fresh spectral scale and ``delta`` its
-    smallest atom gap, the shape of the Davis-Kahan sin theta bound on
-    eigenvectors.  Infinite when the two CDFs are not that close."""
-    fresh_op = HermitianOperator(entries)
-    fresh = spectral_cdf(fresh_op, psi)
-    lams = fresh_op.eigensystem.eigenvalues
-    value_tol = FRESH_EIGH_C * math.ulp(1.0) * spectral_scale(lams)
-    level_tol = value_tol / min(np.diff(lams).tolist(), default=1.0)  # one atom: level 1 in both
-    if not cdfs_close(pushed, fresh, value_tol, level_tol):
-        return math.inf
-    return max(
-        max(map(abs, map(sub, pushed.support, fresh.support))) / value_tol,
-        max(map(abs, map(sub, pushed.levels, fresh.levels))) / level_tol,
-    )
-
-
 @_check("functional-covariance")
 def check_functional_covariance():
     rng = np.random.default_rng(1212)
@@ -462,7 +438,9 @@ def check_functional_covariance():
         psi = random_pure_state(rng, dim)
         for fn in fns:
             image = borel_apply(fn, a)
-            worst = max(worst, fresh_diagonalization_ratio(spectral_cdf(image, psi), image.entries, psi))
+            fresh = HermitianOperator(image.entries)
+            pushed, diagonalized = spectral_cdf(image, psi), spectral_cdf(fresh, psi)
+            worst = max(worst, rounding_ratio(pushed, diagonalized, fresh.eigensystem.eigenvalues))
     return worst <= 1, f"200 images match a fresh diagonalization, worst ratio to the bound {worst:.2f}"
 
 

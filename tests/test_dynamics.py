@@ -8,7 +8,6 @@ import pytest
 
 from qcs import dynamics, verify
 from qcs.dynamics import (
-    INTERTWINE_TOL,
     EquivalenceComplex,
     LiftedAutomorphism,
     UnitaryOperator,
@@ -29,7 +28,7 @@ from qcs.dynamics import (
 from qcs.errors import DimensionMismatch, NonHermitian, NotInjective, OutOfDomain, UndefinedEquivalence
 from qcs.measure_maps import MapSpec, build_map, compose, map_equal_ae
 from qcs.sampling import uniform_labels
-from qcs.spectral import HermitianOperator, PureState, spectral_cdf
+from qcs.spectral import HermitianOperator, PureState, rounding_bounds, spectral_cdf
 from qcs.states import BarrierComplex, CompleteState, ObservableFunction, value
 from qcs.random_objects import (
     random_hermitian,
@@ -85,7 +84,7 @@ def test_quadratic_form_examples():
 
 def test_gradient_on_plus_state():
     f = obs(pauli_z())
-    err = gradient_check(f, PLUS, h=1e-5)
+    err = gradient_check(f, PLUS)
     assert err < 1e-6
     target = 2 * pauli_z().entries @ PLUS.amplitudes
     assert np.abs(target - np.array([math.sqrt(2), -math.sqrt(2)])).max() < 1e-12
@@ -94,7 +93,7 @@ def test_gradient_on_plus_state():
 def test_gradient_identity_operator():
     f = obs(HermitianOperator(np.eye(3, dtype=complex)))
     psi = PureState.normalized(np.array([1.0, 2.0j, -1.0], dtype=complex))
-    assert gradient_check(f, psi, h=1e-4) < 1e-8
+    assert gradient_check(f, psi) < 1e-8
 
 
 def test_lie_product_of_spin_axes():
@@ -266,7 +265,7 @@ def test_lift_of_unitary_group_is_a_one_parameter_group(rng):
     s, t = 0.4, 0.9
     two_step = lift_unitary(propagator(s), sigma, lift_unitary(propagator(t), sigma, c))
     one_step = lift_unitary(propagator(s + t), sigma, c)
-    assert two_step.state.projectively_equal(one_step.state, tol=1e-10)
+    assert two_step.state.projectively_equal(one_step.state)
     assert two_step.z == one_step.z
     assert map_equal_ae(two_step.barrier, one_step.barrier)
 
@@ -336,6 +335,10 @@ def test_intertwine_holds_at_large_operator_scale(scale):
         assert intertwine_check(a, u, sigma, psi, barrier)
 
 
+ORACLE_VALUE_TOL = 1e-10  # the sampled oracle's bound on |lhs - rhs|
+ORACLE_LEVEL_GUARD = 1e-9  # its labels keep this far from every CDF level
+
+
 def ref_intertwine_sampled(a, u, sigma, psi, barrier, n, seed):
     """Sampled reference for intertwine_check: evaluate (U^-1 A U) and A on
     the lifted complete state at n labels drawn away from breakpoints and
@@ -360,7 +363,7 @@ def ref_intertwine_sampled(a, u, sigma, psi, barrier, n, seed):
             if np.abs(zf - bps_arr).min() < 1e-12:
                 continue
             s_float = float(barrier(Fraction(float(zf))))
-            if guard_levels.size and np.abs(s_float - guard_levels).min() < 1e-9:
+            if guard_levels.size and np.abs(s_float - guard_levels).min() < ORACLE_LEVEL_GUARD:
                 continue
             z = Fraction(float(zf))
             lhs = value(conj, CompleteState(psi, barrier, z))
@@ -370,7 +373,7 @@ def ref_intertwine_sampled(a, u, sigma, psi, barrier, n, seed):
             if new_barrier(z2) != barrier(z):
                 return False
             rhs = value(a, CompleteState(new_psi, new_barrier, z2))
-            if abs(lhs - rhs) > INTERTWINE_TOL:
+            if abs(lhs - rhs) > ORACLE_VALUE_TOL:
                 return False
             accepted += 1
             if accepted >= n:
@@ -412,6 +415,15 @@ def test_intertwine_exact_check_agrees_with_sampled_oracle():
         exact = intertwine_check(*case)
         assert exact == ref_intertwine_sampled(*case, n=100, seed=seed), seed
         assert exact, seed
+
+
+def test_the_rounding_bounds_of_the_oracle_cases_lie_inside_its_guards():
+    """The exact check accepts values within the rule's value bound and
+    levels within its level bound; on the sampled oracle's 60 cases both lie
+    inside the oracle's own tolerances, so the two checks test one claim."""
+    bounds = [rounding_bounds(random_lift_case(seed)[0].eigensystem.eigenvalues) for seed in range(60)]
+    assert max(value for value, _ in bounds) < ORACLE_VALUE_TOL
+    assert max(level for _, level in bounds) < ORACLE_LEVEL_GUARD
 
 
 def test_intertwine_fails_when_the_lifted_barrier_is_rotated(monkeypatch):
@@ -470,14 +482,14 @@ def test_lift_group_law_check_catches_a_shifted_transport(monkeypatch):
 
 def test_schrodinger_equivalence_closed_form():
     f, h_fn = obs(pauli_z()), obs(pauli_x())
-    lhs, rhs, gap = schrodinger_equivalence_check(f, h_fn, UP, t0=0.3, dt=1e-4)
+    lhs, rhs, gap = schrodinger_equivalence_check(f, h_fn, UP, t0=0.3)
     assert abs(lhs - (-2 * math.sin(0.6))) < 1e-5
     assert gap < 1e-5
 
 
 def test_schrodinger_energy_conservation():
     h_fn = obs(pauli_x())
-    lhs, rhs, gap = schrodinger_equivalence_check(h_fn, h_fn, UP, t0=0.4, dt=1e-4)
+    lhs, rhs, gap = schrodinger_equivalence_check(h_fn, h_fn, UP, t0=0.4)
     assert abs(rhs) < 1e-12
     assert abs(lhs) < 1e-6
 

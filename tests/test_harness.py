@@ -78,9 +78,7 @@ def test_ks_statistic_matches_the_per_atom_loop(cuts, picks):
 
 
 def test_ks_threshold_table():
-    assert abs(ks_threshold(10_000, 0.99) - 0.0163) < 1e-12
-    with pytest.raises(KeyError):
-        ks_threshold(100, 0.5)
+    assert abs(ks_threshold(10_000) - 0.0163) < 1e-12
 
 
 def measure_config(**extra):

@@ -411,6 +411,17 @@ def test_joint_gap_matches_the_per_cell_oracle(state):
     assert shared_barrier_joint_gap(state) == float(ref_shared_barrier_joint_gap(state))
 
 
+@pytest.mark.parametrize("n", [8, 32])
+def test_joint_gap_staircase_matches_the_double_loop_on_dense_states(n):
+    """Random amplitudes fill every cell, so most of the joint table lies off
+    the monotone coupling's staircase: one walk along it and one max over the
+    rest give the gap of the loop over every (q, p) pair, bit for bit (at
+    n = 8 the gap is a mass off the staircase)."""
+    rng = np.random.default_rng(7)
+    state = PhaseSpaceState.normalized(F(1, 2), rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n)), dq=0.1)
+    assert shared_barrier_joint_gap(state) == float(ref_shared_barrier_joint_gap(state))
+
+
 def assert_equivalence_ends_are_the_prefix_sums(measure):
     """The equivalence's ends against the per-cell integer masses of
     ``ref_masses_per_cell``, summed one cell at a time."""

@@ -25,6 +25,8 @@ from qcs.spectral import (
     StepCDF,
     borel_apply,
     eigensystem,
+    rounding_bounds,
+    rounding_ratio,
     spectral_cdf,
 )
 from qcs.states import BarrierComplex, ObservableFunction, squaring_witness_model
@@ -530,3 +532,17 @@ def test_hermitian_check_rejects_a_scaled_anti_hermitian_part():
     s = np.random.default_rng(5).normal(size=m.shape)
     with pytest.raises(NonHermitian):
         HermitianOperator(m + 1e-3j * (s + s.T))
+
+
+def test_the_rounding_rule_is_zero_on_itself_and_infinite_on_another_atom_count(rng):
+    a, psi = random_hermitian(rng, 4), random_pure_state(rng, 4)
+    cdf, lams = spectral_cdf(a, psi), a.eigensystem.eigenvalues
+    assert rounding_ratio(cdf, cdf, lams) == 0
+    fewer = StepCDF.from_masses(cdf.support[:-1], [1] * (len(cdf.support) - 1))
+    assert rounding_ratio(cdf, fewer, lams) == rounding_ratio(fewer, cdf, lams) == math.inf
+
+
+def test_the_rounding_bounds_follow_the_scale_and_the_smallest_gap():
+    eps = math.ulp(1.0)
+    assert rounding_bounds((0.5,)) == (32 * eps, 32 * eps)
+    assert rounding_bounds((-1e3, 0.0, 4.0)) == (32 * eps * 1e3, 32 * eps * 1e3 / 4.0)

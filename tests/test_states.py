@@ -370,6 +370,22 @@ def test_sigma_simple_regions_of_model():
     assert intervals_measure(flat) == 1
 
 
+def test_sigma_simple_regions_of_non_dyadic_weights_sum_to_exactly_one():
+    """Weights near 1/3 and 2/3, none a dyadic rational and their float sum
+    not 1: the regions are exact shares of the integer weights, so they
+    still partition the label space."""
+    psi = PureState.normalized(np.array([1.0, 1.0, 1.0j], dtype=complex))
+    first, rest = np.diag([1.0, 0.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 1.0]).astype(complex)
+    barrier = build_map(MapSpec.rotation(F(2, 7)))
+    regions = sigma_simple_regions([first, rest], [0.0, 1.0], psi, barrier)
+    measures = [intervals_measure(list(r)) for r in regions]
+    assert sum(measures) == 1 and all(m.denominator & (m.denominator - 1) for m in measures)
+    weights = [np.vdot(psi.amplitudes, p @ psi.amplitudes).real for p in (first, rest)]
+    assert measures[0] / measures[1] == F(weights[0]) / F(weights[1])
+    tail = sigma_simple_regions([first], [0.0], psi, barrier, include_tail=True)
+    assert [intervals_measure(list(r)) for r in tail] == measures
+
+
 def test_sigma_simple_single_projector():
     regions = sigma_simple_regions(
         [np.eye(3, dtype=complex)], [1.0], PureState(np.array([1, 0, 0], dtype=complex)), IDENTITY

@@ -8,7 +8,7 @@ import pytest
 
 from qcs import verify
 from qcs.random_objects import random_hermitian, random_pure_state
-from qcs.spectral import PiecewiseFn, borel_apply, hermitian_part, spectral_cdf
+from qcs.spectral import HermitianOperator, PiecewiseFn, borel_apply, hermitian_part, rounding_ratio, spectral_cdf
 from verify_details import DETAILS
 
 ACCEPTANCE_NAMES = {c.check_name for c in verify.ACCEPTANCE_CHECKS}
@@ -41,8 +41,9 @@ def test_property_sweep(check):
 def test_functional_covariance_fails_an_image_with_two_blocks_swapped():
     """The pushforward of A's CDF through 2x + 1 against the matrix whose
     eigenvector blocks of two atoms are swapped: the swapped matrix has the
-    same spectrum but other weights, so its fresh diagonalization is far
-    past the bound, while the true image's is within it."""
+    same spectrum but other weights, so its fresh diagonalization has as
+    many atoms but levels far past the rounding bound, while the true
+    image's is within it."""
     rng = np.random.default_rng(1212)
     a, psi = random_hermitian(rng, 4), random_pure_state(rng, 4)
     image = borel_apply(PiecewiseFn.affine(2.0, 1.0), a)
@@ -51,5 +52,10 @@ def test_functional_covariance_fails_an_image_with_two_blocks_swapped():
     basis = es.basis.copy()
     basis[:, [0, 1]] = basis[:, [1, 0]]
     swapped = hermitian_part((basis * es.column_eigenvalues) @ basis.conj().T)
-    assert verify.fresh_diagonalization_ratio(pushed, image.entries, psi) <= 1
-    assert verify.fresh_diagonalization_ratio(pushed, swapped, psi) == math.inf
+
+    def fresh_ratio(entries):
+        fresh = HermitianOperator(entries)
+        return rounding_ratio(pushed, spectral_cdf(fresh, psi), fresh.eigensystem.eigenvalues)
+
+    assert fresh_ratio(image.entries) <= 1
+    assert math.inf > fresh_ratio(swapped) > 1

@@ -31,7 +31,7 @@ DETAILS = {
     "algebra-identities": "max identity deviation 1.589e-14",
     "quadratic-form-identities": "max identity deviation 4.441e-15",
     "rabi-dynamics": "closed form to 4.4e-16, label gap 4.4e-16, FD gap 7.5e-09",
-    "intertwining": "10 cases: exact map identity, step CDFs agree to 1e-10",
+    "intertwining": "10 cases: exact map identity, step CDFs agree within the rounding bound",
     "heisenberg": "equality witness (1,1); 1000 random triples hold",
     "lift-group-law": "lift is a homomorphism on 20 random pairs: transports and barriers equal a.e.",
     "projective-kernel": "lift kernel is exactly the unit phases on 15 pairs",
