@@ -2,6 +2,7 @@
 
 import bisect
 import gc
+import hashlib
 import math
 import weakref
 from fractions import Fraction
@@ -25,12 +26,13 @@ from qcs.spectral import (
     StepCDF,
     borel_apply,
     eigensystem,
+    hermitian_part,
     rounding_bounds,
     rounding_ratio,
     spectral_cdf,
 )
 from qcs.states import BarrierComplex, ObservableFunction, squaring_witness_model
-from qcs.random_objects import random_hermitian, random_pure_state
+from qcs.random_objects import random_hermitian, random_pure_state, random_unitary
 
 from layout import ends_of
 
@@ -546,3 +548,56 @@ def test_the_rounding_bounds_follow_the_scale_and_the_smallest_gap():
     eps = math.ulp(1.0)
     assert rounding_bounds((0.5,)) == (32 * eps, 32 * eps)
     assert rounding_bounds((-1e3, 0.0, 4.0)) == (32 * eps * 1e3, 32 * eps * 1e3 / 4.0)
+
+
+def rotated_diagonal(diagonal, seed):
+    """U diag(diagonal) U^dagger for a seeded random unitary U, symmetrized."""
+    u = random_unitary(np.random.default_rng(seed), len(diagonal)).entries
+    return hermitian_part((u * np.asarray(diagonal, dtype=float)) @ u.conj().T)
+
+
+def pinned_cases():
+    """(operator, state) pairs the eigensystem pin covers: seeded operators
+    at d = 2 to 8, a rotated diag(1, 1, 2) whose atom at 1 is merged, a
+    rotated diag(-1, 1, 2) whose images under |x| and x^2 merge, the 1e6-norm
+    ``scaled_pair``, and the images |A| and A^2 of each."""
+    rng = np.random.default_rng(31)
+    cases = [(random_hermitian(rng, d), random_pure_state(rng, d)) for d in range(2, 9)]
+    for k, diagonal in enumerate(([1.0, 1.0, 2.0], [-1.0, 1.0, 2.0])):
+        cases.append((HermitianOperator(rotated_diagonal(diagonal, k)), random_pure_state(rng, 3)))
+    m, v = scaled_pair(16)
+    cases.append((HermitianOperator(m), PureState(v)))
+    images = [(borel_apply(fn, a), psi) for a, psi in cases for fn in (PiecewiseFn.absolute(), PiecewiseFn.square())]
+    return cases + images
+
+
+def eigensystem_digest() -> str:
+    """SHA-256 of everything an eigensystem hands on, over ``pinned_cases``:
+    eigenvalues, column eigenvalues, basis bytes, block sizes, the masses of
+    the state, the spectral CDF's den and nums, and an image's entries."""
+    h = hashlib.sha256()
+    for a, psi in pinned_cases():
+        es = a.eigensystem
+        cdf = spectral_cdf(a, psi)
+        h.update(repr(es.eigenvalues).encode())
+        h.update(np.asarray(es.column_eigenvalues).tobytes())
+        h.update(es.basis.tobytes())
+        h.update(repr([v.shape[1] for _, v in es.atoms]).encode())
+        h.update(repr(es.masses(psi)).encode())
+        h.update(repr((cdf.den, cdf.nums)).encode())
+        h.update(a.entries.tobytes())
+    return h.hexdigest()
+
+
+EIGENSYSTEM_DIGEST = "5596b9c7c404ebe009419a54129bbc1c5d2fd3f10c6aa2470a855b237dd58e7d"
+
+
+def test_the_eigensystem_outputs_are_pinned():
+    """Every figure an eigensystem passes on is pinned bitwise.  Like the
+    report digests, the pin holds for the numpy and LAPACK build it was
+    taken on; another build may move a last bit."""
+    merged = HermitianOperator(rotated_diagonal([1.0, 1.0, 2.0], 0))
+    symmetric = HermitianOperator(rotated_diagonal([-1.0, 1.0, 2.0], 1))
+    for a in (merged, borel_apply(PiecewiseFn.absolute(), symmetric), borel_apply(PiecewiseFn.square(), symmetric)):
+        assert [v.shape[1] for _, v in a.eigensystem.atoms] == [2, 1]
+    assert eigensystem_digest() == EIGENSYSTEM_DIGEST
