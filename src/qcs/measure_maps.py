@@ -514,12 +514,17 @@ def level_function(cdf: StepCDF, m: PiecewiseAffineMap) -> PiecewiseConstantFn:
     The result is memoised per (step CDF object, map) on the map; the memo
     holds the CDF only weakly.  Callers share it and must not change it.  A
     map made by ``factor_against_cdf(fn, cdf)`` already holds its level
-    function for that ``cdf``, equal to the composition (see there).
+    function for that ``cdf``, equal to the composition (see there).  A map
+    of one piece with slope 1 is the identity, as its image lies in [0,1];
+    its level function is ``quantile_pcf(cdf)``, with no cut, and that is
+    bitwise the composition, as the CDF's denominator is already reduced.
     """
     memo = m._level_memo
     fn = memo.get(cdf)
     if fn is None:
-        fn = memo[cdf] = quantile_pcf(cdf).compose_with_map(m)
+        identity = len(m.slopes) == 1 and m.slopes[0] == 1
+        fn = quantile_pcf(cdf) if identity else quantile_pcf(cdf).compose_with_map(m)
+        memo[cdf] = fn
     return fn
 
 

@@ -121,10 +121,14 @@ class EigenSystem:
     """Spectral atoms (eigenvalue, eigenvector block) in ascending order.
 
     Atom k is ``(lambda_k, V_k)`` with ``V_k`` a d x m_k matrix whose columns
-    are an orthonormal basis of the eigenspace, so the blocks side by side
-    form one unitary ``V`` (``basis``).  The projector ``P_k = V_k V_k^dagger``
-    is built only on request (:meth:`projector`); masses come from one
-    ``V^dagger psi``.
+    are an orthonormal basis of the eigenspace.  The blocks are column views
+    of one read-only unitary ``V`` (``basis``), held once: the ``atoms``
+    constructor lays its blocks side by side into a new V, while
+    :func:`eigensystem` and :func:`borel_apply` hand over the V they built
+    (``_of``); both run the same checks.  ``eigenvalues`` and
+    ``column_eigenvalues``, the eigenvalue of each column of V, are computed
+    once, at construction.  The projector ``P_k = V_k V_k^dagger`` is built
+    only on request (:meth:`projector`); masses come from one ``V^dagger psi``.
     """
 
     atoms: tuple[tuple[float, np.ndarray], ...]
@@ -132,36 +136,43 @@ class EigenSystem:
     def __post_init__(self):
         if not self.atoms:
             raise NonHermitian("empty eigensystem")
-        lams = [float(lam) for lam, _ in self.atoms]
+        blocks = [np.asarray(v, dtype=complex) for _, v in self.atoms]
+        self._settle([float(lam) for lam, _ in self.atoms], np.hstack(blocks), [v.shape[1] for v in blocks])
+
+    @classmethod
+    def _of(cls, eigenvalues: list[float], basis: np.ndarray, sizes: list[int]) -> "EigenSystem":
+        """Atom k is eigenvalues[k] with the next sizes[k] columns of
+        ``basis``, a complex array that the eigensystem takes over, not
+        copied, and makes read-only."""
+        system = object.__new__(cls)
+        system._settle(eigenvalues, basis, sizes)
+        return system
+
+    def _settle(self, lams: list[float], basis: np.ndarray, sizes: list[int]) -> None:
+        """The checks of both constructors, then the atoms as column views."""
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise NonHermitian("eigenvalues must be strictly ascending")
-        # One read-only copy of V; the atoms hold views of its column blocks.
-        basis = _readonly(np.hstack([np.asarray(v, dtype=complex) for _, v in self.atoms]))
-        starts = [0]
-        for _, v in self.atoms:
-            starts.append(starts[-1] + np.shape(v)[1])
-        views = tuple((lam, basis[:, i:j]) for lam, i, j in zip(lams, starts, starts[1:]))
-        object.__setattr__(self, "atoms", views)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_block_starts", tuple(starts))
         if basis.shape[0] != basis.shape[1]:
             raise NonHermitian(f"eigenvector blocks of shape {basis.shape} do not span the space")
         # V^dagger V = I: the projectors are orthogonal idempotents resolving the identity.
-        if np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() > PROJECTOR_TOL:
+        deviation = basis.conj().T @ basis
+        deviation.flat[:: len(deviation) + 1] -= 1
+        if np.abs(deviation).max() > PROJECTOR_TOL:
             raise NonHermitian("eigenvector blocks are not orthonormal")
+        basis.setflags(write=False)
+        starts = (0, *accumulate(sizes))
+        columns = np.repeat(lams, sizes)
+        columns.setflags(write=False)
+        set_ = object.__setattr__
+        set_(self, "atoms", tuple((lam, basis[:, i:j]) for lam, i, j in zip(lams, starts, starts[1:])))
+        set_(self, "basis", basis)
+        set_(self, "eigenvalues", tuple(lams))
+        set_(self, "column_eigenvalues", columns)
+        set_(self, "_block_starts", starts)
 
     @property
     def dim(self) -> int:
-        return self.atoms[0][1].shape[0]
-
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(lam for lam, _ in self.atoms)
-
-    @property
-    def column_eigenvalues(self) -> np.ndarray:
-        """The eigenvalue of each column of ``basis``, the blocks side by side."""
-        return np.repeat(self.eigenvalues, np.diff(self._block_starts))
+        return self.basis.shape[0]
 
     def matrix(self) -> np.ndarray:
         """The operator V diag(lambda) V^dagger that the atoms describe."""
@@ -170,11 +181,15 @@ class EigenSystem:
     def masses(self, psi: "PureState") -> list[int]:
         """Integer spectral masses: the column masses |V^dagger psi|^2, each
         exactly an integer over one shared power of two, summed per block,
-        so block k carries the exact share m_k / sum(m) of their total."""
+        so block k carries the exact share m_k / sum(m) of their total.
+        When every block is one column, the column masses are returned as
+        they are."""
         if psi.dim != self.dim:
             raise DimensionMismatch(f"eigensystem dim {self.dim} vs state dim {psi.dim}")
         ks, shifts = float_mantissas(np.abs(self.basis.conj().T @ psi.amplitudes) ** 2)
         cols = list(map(lshift, ks.tolist(), shifts.tolist()))
+        if len(self.atoms) == len(cols):
+            return cols
         starts = self._block_starts
         return [sum(cols[i:j]) for i, j in zip(starts, starts[1:])]
 
@@ -392,7 +407,7 @@ class PiecewiseFn:
 def spectral_scale(values) -> float:
     """max(1, max|value|): the unit in which the adjoint deviation, the merge
     gap and the reconstruction tolerance are measured."""
-    return max(1.0, float(np.max(np.abs(values))))
+    return max(1.0, float(np.abs(values).max()))
 
 
 def eigensystem(a: HermitianOperator) -> EigenSystem:
@@ -401,12 +416,14 @@ def eigensystem(a: HermitianOperator) -> EigenSystem:
     the mean of its members.  The reconstruction ``V diag(lambda) V^dagger``
     must match the operator within ``PROJECTOR_TOL`` times the same scale."""
     w, v = np.linalg.eigh(a.entries)
-    scale = spectral_scale(w)
+    scale, values = spectral_scale(w), w.tolist()
     # gaps of halves, so none overflows near +-1e308; halving is exact
     # wherever a gap can be near the merge bound
-    apart = ~(np.diff(w / 2) <= EIGENVALUE_MERGE_TOL * scale / 2)
-    starts = [0, *(np.flatnonzero(apart) + 1).tolist(), a.dim]
-    system = EigenSystem(tuple((float(np.mean(w[i:j])), v[:, i:j]) for i, j in zip(starts, starts[1:])))
+    halves, half_tol = [x / 2 for x in values], EIGENVALUE_MERGE_TOL * scale / 2
+    starts = [0, *(i for i in range(1, a.dim) if not halves[i] - halves[i - 1] <= half_tol), a.dim]
+    # the mean of one float is that float
+    lams = [values[i] if j - i == 1 else float(np.mean(w[i:j])) for i, j in zip(starts, starts[1:])]
+    system = EigenSystem._of(lams, v, list(map(sub, starts[1:], starts)))
     if np.abs(system.matrix() - a.entries).max() > PROJECTOR_TOL * scale:
         raise NonHermitian("spectral reconstruction failed")
     return system
@@ -462,8 +479,9 @@ def borel_apply(fn: PiecewiseFn, a: HermitianOperator) -> HermitianOperator:
     image that is not finite raises DomainGap: it has no atom to be merged
     into.
     """
-    atoms = a.eigensystem.atoms
-    images = sorted((fn(lam), k) for k, (lam, _) in enumerate(atoms))
+    es = a.eigensystem
+    lams, starts = es.eigenvalues, es._block_starts
+    images = sorted((fn(lam), k) for k, lam in enumerate(lams))
     if not all(math.isfinite(val) for val, _ in images):
         raise DomainGap("function images must be finite")
     half_gap = EIGENVALUE_MERGE_TOL * spectral_scale([val for val, _ in images]) / 2
@@ -473,9 +491,11 @@ def borel_apply(fn: PiecewiseFn, a: HermitianOperator) -> HermitianOperator:
             merged[-1][1].append(k)
         else:
             merged.append((val, [k]))
-    system = EigenSystem(tuple((val, np.hstack([atoms[k][1] for k in ks])) for val, ks in merged))
+    order = [c for _, ks in merged for k in ks for c in range(starts[k], starts[k + 1])]
+    sizes = [sum(starts[k + 1] - starts[k] for k in ks) for _, ks in merged]
+    system = EigenSystem._of([float(val) for val, _ in merged], es.basis.take(order, axis=1), sizes)
     op = HermitianOperator(hermitian_part(system.matrix()))
-    value_of = {atoms[k][0]: val for val, ks in merged for k in ks}
+    value_of = {lams[k]: val for val, ks in merged for k in ks}
     op.__dict__.update(eigensystem=system, image_of=(a, value_of))
     return op
 

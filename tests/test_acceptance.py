@@ -16,7 +16,7 @@ CRITERIA = [
     ("05 gradient identity on 50 pairs", verify.check_gradient_identity, 5.0),
     ("06 two-level dynamics and generator equivalence", verify.check_rabi_dynamics, 5.0),
     ("07 intertwining on 10 lifted cases", verify.check_intertwining, 10.0),
-    ("08 uncertainty inequality on 1000 triples", verify.check_heisenberg, 5.0),
+    ("08 uncertainty inequality on 1000 triples", verify.check_heisenberg, 2.0),
     ("09 phase-space expectation identity", verify.check_phase_space_expectation, 0.08),
     ("10 spectrum closure on 50 operators", verify.check_spectrum_closure, 5.0),
 ]

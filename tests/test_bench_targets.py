@@ -69,6 +69,29 @@ def test_every_work_counter_reads_a_real_output_of_its_target():
         assert sum(rec.counts.values()) + sum(rec.maxima.values()) > 0, attr
 
 
+def test_the_traced_spans_see_each_eigensystem_and_level_function():
+    """The traced run wraps the module attributes ``spectral.eigensystem``
+    and ``measure_maps.level_function`` wherever a qcs module binds them.
+    ``HermitianOperator.eigensystem`` and ``ObservableFunction.level_fn``
+    call through those names, so each call is a span, an identity barrier's
+    level function included, and the byte counter reads the atoms as
+    (eigenvalue, block) pairs."""
+    spans = load_spans()
+    rec = spans.Recorder()
+    undo = spans.install(rec)
+    try:
+        a = spectral.HermitianOperator(np.array([[1, 1j, 0], [-1j, 0, 2], [0, 2, -1]]))
+        psi = spectral.PureState.normalized(np.array([1, 1j, 2]))
+        for spec in (measure_maps.MapSpec.identity(), measure_maps.MapSpec.rotation(Fraction(1, 3))):
+            states.ObservableFunction(a, states.BarrierComplex(spec)).level_fn(psi)
+    finally:
+        spans.uninstall(undo)
+    _, _, calls = rec.by_name()
+    assert calls["spectral.eigensystem"] == 1
+    assert calls["measure_maps.level_function"] == 2
+    assert rec.counts["spectral.eigensystem_bytes"] == a.eigensystem.basis.nbytes
+
+
 def qcs_names_read(path):
     """(module, name) for each ``<qcs module>.<name>`` attribute read and
     each ``from qcs.<module> import <name>`` in the source at path."""

@@ -36,8 +36,9 @@ from qcs.measure_maps import (
     quantile_pcf,
     verify_measure_preserving,
 )
-from qcs.spectral import StepCDF
-from qcs.states import label_mean
+from qcs.random_objects import random_hermitian, random_pure_state
+from qcs.spectral import StepCDF, spectral_cdf
+from qcs.states import CompleteState, label_mean, value
 
 from layout import cdf_of, cells_of, ends_of, fn_of, image_bounds, map_of, piece_at, pieces_of
 from per_cell_reference import ref_factor_against_cdf as per_cell_factor, ref_run_bounds
@@ -283,6 +284,41 @@ def test_factor_lands_inside_level_intervals():
         k = cdf.support.index(v)
         lvl_lo, lvl_hi = cdf.level_interval(k)
         assert lvl_lo <= alpha(mid) <= lvl_hi
+
+
+@st.composite
+def mass_cdfs(draw):
+    """Step CDFs from integer masses in [1, 2^20), as ``random_step_cdf``
+    draws them: their reduced denominators are mostly not powers of two."""
+    n = draw(st.integers(1, 6))
+    support = sorted(draw(st.sets(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=n, max_size=n)))
+    return StepCDF.from_masses(support, draw(st.lists(st.integers(1, 2**20 - 1), min_size=n, max_size=n)))
+
+
+def bits(fn):
+    """den, nums and the bit pattern of every value of a piecewise-constant function."""
+    return fn.den, list(fn.nums), [v.hex() for v in fn.values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cdf=mass_cdfs(), spec=st.sampled_from([MapSpec.identity(), MapSpec.rotation(0)]))
+def test_the_identity_level_function_is_the_composition_bitwise(cdf, spec):
+    m = build_map(spec)
+    assert bits(level_function(cdf, m)) == bits(quantile_pcf(cdf).compose_with_map(m))
+
+
+@pytest.mark.parametrize("spec", [MapSpec.rotation(F(1, 3)), MapSpec.identity()], ids=["rotation", "identity"])
+def test_level_functions_agree_with_value_at_seeded_labels(spec):
+    m = build_map(spec)
+    assert len(m.slopes) == (2 if spec.kind == "rotation" else 1)
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        dim = int(rng.integers(2, 7))
+        a, psi = random_hermitian(rng, dim), random_pure_state(rng, dim)
+        fn = level_function(spectral_cdf(a, psi), m)
+        for k in rng.integers(1, 2**62, size=10).tolist():
+            z = F(k, 2**62)
+            assert fn(z) == value(a, CompleteState(psi, m, z))
 
 
 def reflection_map():
