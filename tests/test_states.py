@@ -151,6 +151,51 @@ def test_sample_values_stream_is_pinned(seed, start, n):
     assert _digest(np.concatenate(chunks)) == SAMPLE_DIGESTS[seed, start, n]
 
 
+# The four barrier kinds that the measure-highdim benchmark cycles through.
+MANY_CELL_BARRIERS = {
+    "rotation": MapSpec.rotation(F(37, 64)),
+    "exchange": MapSpec.interval_exchange([F(5, 32), F(13, 32), F(14, 32)], [2, 0, 1]),
+    "expanding": MapSpec.expanding(2),
+    "rotation-expanding": MapSpec.composition(MapSpec.rotation(F(37, 64)), MapSpec.expanding(3)),
+}
+# sha256 over the three operators of ``many_cell_pairs`` of the bytes of
+# 2**15 sampled values each, pinned from the binary-search lookup.
+MANY_CELL_DIGESTS = {
+    "rotation": "cef80beb840f3e70737f073125722c16125c9b47a2823b143d86743f6b19b033",
+    "exchange": "71e7d154f1df8d9ee4ddc9d8ae4448847b72829ace3849452310ba5cfd9c1f39",
+    "expanding": "a9365cfd13e1d224950661a45c51310b180f84725c57addc969fe7fd3ebaedfc",
+    "rotation-expanding": "86c499253a51676e6d9006d6686d1d7e017e7a4cb8bd25b0dcc0ad8d1e6061e3",
+}
+
+
+def many_cell_pairs():
+    """Seeded operators at d = 64 and 128 and the 1e6-norm ``scaled_pair``
+    at d = 128, each with a state: level functions of hundreds of cells."""
+    from test_spectral import scaled_pair
+
+    rng = np.random.default_rng(32)
+    pairs = [(random_hermitian(rng, d), random_pure_state(rng, d)) for d in (64, 128)]
+    m, v = scaled_pair(128)
+    return pairs + [(HermitianOperator(m), PureState(v))]
+
+
+@pytest.mark.parametrize("kind", sorted(MANY_CELL_BARRIERS))
+def test_sample_values_on_many_cell_level_functions_are_pinned(kind):
+    """Four chunks of 2**13 labels concatenate to the whole draw of 2**15,
+    and the draw is pinned bitwise.  Like the other digests, the pin holds
+    for the numpy and LAPACK build it was taken on."""
+    barrier = build_map(MANY_CELL_BARRIERS[kind])
+    h = hashlib.sha256()
+    for k, (a, psi) in enumerate(many_cell_pairs()):
+        assert len(level_function(spectral_cdf(a, psi), barrier).nums) > 64
+        seed, start, chunk = 700 + k, 4096 * k, 1 << 13
+        whole = sample_values(a, psi, barrier, seed, 4 * chunk, start=start)
+        chunks = [sample_values(a, psi, barrier, seed, chunk, start=start + j * chunk) for j in range(4)]
+        assert np.array_equal(np.concatenate(chunks), whole)
+        h.update(whole.tobytes())
+    assert h.hexdigest() == MANY_CELL_DIGESTS[kind]
+
+
 def test_chunked_sampling_builds_one_level_function(monkeypatch):
     """Four chunks on one (operator, state, barrier) share one level function
     and round its float ends once."""
