@@ -39,6 +39,7 @@ RationalLike = Union[Fraction, int, float, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MAX_BUCKETS = 1 << 20  # cap on a level function's guide table (12 MiB)
 
 Interval = tuple[Fraction, Fraction]
 
@@ -407,6 +408,60 @@ class PiecewiseConstantFn:
         division rounds once), as a read-only array built on first use."""
         den = self.den
         return _readonly([x / den for x in self.nums])
+
+    @cached_property
+    def buckets(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(k, below, fill): a guide table over ``float_ends``, read-only
+        and built on first use.  With m ends, k is the power of two with
+        4m < k <= 8m, at most MAX_BUCKETS.  Bucket b covers [b/k, (b+1)/k[:
+        ``below[b]`` (int32, b <= k) counts the ends below b/k, and
+        ``fill[b]`` is the value of the cell that holds the whole bucket,
+        or NaN when an end lies in it.  ``floor(e * k)`` is exact since k
+        is a power of two, so an end's bucket is found without a float grid."""
+        ends, m = self.float_ends, len(self.float_ends)
+        k = min(1 << (4 * m).bit_length(), MAX_BUCKETS)
+        # buckets of_end[i - 1] + 1 .. of_end[i] have i ends below them, and
+        # all but the last lie inside cell i - 1
+        of_end = (ends * k).astype(np.intp)
+        spans = np.diff(of_end, prepend=-1)
+        below = np.repeat(np.arange(m, dtype=np.int32), spans)
+        fill = np.repeat(np.concatenate(([np.nan], self.float_values)), spans)
+        fill[of_end] = np.nan
+        fill = fill[:k]
+        below.setflags(write=False)
+        fill.setflags(write=False)
+        return k, below, fill
+
+    def float_lookup(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(out, ties) for float labels z in [0, 1).  With idx =
+        searchsorted(float_ends, z), the number of ends below z, out[i] is
+        ``float_values[idx - 1]`` (a new array) and ``ties`` lists, in
+        ascending order, the i with ``float_ends[idx] == z[i]``.
+
+        The index is read from ``buckets``, not searched, and equals
+        searchsorted's for every z in [0, 1).  k is a power of two, so
+        b = floor(z * k) is exact and b/k <= z < (b+1)/k.  Every end below
+        b/k is below z and no end at or above (b+1)/k is, so idx = below[b]
+        plus the number of ends in bucket b that lie below z.  A bucket with
+        no end gives below[b], and ``fill[b]`` is the value of cell
+        below[b] - 1; ends[idx] >= (b+1)/k > z there, so it holds no tie.
+        ends[0] = 0.0, so bucket 0 holds an end and below[b] >= 1 in every
+        empty bucket.  With one end, ends[below[b]], idx = below[b] +
+        (ends[below[b]] < z), a sum that also holds with none (so a NaN
+        value marks nothing wrongly).  With two or more, searchsorted
+        places that bucket's labels."""
+        ends = self.float_ends
+        k, below, fill = self.buckets
+        b = (z * k).astype(np.intp)
+        out = fill[b]
+        near = np.isnan(out).nonzero()[0]  # labels in a bucket holding an end
+        z_near, b_near = z[near], b[near]
+        idx = below[b_near]
+        many = (below[b_near + 1] - idx > 1).nonzero()[0]
+        idx += ends[idx] < z_near
+        idx[many] = np.searchsorted(ends, z_near[many])
+        out[near] = self.float_values[idx - 1]
+        return out, near[ends[idx] == z_near]
 
     @cached_property
     def values(self) -> tuple[float, ...]:

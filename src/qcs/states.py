@@ -204,24 +204,28 @@ def sample_values(
     ``value()`` there.  A label that is exactly a barrier breakpoint (0.0
     included) has no value; it is replaced from a stream keyed by its
     position, so output is independent of chunking.
+
+    Each label z is placed among the level function's float cell ends by
+    its bucket floor(z * k) in their guide table of k buckets, k a power of
+    two (``PiecewiseConstantFn.float_lookup``, which proves that it finds
+    the cell ``searchsorted`` finds), so the outputs are those of a binary
+    search, bitwise.  A label equal to a float end is decided exactly.
     """
     if n < 1:
         raise OutOfDomain("need at least one sample")
     cdf = spectral_cdf(a, psi)
     z = uniform_labels(seed, start, n)
     fn = level_function(cdf, barrier)
-    ends = fn.float_ends
-    idx = np.searchsorted(ends, z)
-    out = fn.float_values[idx - 1]
+    out, ties = fn.float_lookup(z)
     # ends[idx - 1] < z <= ends[idx], each end the correctly rounded exact
     # end e.  Rounding is monotone and z is a float, so z != ends[idx]
     # proves e[idx - 1] < z < e[idx]: z lies inside cell idx - 1.  Every
     # barrier end is an end of the level function, so a label on a barrier
     # breakpoint is among the ties, which are decided on the exact label.
-    for i in np.nonzero(ends[idx] == z)[0]:
+    for i in ties.tolist():
         label = Fraction(z[i])
         if barrier.is_breakpoint(label):
-            label = _redraw(barrier, seed, start + int(i))
+            label = _redraw(barrier, seed, start + i)
         out[i] = cdf.quantile(barrier(label))
     return out
 

@@ -36,7 +36,7 @@ from qcs.measure_maps import (
     quantile_pcf,
     verify_measure_preserving,
 )
-from qcs.random_objects import random_hermitian, random_pure_state
+from qcs.random_objects import random_hermitian, random_map_spec, random_pure_state
 from qcs.spectral import StepCDF, spectral_cdf
 from qcs.states import CompleteState, label_mean, value
 
@@ -319,6 +319,61 @@ def test_level_functions_agree_with_value_at_seeded_labels(spec):
         for k in rng.integers(1, 2**62, size=10).tolist():
             z = F(k, 2**62)
             assert fn(z) == value(a, CompleteState(psi, m, z))
+
+
+@st.composite
+def clustered_cdfs(draw):
+    """Step CDFs whose masses mix 1 with 2^40 and 2^60, so tiny atoms sit in
+    clusters: several float ends share a guide bucket, and ends a few
+    2^-61 apart round to one float."""
+    n = draw(st.integers(1, 8))
+    support = sorted(draw(st.sets(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=n, max_size=n)))
+    masses = draw(st.lists(st.sampled_from([1, 2, 3, 2**20, 2**40, 2**60]), min_size=n, max_size=n))
+    return StepCDF.from_masses(support, masses)
+
+
+def lookup_labels(ends, rng):
+    """Uniform labels, 0.0, every float end below 1, one ulp either side of
+    each, and the largest float below 1."""
+    inner = ends[ends < 1.0]
+    z = np.concatenate(
+        (rng.random(200), [0.0], inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0), [np.nextafter(1.0, 0.0)])
+    )
+    return z[(z >= 0.0) & (z < 1.0)]
+
+
+def assert_lookup_is_the_binary_search(fn, z):
+    """``float_lookup`` gives the values and tie positions of searchsorted."""
+    ends = fn.float_ends
+    idx = np.searchsorted(ends, z)
+    out, ties = fn.float_lookup(z)
+    assert out.tobytes() == fn.float_values[idx - 1].tobytes()
+    assert ties.tolist() == np.nonzero(ends[idx] == z)[0].tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cdf=clustered_cdfs(), seed=st.integers(0, 2**32 - 1))
+def test_the_guide_table_places_labels_as_the_binary_search(cdf, seed):
+    rng = np.random.default_rng(seed)
+    fn = level_function(cdf, build_map(random_map_spec(rng)))
+    k, below, _ = fn.buckets
+    assert 4 * len(fn.float_ends) < k <= 8 * len(fn.float_ends)
+    assert below[-1] == np.searchsorted(fn.float_ends, 1.0)
+    assert_lookup_is_the_binary_search(fn, lookup_labels(fn.float_ends, rng))
+
+
+def test_a_capped_guide_table_places_labels_as_the_binary_search(monkeypatch):
+    """With 3,000 cells and the cap at 1,024 buckets, most labels share a
+    bucket with two or more ends and fall back to the binary search."""
+    from qcs import measure_maps
+
+    monkeypatch.setattr(measure_maps, "MAX_BUCKETS", 1 << 10)
+    rng = np.random.default_rng(32)
+    den = 2**62 + 3
+    nums = [0, *sorted(set(rng.integers(1, den - 1, size=3000).tolist())), den]
+    fn = PiecewiseConstantFn(den, nums, rng.normal(size=len(nums) - 1))
+    assert fn.buckets[0] == 1 << 10
+    assert_lookup_is_the_binary_search(fn, lookup_labels(fn.float_ends, rng))
 
 
 def reflection_map():

@@ -197,16 +197,19 @@ def test_sample_values_on_many_cell_level_functions_are_pinned(kind):
 
 
 def test_chunked_sampling_builds_one_level_function(monkeypatch):
-    """Four chunks on one (operator, state, barrier) share one level function
-    and round its float ends once."""
+    """Four chunks on one (operator, state, barrier) share one level function,
+    round its float ends once and build its guide table once."""
+    from functools import cached_property
+
     from qcs import measure_maps
     from qcs.measure_maps import PiecewiseConstantFn
 
     rng = np.random.default_rng(5)
     a, psi = random_hermitian(rng, 6), random_pure_state(rng, 6)
     barrier = build_map(MapSpec.composition(MapSpec.rotation(F(1, 3)), MapSpec.expanding(3)))
-    calls, arrays = [], []
+    calls, arrays, tables = [], [], []
     original, readonly = PiecewiseConstantFn.compose_with_map, measure_maps._readonly
+    build_table = PiecewiseConstantFn.buckets.func
 
     def counted(fn, m):
         calls.append(m)
@@ -216,16 +219,26 @@ def test_chunked_sampling_builds_one_level_function(monkeypatch):
         arrays.append(values)
         return readonly(values)
 
+    def counted_table(fn):
+        tables.append(fn)
+        return build_table(fn)
+
+    table = cached_property(counted_table)
+    table.__set_name__(PiecewiseConstantFn, "buckets")
     monkeypatch.setattr(PiecewiseConstantFn, "compose_with_map", counted)
+    monkeypatch.setattr(PiecewiseConstantFn, "buckets", table)
     monkeypatch.setattr(measure_maps, "_readonly", counted_array)
     chunks = [sample_values(a, psi, barrier, 7, 256, start=256 * k) for k in range(4)]
     assert calls == [barrier]
     assert len(arrays) == 2  # the level function's ends and values
+    fn = level_function(spectral_cdf(a, psi), barrier)
+    assert tables == [fn]
     monkeypatch.undo()
     assert np.array_equal(np.concatenate(chunks), sample_values(a, psi, barrier, 7, 1024))
-    fn = level_function(spectral_cdf(a, psi), barrier)
     assert fn.float_ends.tolist() == [float(F(x, fn.den)) for x in fn.nums]
     assert not fn.float_ends.flags.writeable
+    k, below, fill = fn.buckets
+    assert not below.flags.writeable and not fill.flags.writeable
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, -(2**64)])
