@@ -12,7 +12,7 @@ CRITERIA = [
     ("01 exact Born distributions on 300 random triples", verify.check_born_exactness, 10.0),
     ("02 squaring witness reproduction", verify.check_squaring_example, 1.0),
     ("03 factorization roundtrip on 100 pairs", verify.check_factorization_roundtrip, 5.0),
-    ("04 sampling KS fit over 100 seeds", verify.check_sampling_fit, 60.0),
+    ("04 sampling KS fit over 100 seeds", verify.check_sampling_fit, 1.0),
     ("05 gradient identity on 50 pairs", verify.check_gradient_identity, 5.0),
     ("06 two-level dynamics and generator equivalence", verify.check_rabi_dynamics, 5.0),
     ("07 intertwining on 10 lifted cases", verify.check_intertwining, 10.0),

@@ -356,9 +356,10 @@ def assert_lookup_is_the_binary_search(fn, z):
 def test_the_guide_table_places_labels_as_the_binary_search(cdf, seed):
     rng = np.random.default_rng(seed)
     fn = level_function(cdf, build_map(random_map_spec(rng)))
-    k, below, _ = fn.buckets
+    k, below, fill = fn.buckets
     assert 4 * len(fn.float_ends) < k <= 8 * len(fn.float_ends)
-    assert below[-1] == np.searchsorted(fn.float_ends, 1.0)
+    assert below.tolist() == np.searchsorted(fn.float_ends, np.arange(k + 1) / k).tolist()
+    assert np.isnan(fill).tolist() == (below[1:] > below[:-1]).tolist()
     assert_lookup_is_the_binary_search(fn, lookup_labels(fn.float_ends, rng))
 
 

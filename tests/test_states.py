@@ -237,7 +237,7 @@ def test_chunked_sampling_builds_one_level_function(monkeypatch):
     assert np.array_equal(np.concatenate(chunks), sample_values(a, psi, barrier, 7, 1024))
     assert fn.float_ends.tolist() == [float(F(x, fn.den)) for x in fn.nums]
     assert not fn.float_ends.flags.writeable
-    k, below, fill = fn.buckets
+    _, below, fill = fn.buckets
     assert not below.flags.writeable and not fill.flags.writeable
 
 
