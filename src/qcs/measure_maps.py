@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import BadSpec, DistributionMismatch, DomainGap, NotInjective, OutOfDomain, ValueNotInSupport
-from .spectral import StepCDF, _readonly
+from .spectral import StepCDF, _locate, _readonly
 
 RationalLike = Union[Fraction, int, float, str]
 
@@ -99,9 +99,30 @@ def _reduced(den: int, nums: list[int]) -> tuple[int, list[int]]:
     return (den, nums) if g == 1 else (den // g, list(map(floordiv, nums, repeat(g))))
 
 
-def _cell_of(nums: Sequence[int], den: int, z: Fraction) -> int:
-    """The t with nums[t] < z * den <= nums[t + 1], for ascending integers."""
-    return bisect.bisect_left(nums, -((-z.numerator * den) // z.denominator), 1) - 1
+def joint_lengths(*parts: tuple[int, Sequence[int], Sequence]) -> tuple[int, dict[tuple, int]]:
+    """(den, lengths) on the merge of partitions of ]0,1]: part p is
+    (d, nums, values), taking values[t] on its cell ]nums[t] / d,
+    nums[t + 1] / d].  den is the lcm of the d, and lengths maps each tuple
+    of values, one per part, to the total integer length over den of the
+    merged cells where the parts take them.
+
+    The merged ends are the sorted union of every part's ends over den.  A
+    merged cell from end e lies in cell t of a part when t of its right
+    ends are at or below e, so one ``map(bisect_right, ...)`` per part names
+    every cell's value; only the per-key sums step in Python.
+    """
+    den = math.lcm(*(d for d, _, _ in parts))
+    scaled = [_rescale(nums, d, den) for d, nums, _ in parts]
+    ends = sorted(set().union(*scaled))
+    starts = ends[:-1]
+    columns = (
+        map(values.__getitem__, map(bisect.bisect_right, repeat(nums[1:]), starts))
+        for nums, (_, _, values) in zip(scaled, parts)
+    )
+    lengths: dict[tuple, int] = {}
+    for key, n in zip(zip(*columns), map(sub, ends[1:], starts)):
+        lengths[key] = lengths.get(key, 0) + n
+    return den, lengths
 
 
 def check_partition(den: int, nums: Sequence[int], cells: int) -> None:
@@ -161,14 +182,11 @@ class PiecewiseAffineMap:
         z = to_fraction(z)
         if not (ZERO < z < ONE):
             raise OutOfDomain(f"label {z} outside ]0,1[")
-        t = _cell_of(self.nums, self.den, z)
+        t = _locate(self.nums, self.den, z)[0] - 1
         return self.slopes[t] * z + Fraction(self.cnums[t], self.cden)
 
     def is_breakpoint(self, z: RationalLike) -> bool:
-        z = to_fraction(z)
-        n, r = divmod(z.numerator * self.den, z.denominator)
-        i = bisect.bisect_left(self.nums, n)
-        return r == 0 and i < len(self.nums) and self.nums[i] == n
+        return _locate(self.nums, self.den, to_fraction(z))[1]
 
     @cached_property
     def measure_preserving(self) -> bool:
@@ -181,20 +199,12 @@ class PiecewiseAffineMap:
 
 
 def map_equal_ae(m1: PiecewiseAffineMap, m2: PiecewiseAffineMap) -> bool:
-    """Exact a.e. equality: same affine coefficients wherever two pieces overlap.
-
-    Walks both piece lists together over the ends' common denominator, so
-    each overlapping pair is met once; intercepts are compared crosswise.
-    """
-    den = math.lcm(m1.den, m2.den)
-    a, b = _rescale(m1.nums, m1.den, den), _rescale(m2.nums, m2.den, den)
-    c1, c2, d1, d2 = m1.cnums, m2.cnums, m1.cden, m2.cden
-    i = j = 0
-    while i < len(a) - 1:
-        if m1.slopes[i] != m2.slopes[j] or c1[i] * d2 != c2[j] * d1:
-            return False
-        i, j = i + (a[i + 1] <= b[j + 1]), j + (b[j + 1] <= a[i + 1])
-    return True
+    """Exact a.e. equality: same affine coefficients wherever two pieces
+    overlap, read from ``joint_lengths`` with each piece's value its
+    (slope, intercept numerator over the lcm of both intercept denominators)."""
+    cden = math.lcm(m1.cden, m2.cden)
+    coefficients = [(m.den, m.nums, list(zip(m.slopes, _rescale(m.cnums, m.cden, cden)))) for m in (m1, m2)]
+    return all(a == b for a, b in joint_lengths(*coefficients)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -369,30 +379,38 @@ def preimage_measure(m: PiecewiseAffineMap, lo: Fraction, hi: Fraction) -> Fract
 # ---------------------------------------------------------------------------
 # Piecewise-constant functions on ]0,1]
 
+def _finite(values: list[float]) -> np.ndarray:
+    """values as a read-only float array; a value that is not finite raises
+    DomainGap, as in ``borel_apply``: it has no atom to be named by."""
+    out = _readonly(values)
+    if not np.isfinite(out).all():
+        raise DomainGap("function values must be finite")
+    return out
+
+
 class PiecewiseConstantFn:
     """Real function constant on each cell ]b_{i-1}, b_i] of a partition of ]0,1].
 
     The breakpoints b_i are held as integer numerators ``nums`` over one
-    denominator ``den``; the constructor checks that they partition ]0,1]
-    into one cell per value.
+    denominator ``den``, and the values as one read-only float64 array
+    ``float_values``; ``values`` is its tuple view.  The constructor checks
+    that the numerators partition ]0,1] into one cell per value and that
+    every value is finite.
     """
 
     def __init__(self, den: int, nums: Sequence[int], values: Iterable[float]):
-        self.den, self.nums, self.values = den, list(nums), tuple(float(v) for v in values)
-        check_partition(den, self.nums, len(self.values))
+        self.den, self.nums, self.float_values = den, list(nums), _finite([float(v) for v in values])
+        check_partition(den, self.nums, len(self.float_values))
 
     @classmethod
-    def _built(cls, den: int, nums: Sequence[int], values: tuple[float, ...] | np.ndarray) -> "PiecewiseConstantFn":
+    def _built(cls, den: int, nums: Sequence[int], float_values: np.ndarray) -> "PiecewiseConstantFn":
         """A kernel output, not re-validated: strictly ascending numerators
-        from 0 to den and one float value per cell by construction.  The
-        values come as a tuple, or as a read-only float array that becomes
-        ``float_values`` and from which the tuple is built on first use."""
+        from 0 to den and one finite value per cell by construction, in a
+        float64 array that the function takes over, not copied, and makes
+        read-only."""
         fn = object.__new__(cls)
-        fn.den, fn.nums = den, nums
-        if isinstance(values, np.ndarray):
-            fn.float_values = values
-        else:
-            fn.values = values
+        float_values.setflags(write=False)
+        fn.den, fn.nums, fn.float_values = den, nums, float_values
         return fn
 
     @cached_property
@@ -465,28 +483,19 @@ class PiecewiseConstantFn:
 
     @cached_property
     def values(self) -> tuple[float, ...]:
-        """The values as floats, built on first use from ``float_values``
-        when the function was made from an array."""
+        """The values as a tuple of floats, built on first use from ``float_values``."""
         return tuple(self.float_values.tolist())
-
-    @cached_property
-    def float_values(self) -> np.ndarray:
-        """The values as a read-only array, built on first use."""
-        return _readonly(self.values)
 
     def __call__(self, z: RationalLike) -> float:
         z = to_fraction(z)
         if not (ZERO < z <= ONE):
             raise OutOfDomain(f"{z} outside ]0,1]")
-        return self.values[_cell_of(self.nums, self.den, z)]
+        return self.float_values[_locate(self.nums, self.den, z)[0] - 1].item()
 
     def map_values(self, fn) -> "PiecewiseConstantFn":
-        """fn of each value, on the same cells.  An image that is not finite
-        raises DomainGap, as in ``borel_apply``: it has no atom to be named by."""
-        images = tuple(float(fn(v)) for v in self.values)
-        if not all(map(math.isfinite, images)):
-            raise DomainGap("function images must be finite")
-        return PiecewiseConstantFn._built(self.den, self.nums, images)
+        """fn of each value, on the same cells; an image that is not finite
+        raises DomainGap (``_finite``)."""
+        return PiecewiseConstantFn._built(self.den, self.nums, _finite([float(fn(v)) for v in self.values]))
 
     def run_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(starts, ends): the first cell of each maximal run of equal
@@ -529,22 +538,10 @@ class PiecewiseConstantFn:
         return {v: Fraction(n, self.den) for v, n in self.lengths_by_value().items()}
 
     def disagreement(self, other: "PiecewiseConstantFn") -> Fraction:
-        """Exact Lebesgue measure of the set where self and other differ.
-
-        Walks both partitions together over their common denominator, so
-        each cell of the merged partition is met once.
-        """
-        den = math.lcm(self.den, other.den)
-        a, b = _rescale(self.nums, self.den, den), _rescale(other.nums, other.den, den)
-        u, v = self.values, other.values
-        total = lo = 0
-        i = j = 1
-        while i < len(a):
-            hi = min(a[i], b[j])
-            if u[i - 1] != v[j - 1]:
-                total += hi - lo
-            i, j, lo = i + (a[i] == hi), j + (b[j] == hi), hi
-        return Fraction(total, den)
+        """Exact Lebesgue measure of the set where self and other differ:
+        the ``joint_lengths`` of the value pairs that differ."""
+        den, lengths = joint_lengths((self.den, self.nums, self.values), (other.den, other.nums, other.values))
+        return Fraction(sum([n for (u, v), n in lengths.items() if u != v]), den)
 
     def equal_ae(self, other: "PiecewiseConstantFn") -> bool:
         """Exact equality off breakpoints."""
@@ -555,12 +552,12 @@ class PiecewiseConstantFn:
         m is cut where its image crosses a breakpoint of f (``_pullback``),
         and each cut piece takes the value of the cell that holds its image."""
         den, nums, _, cells = _pullback(m, self.den, self.nums)
-        return PiecewiseConstantFn._built(den, nums, tuple(map(self.values.__getitem__, cells)))
+        return PiecewiseConstantFn._built(den, nums, self.float_values[cells])
 
 
 def quantile_pcf(cdf: StepCDF) -> PiecewiseConstantFn:
     """The quantile function of a step CDF as an exact piecewise-constant function."""
-    return PiecewiseConstantFn._built(cdf.den, [0, *cdf.nums], cdf.support)
+    return PiecewiseConstantFn._built(cdf.den, [0, *cdf.nums], np.array(cdf.support))
 
 
 def level_function(cdf: StepCDF, m: PiecewiseAffineMap) -> PiecewiseConstantFn:
@@ -733,13 +730,6 @@ def build_map(spec: MapSpec) -> PiecewiseAffineMap:
 # ---------------------------------------------------------------------------
 # Constructive factorization against a step CDF
 
-def _objects(items: Sequence) -> np.ndarray:
-    """items as a numpy object array that holds the same Python objects."""
-    out = np.empty(len(items), dtype=object)
-    out[:] = items
-    return out
-
-
 def _per_cell(per_run: np.ndarray, sizes: np.ndarray | None) -> list:
     """Each run's object repeated over its cells, sizes[r] of them for run
     r, as a list of the same shared objects, repeated and unpacked in C.
@@ -783,8 +773,9 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
     The runs are grouped by atom (a stable sort, so each atom keeps its
     source order), and their ends are read from fn's numerators; one
     ``accumulate`` along them gives every intercept numerator and t_k.
-    Intercepts and levels are then repeated over each run's cells in C
-    (``_per_cell``) as shared objects.
+    Intercepts are then repeated over each run's cells in C (``_per_cell``)
+    as shared objects, and the levels are the support points of the runs'
+    atoms, repeated likewise in numpy.
     """
     support = cdf.support
     den, ends = fn.den, fn.nums
@@ -829,8 +820,8 @@ def factor_against_cdf(fn: PiecewiseConstantFn, cdf: StepCDF) -> PiecewiseAffine
 
     sizes = None if len(starts) == len(ends) - 1 else stops - starts
     alpha = PiecewiseAffineMap._built(den, ends, (ONE,) * (len(ends) - 1), cden, _per_cell(intercepts, sizes))
-    levels = tuple(_per_cell(_objects(support)[atoms], sizes))
-    level_fn = PiecewiseConstantFn._built(den, ends, levels)
+    levels = points[atoms]
+    level_fn = PiecewiseConstantFn._built(den, ends, levels if sizes is None else levels.repeat(sizes))
     # its value support[k] covers atom k's runs, so its lengths are the totals
     present = np.flatnonzero(counts)
     first_seen = present[np.argsort(runs[np.array(bounds)[present]])].tolist()

@@ -40,6 +40,7 @@ from .measure_maps import (
     PiecewiseConstantFn,
     check_partition,
     factor_against_cdf,
+    joint_lengths,
 )
 from .spectral import PiecewiseFn, StepCDF, float_mantissas
 
@@ -345,9 +346,7 @@ class CellEquivalence:
         """Transport a cell function to a piecewise-constant function on
         ]0,1]: the float array of the kept cells' values is handed on as
         the function's ``float_values``."""
-        flat = np.asarray(cell_values, dtype=float).ravel()[self.kept]
-        flat.setflags(write=False)
-        return PiecewiseConstantFn._built(self.den, self.nums, flat)
+        return PiecewiseConstantFn._built(self.den, self.nums, np.asarray(cell_values, dtype=float).ravel()[self.kept])
 
 
 def to_unit_interval(measure: PhaseSpaceMeasure) -> CellEquivalence:
@@ -385,8 +384,9 @@ def shared_barrier_joint_gap(state: PhaseSpaceState) -> float:
     The joint table and both marginals sum the same integer cell masses
     (``masses_by_key``; a joint key is the complex number q + ip), so the
     difference is computed exactly over M and rounded once.  The monotone
-    coupling puts mass only on the staircase of value pairs whose level
-    intervals overlap, walked once; off it the difference is the joint mass.
+    coupling is the joint law of the two quantile functions, the
+    ``joint_lengths`` of the two marginal level partitions over M; off its
+    pairs the difference is the joint mass.
     """
     measure = build_measure(state)
     shape, kept = measure.masses.shape, measure.kept
@@ -396,10 +396,6 @@ def shared_barrier_joint_gap(state: PhaseSpaceState) -> float:
     p_support, p_masses = measure.masses_by_key(ps)
     joint = dict(zip(*measure.masses_by_key(qs + 1j * ps)))
     q_levels, p_levels = [0, *accumulate(q_masses)], [0, *accumulate(p_masses)]
-    gap = i = j = 0
-    while i < len(q_support):  # both level lists end at the same total
-        qlo, qhi, plo, phi = q_levels[i], q_levels[i + 1], p_levels[j], p_levels[j + 1]
-        comonotone = min(qhi, phi) - max(qlo, plo)
-        gap = max(gap, abs(joint.pop(complex(q_support[i], p_support[j]), 0) - comonotone))
-        i, j = i + (qhi <= phi), j + (phi <= qhi)
-    return max([gap, *joint.values()]) / q_levels[-1]
+    total, coupling = joint_lengths((q_levels[-1], q_levels, q_support), (p_levels[-1], p_levels, p_support))
+    gaps = [abs(joint.pop(complex(q, p), 0) - n) for (q, p), n in coupling.items()]
+    return max([*gaps, *joint.values()]) / total

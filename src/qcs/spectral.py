@@ -54,6 +54,15 @@ PROJECTOR_TOL = 1e-10
 ROUNDING_C = 32  # the c of the c * eps * s / delta bound of rounding_bounds
 
 
+def _locate(nums: Sequence[int], den: int, z: Fraction) -> tuple[int, bool]:
+    """(i, on_end) for ascending integers nums over den: i is the first
+    index with z <= nums[i] / den, the bisect_left of ceil(z * den), and
+    on_end tells whether z equals nums[i] / den."""
+    q, r = divmod(-z.numerator * den, z.denominator)
+    i = bisect.bisect_left(nums, -q)
+    return i, not r and i < len(nums) and nums[i] == -q
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
@@ -248,10 +257,12 @@ class StepCDF:
     ``den``, the layout of :class:`qcs.measure_maps.PiecewiseConstantFn`:
     ``support[k]`` carries the atom weight ``(nums[k] - nums[k-1]) / den``,
     and the level interval of atom k is ]nums[k-1] / den, nums[k] / den]
-    with nums[-1] := 0.  Every exact operation (``level_interval``,
-    ``atom_index`` of a ``Fraction``, ``weights``) reads the integers.  The
-    float ``levels`` are their correctly rounded values: non-decreasing, as
-    two levels closer than a float's spacing collapse onto one.
+    with nums[-1] := 0.  Every operation (``level_interval``, ``weights``,
+    ``atom_index`` and so ``quantile``, which take a float level at its
+    exact value) reads the integers.  The float ``levels`` are their
+    correctly rounded values, for reports and for :func:`rounding_ratio`:
+    non-decreasing, as two levels closer than a float's spacing collapse
+    onto one.
     """
 
     support: tuple[float, ...]
@@ -295,20 +306,13 @@ class StepCDF:
 
     def atom_index(self, s) -> int:
         """Index of the atom whose level interval contains s (the >= rule):
-        the first k with s <= nums[k] / den."""
+        the first k with s <= nums[k] / den.  A float is taken at its exact
+        value, once it is known to lie in ]0,1[."""
         exact = isinstance(s, Fraction)
         s = s if exact else float(s)
         if not (0 < s < 1):
             raise OutOfDomain(f"quantile level {s} outside ]0,1[")
-        if not exact:
-            k = bisect.bisect_left(self.levels, s)
-            # Rounding is monotone, so a float level above s has its exact
-            # level above s too; only a float level equal to s (exact levels
-            # collapsed onto it) can hide exact levels below s.
-            if self.levels[k] != s:
-                return k
-            s = Fraction(s)
-        return bisect.bisect_left(self.nums, -((-s.numerator * self.den) // s.denominator))
+        return _locate(self.nums, self.den, s if exact else Fraction(s))[0]
 
     def quantile(self, s) -> float:
         """min{r : F(r) >= s} for s in ]0,1[; accepts float or Fraction."""

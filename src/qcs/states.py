@@ -32,6 +32,7 @@ from .errors import (
     UndefinedEquivalence,
 )
 from .measure_maps import (
+    Interval,
     MapSpec,
     PiecewiseAffineMap,
     PiecewiseConstantFn,
@@ -61,8 +62,6 @@ from .spectral import (
 # No library path reads this; the benchmark's measure workload skips labels
 # this close to a barrier breakpoint (``perfbench/workloads.py``).
 BREAKPOINT_EPS = 1e-15
-
-Interval = tuple[Fraction, Fraction]
 
 
 @dataclass(frozen=True, eq=False)

@@ -98,8 +98,8 @@ def ref_factor_against_cdf(fn, cdf):
     sizes = None if len(starts) == len(fn.values) else list(map(sub, stops, starts))
     piece_slopes = tuple(_per_cell(list(map(slopes.__getitem__, atoms)), sizes))
     alpha = PiecewiseAffineMap._built(den, ends, piece_slopes, cden, _per_cell(intercepts, sizes))
-    levels = tuple(_per_cell(list(map(support.__getitem__, atoms)), sizes))
-    level_fn = PiecewiseConstantFn._built(den, ends, levels)
+    levels = _per_cell(list(map(support.__getitem__, atoms)), sizes)
+    level_fn = PiecewiseConstantFn._built(den, ends, np.array(levels, dtype=float))
     # its value support[k] covers atom k's runs, so its lengths are the totals
     level_fn._lengths = MappingProxyType({support[k]: totals[k] for k in dict.fromkeys(atoms)})
     alpha._level_memo[cdf] = level_fn

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qcs.errors import (
     BadSpec,
     DistributionMismatch,
+    DomainGap,
     NotInjective,
     OutOfDomain,
     ValueNotInSupport,
@@ -27,6 +28,7 @@ from qcs.measure_maps import (
     factor_against_cdf,
     intervals_measure,
     invert,
+    joint_lengths,
     _images,
     _pullback,
     level_function,
@@ -1021,9 +1023,9 @@ def test_factor_matches_the_per_cell_oracle(data, m, cdf, case):
 
 
 def test_factor_matches_the_per_cell_oracle_at_n16_and_on_errors():
-    """The N=16 phase-space observables, whose functions hold their values
-    as an array, and inputs both versions refuse with the same error: an
-    atom no value names, a value no atom names, and a NaN."""
+    """The N=16 phase-space observables, and inputs both versions refuse
+    with the same error: an atom no value names, a value no atom names, and
+    a NaN, which only a kernel output can hold."""
     for fn, cdf in phase_space_cases_at_n16():
         assert_factor_matches_the_per_cell_oracle(fn, cdf)
     three = cdf_of((-1.0, 0.0, 2.5), (0.25, 0.5, 1.0))
@@ -1032,7 +1034,7 @@ def test_factor_matches_the_per_cell_oracle_at_n16_and_on_errors():
         ([-1.0, 0.0, 2.5, 7.0], ValueNotInSupport),
         ([-1.0, 0.0, math.nan, 2.5], ValueNotInSupport),
     ):
-        fn = fn_of([F(k, 4) for k in range(5)], values)
+        fn = PiecewiseConstantFn._built(4, list(range(5)), np.array(values))
         for factor in (factor_against_cdf, per_cell_factor):
             with pytest.raises(error):
                 factor(fn, three)
@@ -1088,14 +1090,19 @@ SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 5e-324]
 def test_run_bounds_match_the_per_cell_comparison(values):
     """numpy's != splits runs where ``operator.ne`` does: -0.0 and 0.0 stay
     in one run, each NaN is a run of its own, and a run's value is the
-    value of its first cell; for the checking constructor and for a cell
-    function carried over by ``CellEquivalence.pcf``."""
+    value of its first cell; for a cell function carried over by
+    ``CellEquivalence.pcf`` and, when every value is finite, for the
+    checking constructor, which refuses the others."""
     from qcs.phase_space import CellEquivalence
 
     n = len(values)
-    built = PiecewiseConstantFn(n, range(n + 1), values)
-    carried = CellEquivalence(np.arange(n), n, list(range(n + 1))).pcf(np.array(values))
-    for fn in (built, carried):
+    functions = [CellEquivalence(np.arange(n), n, list(range(n + 1))).pcf(np.array(values))]
+    if all(map(math.isfinite, values)):
+        functions.append(PiecewiseConstantFn(n, range(n + 1), values))
+    else:
+        with pytest.raises(DomainGap, match="finite"):
+            PiecewiseConstantFn(n, range(n + 1), values)
+    for fn in functions:
         starts, ends = fn.run_bounds()
         want_starts, want_ends = ref_run_bounds(fn)
         assert (starts.tolist(), ends.tolist()) == (want_starts, want_ends)
@@ -1126,7 +1133,7 @@ def test_lengths_by_value_is_read_only_and_shared():
 
 def test_runs_are_the_groups_of_equal_adjacent_values():
     values = (1.0, 1.0, -0.0, 0.0, 0.5, math.inf, math.inf, -1.0, 0.5, 0.5)
-    fn = PiecewiseConstantFn(len(values), range(len(values) + 1), values)
+    fn = PiecewiseConstantFn._built(len(values), list(range(len(values) + 1)), np.array(values))
     expected, start = [], 0
     for v, run in groupby(values):
         end = start + len(list(run))
@@ -1160,6 +1167,46 @@ def test_disagreement_matches_midpoint_reference(c1, c2, m1, m2, spec):
     b = build_map(spec)
     refined = level_function(c1, ref_compose(invert(b), ref_compose(b, m1)))
     assert f.disagreement(refined) == 0 and f.equal_ae(refined)
+
+
+def ref_joint_lengths(*parts):
+    """Each cell of the merged partition keyed by the parts' values at its
+    midpoint, found by bisecting each part's ``Fraction`` ends."""
+    grid = sorted(set().union(*({F(n, d) for n in nums} for d, nums, _ in parts)))
+    out = defaultdict(lambda: F(0))
+    for lo, hi in zip(grid, grid[1:]):
+        mid = (lo + hi) / 2
+        key = tuple(values[bisect.bisect_left([F(n, d) for n in nums], mid) - 1] for d, nums, values in parts)
+        out[key] += hi - lo
+    return dict(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(c1=dyadic_cdfs(), c2=mass_cdfs(), m1=signed_maps(), m2=signed_maps(), perm=st.permutations(range(3)))
+def test_joint_lengths_matches_midpoint_reference(c1, c2, m1, m2, perm):
+    """Three parts: a level function, a map keyed by its (slope,
+    intercept) pieces and a quantile function.  Each key is the value tuple
+    at the midpoint of its merged cells, the lengths sum to den, and
+    permuting the parts permutes the keys and nothing else."""
+    fn = level_function(c1, m1)
+    parts = [
+        (fn.den, fn.nums, fn.values),
+        (m2.den, m2.nums, list(zip(m2.slopes, (F(c, m2.cden) for c in m2.cnums)))),
+        (c2.den, [0, *c2.nums], c2.support),
+    ]
+    den, lengths = joint_lengths(*parts)
+    assert {k: F(n, den) for k, n in lengths.items()} == ref_joint_lengths(*parts)
+    assert sum(lengths.values()) == den
+    permuted = joint_lengths(*(parts[i] for i in perm))
+    assert permuted == (den, {tuple(k[i] for i in perm): n for k, n in lengths.items()})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_the_checking_constructor_refuses_values_that_are_not_finite(bad):
+    """A value that is not finite is a DomainGap when the function is made,
+    not an untyped error when ``label_mean`` later reads it."""
+    with pytest.raises(DomainGap, match="finite"):
+        PiecewiseConstantFn(2, [0, 1, 2], [bad, 1.0])
 
 
 @settings(max_examples=80, deadline=None)
