@@ -483,7 +483,9 @@ class PiecewiseConstantFn:
 
     @cached_property
     def values(self) -> tuple[float, ...]:
-        """The values as a tuple of floats, built on first use from ``float_values``."""
+        """The values as a tuple of floats, built on first use from
+        ``float_values``.  No library path reads them; the tests compare
+        values through them, as the traced benchmark reads ``breakpoints``."""
         return tuple(self.float_values.tolist())
 
     def __call__(self, z: RationalLike) -> float:
@@ -495,7 +497,8 @@ class PiecewiseConstantFn:
     def map_values(self, fn) -> "PiecewiseConstantFn":
         """fn of each value, on the same cells; an image that is not finite
         raises DomainGap (``_finite``)."""
-        return PiecewiseConstantFn._built(self.den, self.nums, _finite([float(fn(v)) for v in self.values]))
+        images = [float(fn(v)) for v in self.float_values.tolist()]
+        return PiecewiseConstantFn._built(self.den, self.nums, _finite(images))
 
     def run_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(starts, ends): the first cell of each maximal run of equal
@@ -540,7 +543,7 @@ class PiecewiseConstantFn:
     def disagreement(self, other: "PiecewiseConstantFn") -> Fraction:
         """Exact Lebesgue measure of the set where self and other differ:
         the ``joint_lengths`` of the value pairs that differ."""
-        den, lengths = joint_lengths((self.den, self.nums, self.values), (other.den, other.nums, other.values))
+        den, lengths = joint_lengths(*[(f.den, f.nums, f.float_values.tolist()) for f in (self, other)])
         return Fraction(sum([n for (u, v), n in lengths.items() if u != v]), den)
 
     def equal_ae(self, other: "PiecewiseConstantFn") -> bool:

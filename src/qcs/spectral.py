@@ -12,9 +12,11 @@ Conventions used throughout the package:
 * intervals on the line and on ]0,1[ are left-open right-closed, ]a,b];
 * the quantile takes the atom at a level boundary, min{r : F(r) >= s};
 * a matrix is Hermitian when it deviates from its adjoint by at most
-  ``HERMITIAN_TOL`` times ``max(1, max|A_ij|)``; eigenvalues closer than
-  ``EIGENVALUE_MERGE_TOL`` times the spectral scale ``max(1, max|lambda|)``
-  are one spectral atom, and the spectral reconstruction is checked against
+  ``HERMITIAN_TOL`` times ``max(1, max|A_ij|)``; sorted eigenvalues, and
+  the images of :func:`borel_apply`, are grouped into spectral atoms by one
+  rule (:func:`_atom_starts`): a value within ``EIGENVALUE_MERGE_TOL``
+  times the spectral scale ``max(1, max|lambda|)`` of the value before it
+  joins that value's atom.  The spectral reconstruction is checked against
   ``PROJECTOR_TOL`` times the same scale, so these rules follow the
   operator's size (for entries and spectra within [-1, 1] they are absolute);
 * every step CDF is built by :meth:`StepCDF.from_masses` from integer
@@ -125,44 +127,29 @@ class HermitianOperator:
         return float(np.vdot(psi.amplitudes, self.entries @ psi.amplitudes).real)
 
 
-@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Spectral atoms (eigenvalue, eigenvector block) in ascending order.
 
-    Atom k is ``(lambda_k, V_k)`` with ``V_k`` a d x m_k matrix whose columns
-    are an orthonormal basis of the eigenspace.  The blocks are column views
-    of one read-only unitary ``V`` (``basis``), held once: the ``atoms``
-    constructor lays its blocks side by side into a new V, while
-    :func:`eigensystem` and :func:`borel_apply` hand over the V they built
-    (``_of``); both run the same checks.  ``eigenvalues`` and
-    ``column_eigenvalues``, the eigenvalue of each column of V, are computed
-    once, at construction.  The projector ``P_k = V_k V_k^dagger`` is built
-    only on request (:meth:`projector`); masses come from one ``V^dagger psi``.
+    ``EigenSystem(eigenvalues, basis, sizes)``: atom k is ``(lambda_k, V_k)``
+    with ``V_k`` the next ``sizes[k]`` columns of the unitary ``basis`` V, an
+    orthonormal basis of the eigenspace.  V is taken over, not copied, and
+    made read-only; the blocks in ``atoms`` are column views of it.  The
+    constructor checks that the eigenvalues strictly ascend, that the sizes
+    are positive, one per eigenvalue, and sum to d, and that the square V
+    is orthonormal.  ``eigenvalues`` and ``column_eigenvalues``, the
+    eigenvalue of each column of V, are set once, at construction.  The
+    projector ``P_k = V_k V_k^dagger`` is built only on request
+    (:meth:`projector`); masses come from one ``V^dagger psi``.
     """
 
-    atoms: tuple[tuple[float, np.ndarray], ...]
-
-    def __post_init__(self):
-        if not self.atoms:
-            raise NonHermitian("empty eigensystem")
-        blocks = [np.asarray(v, dtype=complex) for _, v in self.atoms]
-        self._settle([float(lam) for lam, _ in self.atoms], np.hstack(blocks), [v.shape[1] for v in blocks])
-
-    @classmethod
-    def _of(cls, eigenvalues: list[float], basis: np.ndarray, sizes: list[int]) -> "EigenSystem":
-        """Atom k is eigenvalues[k] with the next sizes[k] columns of
-        ``basis``, a complex array that the eigensystem takes over, not
-        copied, and makes read-only."""
-        system = object.__new__(cls)
-        system._settle(eigenvalues, basis, sizes)
-        return system
-
-    def _settle(self, lams: list[float], basis: np.ndarray, sizes: list[int]) -> None:
-        """The checks of both constructors, then the atoms as column views."""
+    def __init__(self, eigenvalues: Sequence[float], basis: np.ndarray, sizes: Sequence[int]):
+        lams, basis, sizes = list(map(float, eigenvalues)), np.asarray(basis, dtype=complex), list(sizes)
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise NonHermitian("eigenvalues must be strictly ascending")
-        if basis.shape[0] != basis.shape[1]:
+        if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise NonHermitian(f"eigenvector blocks of shape {basis.shape} do not span the space")
+        if len(sizes) != len(lams) or min(sizes, default=0) < 1 or sum(sizes) != len(basis):
+            raise NonHermitian(f"block sizes {sizes} do not split {len(basis)} columns among {len(lams)} atoms")
         # V^dagger V = I: the projectors are orthogonal idempotents resolving the identity.
         deviation = basis.conj().T @ basis
         deviation.flat[:: len(deviation) + 1] -= 1
@@ -170,14 +157,10 @@ class EigenSystem:
             raise NonHermitian("eigenvector blocks are not orthonormal")
         basis.setflags(write=False)
         starts = (0, *accumulate(sizes))
-        columns = np.repeat(lams, sizes)
-        columns.setflags(write=False)
-        set_ = object.__setattr__
-        set_(self, "atoms", tuple((lam, basis[:, i:j]) for lam, i, j in zip(lams, starts, starts[1:])))
-        set_(self, "basis", basis)
-        set_(self, "eigenvalues", tuple(lams))
-        set_(self, "column_eigenvalues", columns)
-        set_(self, "_block_starts", starts)
+        self.atoms = tuple((lam, basis[:, i:j]) for lam, i, j in zip(lams, starts, starts[1:]))
+        self.basis, self.eigenvalues, self._block_starts = basis, tuple(lams), starts
+        self.column_eigenvalues = np.repeat(lams, sizes)
+        self.column_eigenvalues.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -208,11 +191,8 @@ class EigenSystem:
         return v @ v.conj().T
 
     def eigenvector(self, k: int) -> np.ndarray:
-        """A unit vector in the k-th eigenspace (deterministic choice)."""
-        p = self.projector(k)
-        col = int(np.argmax(np.linalg.norm(p, axis=0)))
-        v = p[:, col]
-        return v / np.linalg.norm(v)
+        """A unit vector in the k-th eigenspace: a copy of its block's first column."""
+        return self.atoms[k][1][:, 0].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,20 +394,29 @@ def spectral_scale(values) -> float:
     return max(1.0, float(np.abs(values).max()))
 
 
-def eigensystem(a: HermitianOperator) -> EigenSystem:
-    """Diagonalize into eigenvector blocks, merging eigenvalues within
-    ``EIGENVALUE_MERGE_TOL`` times the spectral scale; an atom's eigenvalue is
-    the mean of its members.  The reconstruction ``V diag(lambda) V^dagger``
-    must match the operator within ``PROJECTOR_TOL`` times the same scale."""
-    w, v = np.linalg.eigh(a.entries)
-    scale, values = spectral_scale(w), w.tolist()
+def _atom_starts(values: Sequence[float], scale: float) -> list[int]:
+    """The index that starts each atom of the ascending ``values``, then
+    ``len(values)``: a value starts a new atom unless it lies within
+    ``EIGENVALUE_MERGE_TOL * scale`` of the value before it, so a chain of
+    near values is one atom.  The one grouping rule of eigenvalues and of
+    :func:`borel_apply` images."""
     # gaps of halves, so none overflows near +-1e308; halving is exact
     # wherever a gap can be near the merge bound
     halves, half_tol = [x / 2 for x in values], EIGENVALUE_MERGE_TOL * scale / 2
-    starts = [0, *(i for i in range(1, a.dim) if not halves[i] - halves[i - 1] <= half_tol), a.dim]
+    return [0, *(i for i in range(1, len(values)) if not halves[i] - halves[i - 1] <= half_tol), len(values)]
+
+
+def eigensystem(a: HermitianOperator) -> EigenSystem:
+    """Diagonalize into eigenvector blocks, grouped by :func:`_atom_starts`
+    over the spectral scale; an atom's eigenvalue is the mean of its
+    members.  The reconstruction ``V diag(lambda) V^dagger`` must match the
+    operator within ``PROJECTOR_TOL`` times the same scale."""
+    w, v = np.linalg.eigh(a.entries)
+    scale, values = spectral_scale(w), w.tolist()
+    starts = _atom_starts(values, scale)
     # the mean of one float is that float
     lams = [values[i] if j - i == 1 else float(np.mean(w[i:j])) for i, j in zip(starts, starts[1:])]
-    system = EigenSystem._of(lams, v, list(map(sub, starts[1:], starts)))
+    system = EigenSystem(lams, v, list(map(sub, starts[1:], starts)))
     if np.abs(system.matrix() - a.entries).max() > PROJECTOR_TOL * scale:
         raise NonHermitian("spectral reconstruction failed")
     return system
@@ -470,9 +459,11 @@ def spectral_cdf(a: HermitianOperator, psi: PureState) -> StepCDF:
 
 
 def borel_apply(fn: PiecewiseFn, a: HermitianOperator) -> HermitianOperator:
-    """Functional calculus: apply fn to the spectrum, merging images within
-    ``EIGENVALUE_MERGE_TOL`` times the image scale (a merged atom keeps its
-    smallest image and the stacked eigenvector blocks of its members).
+    """Functional calculus: apply fn to the spectrum and group the sorted
+    images by :func:`_atom_starts` over the image scale, the rule that
+    groups eigenvalues, so the atoms are those a diagonalization of
+    ``V diag(fn(lambda)) V^dagger`` finds.  A merged atom keeps its smallest
+    image and the stacked eigenvector blocks of its members.
 
     The returned operator carries the image eigensystem and, as
     ``image_of``, the pair (a, the value of the image atom that merged each
@@ -488,18 +479,15 @@ def borel_apply(fn: PiecewiseFn, a: HermitianOperator) -> HermitianOperator:
     images = sorted((fn(lam), k) for k, lam in enumerate(lams))
     if not all(math.isfinite(val) for val, _ in images):
         raise DomainGap("function images must be finite")
-    half_gap = EIGENVALUE_MERGE_TOL * spectral_scale([val for val, _ in images]) / 2
-    merged: list[tuple[float, list[int]]] = []
-    for val, k in images:
-        if merged and val / 2 - merged[-1][0] / 2 <= half_gap:
-            merged[-1][1].append(k)
-        else:
-            merged.append((val, [k]))
-    order = [c for _, ks in merged for k in ks for c in range(starts[k], starts[k + 1])]
-    sizes = [sum(starts[k + 1] - starts[k] for k in ks) for _, ks in merged]
-    system = EigenSystem._of([float(val) for val, _ in merged], es.basis.take(order, axis=1), sizes)
+    vals = [val for val, _ in images]
+    groups = _atom_starts(vals, spectral_scale(vals))
+    # the image atoms stack the blocks of A's atoms in image order
+    order = [c for _, k in images for c in range(starts[k], starts[k + 1])]
+    ends = [0, *accumulate(starts[k + 1] - starts[k] for _, k in images)]
+    sizes = [ends[j] - ends[i] for i, j in zip(groups, groups[1:])]
+    system = EigenSystem([vals[i] for i in groups[:-1]], es.basis.take(order, axis=1), sizes)
     op = HermitianOperator(hermitian_part(system.matrix()))
-    value_of = {lams[k]: val for val, ks in merged for k in ks}
+    value_of = {lams[k]: vals[i] for i, j in zip(groups, groups[1:]) for _, k in images[i:j]}
     op.__dict__.update(eigensystem=system, image_of=(a, value_of))
     return op
 

@@ -424,7 +424,7 @@ def spectrum_image_check(
     operator's eigenvalues."""
     attained: set[float] = set()
     for psi in probes:
-        attained.update(level_function(spectral_cdf(a, psi), barrier).values)
+        attained.update(level_function(spectral_cdf(a, psi), barrier).float_values.tolist())
     return attained == set(a.eigensystem.eigenvalues)
 
 

@@ -209,7 +209,7 @@ def check_factorization_roundtrip():
         image = pushforward_density(recovered)
         if any(d != ONE for _, _, d in image.cells):
             return False, "recovered map is not exactly measure preserving"
-        for lo, hi, v in zip(fn.nums, fn.nums[1:], fn.values):
+        for lo, hi, v in zip(fn.nums, fn.nums[1:], fn.float_values.tolist()):
             mid = Fraction(lo + hi, 2 * fn.den)
             k = cdf.support.index(v)
             lvl_lo, lvl_hi = cdf.level_interval(k)

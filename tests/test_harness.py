@@ -3,14 +3,17 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qcs
 from qcs import harness
 from qcs.errors import BadSpec, EmptySample, SchemaError
 from qcs.harness import (
@@ -450,12 +453,19 @@ def test_cli_expanding_factor_past_the_index_range_exits_2(tmp_path, capsys):
     assert "expanding factor must be an integer from 2 to" in capsys.readouterr().err
 
 
-def test_python_dash_m_qcs_runs_the_cli():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qcs", "cat", "--p", "1/2", "--z", "0.75"],
-        capture_output=True,
-        text=True,
+def run_qcs_module(module: str) -> subprocess.CompletedProcess:
+    """``python -m module cat ...`` on the qcs that this suite imports: its
+    parent directory leads the child's PYTHONPATH, whether or not (and
+    whichever tree) qcs is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(qcs.__file__).parent.parent), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", module, "cat", "--p", "1/2", "--z", "0.75"], capture_output=True, text=True, env=env
     )
+
+
+def test_python_dash_m_qcs_runs_the_cli():
+    proc = run_qcs_module("qcs")
     assert proc.returncode == 0, proc.stderr
     assert "awake" in proc.stdout
 
@@ -478,11 +488,7 @@ def test_cli_verify_accepts_exactly_all_and_the_suites():
 
 
 def test_cli_entry_point_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qcs.cli", "cat", "--p", "1/2", "--z", "0.75"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_qcs_module("qcs.cli")
     assert proc.returncode == 0
     assert "awake" in proc.stdout
 

@@ -488,12 +488,35 @@ def test_borel_merge_gap_scales_with_the_images(slope, atoms):
     assert out.eigensystem.eigenvalues[0] == SCALED_NORM
 
 
+def block_sizes(es):
+    return [v.shape[1] for _, v in es.atoms]
+
+
+@pytest.mark.parametrize(
+    "rotated, scale", [(False, SCALED_NORM), (True, 0.5), (True, 3.0), (True, -7e5)]
+)
+def test_borel_groups_a_chain_of_images_as_a_fresh_diagonalization(rotated, scale):
+    """Three images that step by 0.6 of the merge gap: each lies within the
+    gap of the one before, the last beyond the gap of the first.  borel_apply
+    groups images by the rule that groups eigenvalues, so the chain is one
+    atom on both routes.  Only the grouping is compared: an image atom is
+    named by its smallest image, an eigenvalue atom by its members' mean."""
+    q = random_unitary(np.random.default_rng(35), 3).entries if rotated else np.eye(3)
+    lams = [1.0, 2.0, 3.0] if rotated else [0.0, 1.0, 2.0]
+    a = HermitianOperator(hermitian_part((q * lams) @ q.conj().T))
+    fn = PiecewiseFn.affine(0.6 * EIGENVALUE_MERGE_TOL * max(1.0, abs(scale)), scale)
+    es = a.eigensystem
+    direct = (es.basis * [fn(lam) for lam in es.column_eigenvalues]) @ es.basis.conj().T
+    fresh = HermitianOperator(hermitian_part(direct)).eigensystem
+    assert block_sizes(borel_apply(fn, a).eigensystem) == block_sizes(fresh) == [3]
+
+
 def test_eigensystem_rejects_blocks_that_are_not_a_basis():
     e0 = np.array([[1.0], [0.0]])
     with pytest.raises(NonHermitian):
-        EigenSystem(((0.0, e0), (1.0, e0)))
+        EigenSystem([0.0, 1.0], np.hstack([e0, e0]), [1, 1])
     with pytest.raises(NonHermitian):
-        EigenSystem(((0.0, e0),))
+        EigenSystem([0.0], e0, [1])
 
 
 def test_spectral_cdf_memo_is_per_operator_and_state_object():

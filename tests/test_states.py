@@ -726,8 +726,9 @@ def test_absolute_value_repair_matches_every_mass_to_its_weight():
 
 def test_library_paths_build_no_fraction_view():
     """Maps of every MapSpec kind, their compositions and inverses, and the
-    checks, states and samples on them work on integer ends: no map or
-    function gains its ``breakpoints`` view."""
+    checks, states and samples on them work on integer ends and float value
+    arrays: no map or function gains its ``breakpoints`` view, and no
+    function its ``values`` tuple."""
     rng = np.random.default_rng(7)
     a, psi = random_hermitian(rng, 3), random_pure_state(rng, 3)
     specs = [
@@ -745,9 +746,15 @@ def test_library_paths_build_no_fraction_view():
         value_distribution(a, psi, m)
         value(a, CompleteState(psi, m, F(314159, 10**6)))
         sample_values(a, psi, m, 11, 50)
+        assert spectrum_image_check(a, m, [psi])
         fns.append(level_function(cdf, m))
+    for fn in fns:
+        fn.disagreement(fns[0])
+        fn.map_values(abs)
     for obj in maps + fns:
         assert "breakpoints" not in vars(obj)
+    for fn in fns:
+        assert "values" not in vars(fn)
 
 
 def test_recover_barrier_roundtrip():
