@@ -492,9 +492,7 @@ def block_sizes(es):
     return [v.shape[1] for _, v in es.atoms]
 
 
-@pytest.mark.parametrize(
-    "rotated, scale", [(False, SCALED_NORM), (True, 0.5), (True, 3.0), (True, -7e5)]
-)
+@pytest.mark.parametrize("rotated, scale", [(False, SCALED_NORM), (True, 0.5), (True, 3.0), (True, -7e5)])
 def test_borel_groups_a_chain_of_images_as_a_fresh_diagonalization(rotated, scale):
     """Three images that step by 0.6 of the merge gap: each lies within the
     gap of the one before, the last beyond the gap of the first.  borel_apply
