@@ -3,12 +3,15 @@ property sweeps, runnable standalone through the CLI or pytest.
 
 Every check is deterministic (fixed seeds) and returns a CheckResult with a
 one-line detail string, so `qcs verify` can print one pass/fail line per
-check and exit nonzero on any failure.
+check and exit nonzero on any failure.  The checks share no state, so
+`run_suite` runs them in forked worker processes, one per CPU in the
+process's affinity mask, and returns their results in suite order.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,6 +102,9 @@ FEW_PIECES = 6  # most pieces of a random barrier in the sweeps
 
 @dataclass
 class CheckResult:
+    """One check's outcome.  ``seconds`` is the check's own wall time, timed
+    inside the worker process that ran it."""
+
     name: str
     passed: bool
     detail: str
@@ -311,9 +317,10 @@ def check_intertwining():
 def check_heisenberg():
     """1000 random triples satisfy the uncertainty inequality; the standard
     two-level witness attains equality at (1, 1)."""
+    identity = BarrierComplex.identity()
     lhs, rhs, holds = heisenberg_check(
-        ObservableFunction(pauli_x(), BarrierComplex.identity()),
-        ObservableFunction(pauli_y(), BarrierComplex.identity()),
+        ObservableFunction(pauli_x(), identity),
+        ObservableFunction(pauli_y(), identity),
         PureState(np.array([1.0, 0.0], dtype=complex)),
     )
     if not holds or abs(lhs - 1) > 1e-12 or abs(rhs - 1) > 1e-12:
@@ -321,8 +328,8 @@ def check_heisenberg():
     rng = np.random.default_rng(606)
     for _ in range(1000):
         dim = int(rng.integers(2, 7))
-        f = ObservableFunction(random_hermitian(rng, dim), BarrierComplex.identity())
-        g = ObservableFunction(random_hermitian(rng, dim), BarrierComplex.identity())
+        f = ObservableFunction(random_hermitian(rng, dim), identity)
+        g = ObservableFunction(random_hermitian(rng, dim), identity)
         psi = random_pure_state(rng, dim)
         _, _, ok = heisenberg_check(f, g, psi)
         if not ok:
@@ -813,9 +820,32 @@ SUITES = {
 }
 
 
+def _run_check(key: tuple[str, int]) -> CheckResult:
+    suite, index = key
+    return SUITES[suite][index]()
+
+
 def run_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        return [c() for checks in SUITES.values() for c in checks]
-    if name not in SUITES:
+    """Run suite ``name`` (or every suite, for "all") and return one result
+    per check, in the order the suites list them.
+
+    The checks run in forked worker processes, one per CPU in this process's
+    affinity mask (``taskset`` limits them) and at most one per check.  A
+    worker finds its check by (suite, index) in the ``SUITES`` it inherited,
+    so no closure is pickled and monkeypatches made before the call reach
+    it; a spawned worker would import numpy and qcs afresh and see neither.
+    A spy installed before the call counts in the workers, and its counts
+    stay there: call the check itself to read them.  Every worker is joined
+    before this returns.
+    """
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from all, {', '.join(SUITES)}")
-    return [c() for c in SUITES[name]]
+    names = list(SUITES) if name == "all" else [name]
+    keys = [(suite, i) for suite in names for i in range(len(SUITES[suite]))]
+    # Imported here, not at module level, so `import qcs` does not pay for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(keys), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_run_check, keys))

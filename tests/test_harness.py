@@ -32,6 +32,7 @@ from qcs.stats import ks_statistic, ks_threshold
 from qcs import verify
 from qcs.cli import build_parser, main as cli_main
 from layout import cdf_of
+from verify_details import DETAILS
 
 WITNESS_CDF = cdf_of((-1.0, 0.0, 1.0), (0.625, 0.875, 1.0))
 
@@ -453,21 +454,31 @@ def test_cli_expanding_factor_past_the_index_range_exits_2(tmp_path, capsys):
     assert "expanding factor must be an integer from 2 to" in capsys.readouterr().err
 
 
-def run_qcs_module(module: str) -> subprocess.CompletedProcess:
-    """``python -m module cat ...`` on the qcs that this suite imports: its
+CAT_ARGV = ("cat", "--p", "1/2", "--z", "0.75")
+
+
+def run_qcs_module(module: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -m module *argv`` on the qcs that this suite imports: its
     parent directory leads the child's PYTHONPATH, whether or not (and
     whichever tree) qcs is installed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(qcs.__file__).parent.parent), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", module, "cat", "--p", "1/2", "--z", "0.75"], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env)
 
 
 def test_python_dash_m_qcs_runs_the_cli():
-    proc = run_qcs_module("qcs")
+    proc = run_qcs_module("qcs", *CAT_ARGV)
     assert proc.returncode == 0, proc.stderr
     assert "awake" in proc.stdout
+
+
+def test_python_dash_m_qcs_verify_forks_its_workers_cleanly():
+    """The real entry point runs every check in forked workers: all pass,
+    and neither the pool nor a worker writes to stderr."""
+    proc = run_qcs_module("qcs", "verify", "--suite", "all")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{len(DETAILS)}/{len(DETAILS)} checks passed"
+    assert proc.stderr == ""
 
 
 def test_cli_verify_suite_runs(capsys):
@@ -488,7 +499,7 @@ def test_cli_verify_accepts_exactly_all_and_the_suites():
 
 
 def test_cli_entry_point_installed():
-    proc = run_qcs_module("qcs.cli")
+    proc = run_qcs_module("qcs.cli", *CAT_ARGV)
     assert proc.returncode == 0
     assert "awake" in proc.stdout
 

@@ -2,11 +2,14 @@
 test per check; the acceptance criteria run in test_acceptance.py."""
 
 import math
+import multiprocessing
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qcs import verify
+from qcs import dynamics, verify
+from qcs.measure_maps import MapSpec, build_map, compose
 from qcs.random_objects import random_hermitian, random_pure_state
 from qcs.spectral import HermitianOperator, PiecewiseFn, borel_apply, hermitian_part, rounding_ratio, spectral_cdf
 from verify_details import DETAILS
@@ -29,6 +32,31 @@ def test_check_names_are_unique_across_suites():
 
 def test_every_check_has_a_pinned_detail_and_every_pin_a_check():
     assert sorted(c.check_name for checks in verify.SUITES.values() for c in checks) == sorted(DETAILS)
+
+
+def test_run_suite_returns_the_checks_in_order_and_its_workers_see_patches(monkeypatch):
+    """`run_suite` runs the checks in forked workers: the results come back
+    in `SUITES` order with their pinned details, no worker outlives the
+    call, and a patch made before the call reaches the workers (a spawned
+    worker would import verify afresh and pass the patched check)."""
+    results = verify.run_suite("all")
+    assert [r.name for r in results] == [c.check_name for checks in verify.SUITES.values() for c in checks]
+    assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+    assert {r.name: r.detail for r in results} == DETAILS
+    assert multiprocessing.active_children() == []
+
+    honest = dynamics.lifted_components
+    rot = build_map(MapSpec.rotation(Fraction(1, 5)))
+
+    def shifted(u, sigma, psi, barrier):
+        new_psi, new_barrier, transport = honest(u, sigma, psi, barrier)
+        return new_psi, new_barrier, compose(rot, transport)
+
+    monkeypatch.setattr(verify, "lifted_components", shifted)
+    (law,) = [r for r in verify.run_suite("dynamics") if r.name == "lift-group-law"]
+    assert not law.passed
+    assert law.detail == "label transports differ"
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("check", SWEEPS, ids=[c.check_name for c in SWEEPS])
