@@ -463,7 +463,7 @@ def run_qcs_module(module: str, *argv: str) -> subprocess.CompletedProcess:
     whichever tree) qcs is installed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(qcs.__file__).parent.parent), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_python_dash_m_qcs_runs_the_cli():
